@@ -38,16 +38,16 @@ from .mixture import (
     surface_certificate,
 )
 from .samplers import (
-    TrajectoryBatch,
     TrajectoryRecord,
     cfgpp_equivalent_weight,
     ddim_step,
     ddpm_step,
-    ddpm_trajectory,
     flow_euler_step,
     flow_posterior_mean_x1,
     flow_sample_adg,
+    flow_sample_batch,
     pcg_sample,
+    sample_batch,
     sample_trajectory,
 )
 from .schedule import (

@@ -1,32 +1,14 @@
-"""Deterministic worker-pool fan-out for seed batches.
+"""Sequential order-preserving map.
 
-Results come back in submission order regardless of completion order, so
-parallel runs and sequential runs produce identical aggregates.  The
-GUIDANCE_LAB_THREADS environment variable caps the pool size.
+Nothing in the package calls it any more: trajectories run as one batch
+(see ``samplers.sample_batch``).  It stays because the benchmark's tracer
+(``perfbench/tracer.py``) imports it.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-__all__ = ["worker_count", "parallel_map"]
-
-
-def worker_count() -> int:
-    env = os.environ.get("GUIDANCE_LAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"GUIDANCE_LAB_THREADS must be an integer, got {env!r}") from None
-    return min(8, os.cpu_count() or 1)
+__all__ = ["parallel_map"]
 
 
 def parallel_map(fn, items):
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]

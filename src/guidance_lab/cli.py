@@ -17,7 +17,6 @@ from . import reports as rp
 from . import samplers as sp
 from . import svgplot
 from . import theory
-from ._parallel import parallel_map
 from .config import ConfigError, ExperimentConfig, load_config
 from .mixture import surface_certificate
 from .verify import run_suite
@@ -136,17 +135,13 @@ def _guidance_echo(config: ExperimentConfig, strategy: str) -> str:
 def cmd_sample(args) -> int:
     config = _load(args)
     gmm = config.gmm()
-    schedule = config.noise_schedule()
     grid = config.time_grid()
     condition = config.condition()
     seeds = config.seeds()
     cert = surface_certificate(gmm, condition) if gmm.n_components > 1 else None
     for strategy in config.strategies():
         guidance_cfg = config.guidance(strategy=strategy)
-        records = parallel_map(
-            lambda seed: sp.sample_trajectory(gmm, schedule, grid, guidance_cfg, condition, seed),
-            seeds,
-        )
+        records = sp.sample_batch(gmm, grid, guidance_cfg, condition, seeds)
         rp.write_trajectory_csv(records, _outpath(config, f"trajectories_{strategy}.csv"))
         rp.write_summary_csv(records, _outpath(config, f"summary_{strategy}.csv"), cert)
         finals = np.stack([r.final_x0 for r in records])
@@ -209,7 +204,7 @@ def cmd_probe_norm(args) -> int:
         return EXIT_OK
     omega = float(nm["omega"]) if args.omega is None else args.omega
     report = theory.norm_amplification_check(
-        gmm, cert, config.noise_schedule(), config.time_grid(), omega,
+        gmm, cert, config.time_grid(), omega,
         range(int(nm["seed_count"])), float(nm["margin_floor"]),
     )
     rp.write_report_json([report], _outpath(config, "norm_report.json"))
@@ -222,7 +217,7 @@ def cmd_sweep(args) -> int:
     config = _load(args)
     block = config.data["sweep"]
     rows = theory.norm_sweep(
-        config.gmm(), config.noise_schedule(), config.time_grid(),
+        config.gmm(), config.time_grid(),
         [str(s) for s in block["strategies"]], [float(w) for w in block["omegas"]],
         range(int(block["seed_count"])), config.condition(), config.guidance(),
     )
@@ -239,7 +234,7 @@ def cmd_scatter(args) -> int:
     config = _load(args)
     block = config.data["scatter"]
     sets = theory.scatter_experiment(
-        config.gmm(), config.noise_schedule(), config.time_grid(),
+        config.gmm(), config.time_grid(),
         [float(w) for w in block["omegas"]], int(block["seeds_per_class"]),
         strategy=str(block["strategy"]), base_config=config.guidance(),
     )
@@ -267,12 +262,8 @@ def cmd_flow_sample(args) -> int:
     angle_cap = float(config.data["guidance"]["angle_cap"])
     seeds = config.seeds()
     condition = config.condition()
-    records = parallel_map(
-        lambda seed: sp.flow_sample_adg(
-            gmm, float(block["sigma_min"]), int(block["steps"]), omega, angle_cap,
-            condition, seed,
-        ),
-        seeds,
+    records = sp.flow_sample_batch(
+        gmm, float(block["sigma_min"]), int(block["steps"]), omega, angle_cap, condition, seeds
     )
     rp.write_trajectory_csv(records, _outpath(config, "flow_trajectories.csv"))
     rp.write_summary_csv(records, _outpath(config, "flow_summary.csv"))

@@ -241,10 +241,14 @@ def _validate(data: dict) -> dict:
     _require_number(g["omega"], "guidance.omega", lo=1.0)
     _require_number(g["angle_cap"], "guidance.angle_cap")
     run = data["run"]
-    if run["seeds"] is not None and not isinstance(run["seeds"], list):
-        raise ConfigError("run.seeds: expected a list of integers")
     if run["seeds"] is None:
         _require_int(run["seed_count"], "run.seed_count", lo=1)
+    elif not isinstance(run["seeds"], list):
+        raise ConfigError("run.seeds: expected a list of integers")
+    else:
+        repeated = [s for i, s in enumerate(run["seeds"]) if s in run["seeds"][:i]]
+        if repeated:
+            raise ConfigError(f"run.seeds: seed {repeated[0]!r} repeated; seeds must be distinct")
     if run["strategies"] is not None:
         if not isinstance(run["strategies"], list) or not run["strategies"]:
             raise ConfigError("run.strategies: expected a non-empty list")

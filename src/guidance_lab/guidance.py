@@ -8,7 +8,7 @@ separation angle; the linear family extrapolates.  Operations broadcast
 over leading axes (vectors are ``(..., dim)``).
 
 Geometry conventions: the rotation happens in span{x0_cond, x0_uncond};
-``arccos`` arguments are clamped to [-1, 1]; pairs that are numerically
+the separation angle is taken with ``atan2``; pairs that are numerically
 parallel (angle below ``ANGLE_FLOOR``) or almost zero-length (norm below
 ``NORM_FLOOR``) make the rotation a no-op and fall back to the
 conditional prediction.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,14 +191,11 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle in [0, pi] between two vectors, cosine clamped to [-1, 1]."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu, nv = float(_norm(u)), float(_norm(v))
-    if nu <= NORM_FLOOR or nv <= NORM_FLOOR:
+    """Angle in [0, pi] between two vectors (see :func:`_pair_geometry`)."""
+    geometry = _pair_geometry(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    if not geometry.safe:
         raise DegenerateGeometryError("vector norm below floor; angle undefined")
-    cosine = np.clip(float(np.dot(u, v)) / (nu * nv), -1.0, 1.0)
-    return float(np.arccos(cosine))
+    return float(geometry.gamma)
 
 
 def cap_angle(raw: float, cap: float = DEFAULT_ANGLE_CAP) -> float:
@@ -209,27 +207,52 @@ def cap_angle(raw: float, cap: float = DEFAULT_ANGLE_CAP) -> float:
     return min(raw, cap)
 
 
-def _pair_geometry(x0_cond: np.ndarray, x0_uncond: np.ndarray):
-    """Batched separation angle and validity mask for the rotation family.
+class _PairGeometry(NamedTuple):
+    x_cond: np.ndarray
+    rejection: np.ndarray   # x_cond minus its projection on x_uncond
+    gamma: np.ndarray       # separation angle
+    sin_gamma: np.ndarray   # |rejection| / |x_cond|
+    safe: np.ndarray        # both norms above NORM_FLOOR
+    valid: np.ndarray       # safe and gamma >= ANGLE_FLOOR: the rotation applies
 
-    Returns (gamma, sin_gamma, proj, valid) where proj is the projection
-    of x0_cond onto the x0_uncond direction and valid marks rows whose
-    geometry supports a rotation (healthy norms, angle above the floor).
+
+def _pair_geometry(x_cond: np.ndarray, x_uncond: np.ndarray) -> _PairGeometry:
+    """Batched separation geometry of a prediction pair, computed once.
+
+    The angle is ``atan2(|rejection| * |x_uncond|, x_cond . x_uncond)``:
+    unlike arccos of a clamped cosine, which cannot resolve angles below
+    about 1.5e-8, it keeps full relative precision at small angles.
+    ``sin_gamma`` comes from the same rejection, so it stays accurate
+    where the cosine pins to +-1.
     """
-    n_cond = _norm(x0_cond)
-    n_uncond = _norm(x0_uncond)
+    n_cond = _norm(x_cond)
+    n_uncond = _norm(x_uncond)
     safe = (n_cond > NORM_FLOOR) & (n_uncond > NORM_FLOOR)
-    denom = np.where(safe, n_cond * n_uncond, 1.0)
-    cosine = np.clip(np.sum(x0_cond * x0_uncond, axis=-1) / denom, -1.0, 1.0)
-    gamma = np.arccos(cosine)
+    dot = np.sum(x_cond * x_uncond, axis=-1)
     u_sq = np.where(n_uncond > NORM_FLOOR, n_uncond, 1.0) ** 2
-    proj = (np.sum(x0_cond * x0_uncond, axis=-1) / u_sq)[..., None] * x0_uncond
-    # sin(gamma) equals |x0_cond - proj| / |x0_cond| exactly; evaluating it
-    # that way keeps the upcoming division accurate even where the cosine
-    # pins to +-1 and arccos-derived sines lose all relative precision
-    sin_gamma = _norm(x0_cond - proj) / np.where(safe, n_cond, 1.0)
-    valid = safe & (gamma >= ANGLE_FLOOR)
-    return gamma, sin_gamma, proj, valid
+    rejection = x_cond - (dot / u_sq)[..., None] * x_uncond
+    rej_norm = _norm(rejection)
+    gamma = np.arctan2(rej_norm * n_uncond, dot)
+    sin_gamma = rej_norm / np.where(safe, n_cond, 1.0)
+    return _PairGeometry(x_cond, rejection, gamma, sin_gamma, safe, safe & (gamma >= ANGLE_FLOOR))
+
+
+def _rotate(
+    geometry: _PairGeometry, omega: float | np.ndarray, angle_cap: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation of a precomputed pair geometry; returns (rotated, turn angle)."""
+    x_cond = geometry.x_cond
+    gamma_omega = (omega - 1.0) * geometry.gamma
+    if angle_cap is not None:
+        gamma_omega = np.minimum(gamma_omega, angle_cap)
+    # exactly antiparallel pairs have sin_gamma == 0 with a zero rejection;
+    # a unit divisor keeps the vanishing term well-defined
+    sin_safe = np.where(geometry.valid & (geometry.sin_gamma > 0.0), geometry.sin_gamma, 1.0)
+    rotated = (
+        np.cos(gamma_omega)[..., None] * x_cond
+        + (np.sin(gamma_omega) / sin_safe)[..., None] * geometry.rejection
+    )
+    return np.where(geometry.valid[..., None], rotated, x_cond), gamma_omega
 
 
 def rotate_raw(
@@ -248,18 +271,7 @@ def rotate_raw(
     """
     x_cond = np.asarray(x_cond, dtype=float)
     x_uncond = np.asarray(x_uncond, dtype=float)
-    gamma, sin_gamma, proj, valid = _pair_geometry(x_cond, x_uncond)
-    gamma_omega = (omega - 1.0) * gamma
-    if angle_cap is not None:
-        gamma_omega = np.minimum(gamma_omega, angle_cap)
-    # exactly antiparallel pairs have sin_gamma == 0 with x_cond == proj;
-    # a unit divisor keeps the vanishing term well-defined
-    sin_safe = np.where(valid & (sin_gamma > 0.0), sin_gamma, 1.0)
-    rotated = (
-        np.cos(gamma_omega)[..., None] * x_cond
-        + (np.sin(gamma_omega) / sin_safe)[..., None] * (x_cond - proj)
-    )
-    return np.where(valid[..., None], rotated, x_cond)
+    return _rotate(_pair_geometry(x_cond, x_uncond), omega, angle_cap)[0]
 
 
 def adg_rotate(pair: PredictionPair, omega: float, angle_cap: float = DEFAULT_ANGLE_CAP) -> np.ndarray:

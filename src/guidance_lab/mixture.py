@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "GaussianMixture",
@@ -121,7 +120,9 @@ def log_density_t(
     if condition is not None:
         out = log_comp[..., _check_condition(gmm, condition)]
     else:
-        out = logsumexp(log_comp + np.log(gmm.weights), axis=-1)
+        logits = log_comp + np.log(gmm.weights)
+        top = logits.max(axis=-1)
+        out = top + np.log(np.sum(np.exp(logits - top[..., None]), axis=-1))
     return float(out) if out.ndim == 0 else out
 
 
@@ -139,9 +140,12 @@ def posterior_weights(gmm: GaussianMixture, x: np.ndarray, alpha_bar: float) -> 
     """Component responsibilities at x; shape (..., C), rows sum to 1."""
     alpha_bar = _check_alpha_bar(alpha_bar, allow_one=True)
     x = _as_points(gmm, x)
-    logits = _component_log_densities(gmm, x, alpha_bar) + np.log(gmm.weights)
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    w = np.exp(logits)
+    return _normalized_exp(_component_log_densities(gmm, x, alpha_bar) + np.log(gmm.weights))
+
+
+def _normalized_exp(logits: np.ndarray) -> np.ndarray:
+    """exp(logits) normalized along the last axis, max-shifted so nothing overflows."""
+    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return w / w.sum(axis=-1, keepdims=True)
 
 
@@ -173,7 +177,9 @@ def posterior_mean_x0(
         mu = gmm.means[_check_condition(gmm, condition)]
         return beta_bar * mu + root * x
     resp = posterior_weights(gmm, x, alpha_bar)
-    return root * x + beta_bar * (resp @ gmm.means)
+    # einsum rather than a BLAS matmul: its per-row sums do not depend on
+    # how many rows the batch holds, so a trajectory is the same in any batch
+    return root * x + beta_bar * np.einsum("...c,cd->...d", resp, gmm.means)
 
 
 def finite_diff_score(

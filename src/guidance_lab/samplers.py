@@ -1,14 +1,15 @@
 """First-order reverse-time samplers driven by exact mixture predictions.
 
 The deterministic (DDIM-style) and ancestral (DDPM-style) steps below
-consume a clean-sample prediction or score; the trajectory drivers plug
-in the exact Gaussian-mixture posterior means in place of a learned
+consume a clean-sample prediction or score; the batched driver plugs in
+the exact Gaussian-mixture posterior means in place of a learned
 network, so every run is an oracle for the guidance strategies.
 
 Noise discipline: each trajectory owns counter-based Philox streams
 keyed by ``(seed, step)``; stream 0 draws the initial state and stream
-``i + 1`` serves transition ``i``.  Results are therefore reproducible
-independently of execution order or parallelism.
+``i + 1`` serves transition ``i`` (the pcg corrector draws one
+``(inner_steps, dim)`` block from it).  A trajectory is therefore the
+same whichever batch of seeds it runs in.
 """
 
 from __future__ import annotations
@@ -17,26 +18,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import guidance as gd
 from . import mixture as mx
 from .guidance import ApgState, GuidanceConfig, PredictionPair
 from .mixture import GaussianMixture
-from .schedule import FlowPath, NoiseSchedule, TimeGrid
+from .schedule import FlowPath, TimeGrid
 
 __all__ = [
     "EquivalenceUndefined",
     "TrajectoryRecord",
-    "TrajectoryBatch",
     "step_rng",
     "ddim_step",
     "ddpm_beta",
     "ddpm_step",
+    "sample_batch",
+    "flow_sample_batch",
     "sample_trajectory",
-    "ddim_population",
-    "ddpm_population",
-    "ddpm_trajectory",
     "pcg_sample",
     "cfgpp_equivalent_weight",
     "flow_euler_step",
@@ -146,7 +144,8 @@ class TrajectoryRecord:
 
     Arrays are indexed by transition: ``times[i]`` is where the i-th
     predictions were evaluated, ``x_t[i]`` the state there.  ``gamma``
-    and ``gamma_omega`` are NaN for strategies without a rotation angle.
+    is NaN where a prediction is too short for an angle, ``gamma_omega``
+    also for strategies without a rotation angle.
     """
 
     seed: int
@@ -168,244 +167,215 @@ class TrajectoryRecord:
         return self.times.shape[0]
 
 
-@dataclass(frozen=True)
-class TrajectoryBatch:
-    """Trajectories sharing mixture, schedule, grid and guidance settings."""
+# ---------------------------------------------------------------------------
+# Strategy table
+# ---------------------------------------------------------------------------
+# Each rule maps (pair, geometry, config, condition, alpha_bar_prev, APG
+# state) to (guided prediction, next state or None, APG state, log columns).
+# Only cfgpp returns the next state itself: its renoising noise is not the
+# one a DDIM step would derive from the guided prediction.  On the flow
+# path the pair and alpha_bar_prev are None; only "adg" runs there.
 
-    records: list[TrajectoryRecord]
-    gmm: GaussianMixture
-    schedule: NoiseSchedule | None
-    config: GuidanceConfig
-    condition: int
-
-    def __post_init__(self):
-        seeds = [r.seed for r in self.records]
-        if len(set(seeds)) != len(seeds):
-            raise ValueError("trajectory seeds must be distinct")
-        steps = {r.steps for r in self.records}
-        if len(steps) > 1:
-            raise ValueError("all records must share the grid")
-
-    def final_states(self) -> np.ndarray:
-        return np.stack([r.final_x0 for r in self.records])
+def _linear(combine):
+    return lambda pair, geo, cfg, condition, ab_prev, state: (
+        combine(pair, cfg.omega), None, state, {})
 
 
-class _StepLog:
-    """Accumulates per-step diagnostics while a trajectory runs."""
-
-    def __init__(self):
-        self.times, self.x_t = [], []
-        self.x0_cond, self.x0_uncond, self.x0_guided = [], [], []
-        self.gamma, self.gamma_omega, self.residual = [], [], []
-
-    def add(self, t, x_t, x0_cond, x0_uncond, x0_guided, gamma=math.nan,
-            gamma_omega=math.nan, residual=math.nan):
-        self.times.append(float(t))
-        self.x_t.append(np.array(x_t))
-        self.x0_cond.append(np.array(x0_cond))
-        self.x0_uncond.append(np.array(x0_uncond))
-        self.x0_guided.append(np.array(x0_guided))
-        self.gamma.append(float(gamma))
-        self.gamma_omega.append(float(gamma_omega))
-        self.residual.append(float(residual))
-
-    def freeze(self, seed, strategy, omega, final_x0, with_residual=False) -> TrajectoryRecord:
-        guided = np.array(self.x0_guided)
-        return TrajectoryRecord(
-            seed=int(seed),
-            strategy=strategy,
-            omega=float(omega),
-            times=np.array(self.times),
-            x_t=np.array(self.x_t),
-            x0_cond=np.array(self.x0_cond),
-            x0_uncond=np.array(self.x0_uncond),
-            x0_guided=guided,
-            gamma=np.array(self.gamma),
-            gamma_omega=np.array(self.gamma_omega),
-            guided_norm=np.linalg.norm(guided, axis=-1),
-            final_x0=np.array(final_x0),
-            cfgpp_residual=np.array(self.residual) if with_residual else None,
-        )
+def _rotation(capped, normalized=False):
+    def rule(pair, geo, cfg, condition, ab_prev, state):
+        guided, turn = gd._rotate(geo, cfg.omega, cfg.angle_cap if capped else None)
+        if normalized:
+            guided = gd._rescale_to(guided, geo.x_cond)
+        return guided, None, state, {"gamma_omega": turn}
+    return rule
 
 
-def _pair_angle(x0_cond, x0_uncond) -> float:
+def _apg(pair, geo, cfg, condition, ab_prev, state):
+    guided, state = gd.apg_update(pair, cfg.omega, cfg.apg_params, state)
+    return guided, None, state, {}
+
+
+def _recfg(pair, geo, cfg, condition, ab_prev, state):
+    x, ab = pair.x_t, pair.alpha_bar_t
+    eps = gd.recfg_combine(
+        gd.eps_from_x0(x, pair.x0_cond, ab), gd.eps_from_x0(x, pair.x0_uncond, ab),
+        cfg.omega, cfg.recfg_lambda_for(condition),
+    )
+    return gd.x0_from_eps(x, eps, ab), None, state, {}
+
+
+def _cfgpp(pair, geo, cfg, condition, ab_prev, state):
+    x, ab = pair.x_t, pair.alpha_bar_t
+    denoised, renoise = gd.cfgpp_predictions(
+        gd.eps_from_x0(x, pair.x0_cond, ab), gd.eps_from_x0(x, pair.x0_uncond, ab),
+        cfg.cfgpp_lambda, x, ab,
+    )
+    x_next = math.sqrt(ab_prev) * denoised + math.sqrt(1.0 - ab_prev) * renoise
+    residual = _cfgpp_residual(pair, cfg.cfgpp_lambda, ab_prev, x_next)
+    return denoised, x_next, state, {"cfgpp_residual": residual}
+
+
+def _cfgpp_residual(pair, lam, ab_prev, x_next):
+    """Distance between the split update and its equivalent-weight linear step."""
     try:
-        return gd.angle_between(x0_cond, x0_uncond)
-    except gd.DegenerateGeometryError:
+        omega_t = cfgpp_equivalent_weight(lam, pair.alpha_bar_t, ab_prev)
+    except EquivalenceUndefined:
         return math.nan
+    reference = ddim_step(pair.x_t, gd.cfg_combine(pair, omega_t), pair.alpha_bar_t, ab_prev)
+    return np.linalg.norm(x_next - reference, axis=-1)
+
+
+_STEP_RULES = {
+    "cfg": _linear(gd.cfg_combine),
+    "adg": _rotation(capped=True),
+    "adg_no_cap": _rotation(capped=False),
+    "adg_normalized": _rotation(capped=True, normalized=True),
+    "adg_simplified": _linear(gd.adg_simplified),
+    "apg": _apg,
+    "recfg": _recfg,
+    "cfgpp": _cfgpp,
+    # predictor: the conditional step; the corrector runs after it
+    "pcg": lambda pair, geo, cfg, condition, ab_prev, state: (pair.x0_cond, None, state, {}),
+}
 
 
 # ---------------------------------------------------------------------------
-# Trajectory drivers
+# The batched driver
 # ---------------------------------------------------------------------------
+
+def _drive(gmm, config, condition, seeds, grid=None, flow=None) -> list[TrajectoryRecord]:
+    """Advance every seed of one (config, condition) together as an (n, dim) array.
+
+    The VP path (``grid``) predicts x0 by the exact posterior means, guides
+    through the strategy table and takes a DDIM step, followed by the pcg
+    corrector; the flow path (``flow = (sigma_min, steps)``) predicts x1
+    and takes an Euler step.  Returns one record per seed, in order.
+    """
+    seeds = [int(s) for s in seeds]
+    x = np.stack([step_rng(s, 0).standard_normal(gmm.dim) for s in seeds])
+    if flow is None:
+        times, label = grid.times[:-1], config.strategy
+    else:
+        sigma_min, steps = flow
+        dt = 1.0 / steps
+        times, label = np.arange(steps) * dt, "flow_" + config.strategy
+    rule = _STEP_RULES[config.strategy]
+    shape = (len(times),) + x.shape
+    x_t, x0_cond, x0_uncond, x0_guided = (np.empty(shape) for _ in range(4))
+    gamma, gamma_omega, residual = (np.full(shape[:2], math.nan) for _ in range(3))
+    state = ApgState.zero(x.shape)
+    for i, t in enumerate(times):
+        try:
+            if flow is None:
+                ab_t, ab_prev = float(grid.alpha_bars[i]), float(grid.alpha_bars[i + 1])
+                cond = mx.posterior_mean_x0(gmm, x, ab_t, condition)
+                uncond = mx.posterior_mean_x0(gmm, x, ab_t, None)
+                pair = PredictionPair(x0_cond=cond, x0_uncond=uncond, x_t=x, alpha_bar_t=ab_t)
+            else:
+                cond = flow_posterior_mean_x1(gmm, x, t, sigma_min, condition)
+                uncond = flow_posterior_mean_x1(gmm, x, t, sigma_min, None)
+                pair = ab_prev = None
+            geo = gd._pair_geometry(cond, uncond)
+            guided, x_next, state, columns = rule(pair, geo, config, condition, ab_prev, state)
+            if x_next is None:
+                x_next = (ddim_step(x, guided, ab_t, ab_prev) if flow is None
+                          else flow_euler_step(x, guided, t, dt, sigma_min))
+            if config.strategy == "pcg" and config.pcg_inner_steps and ab_prev < 1.0:
+                # no corrector at the terminal point (beta_bar would be 0)
+                x_next = _pcg_correct(gmm, x_next, ab_t, ab_prev, config, condition, seeds, i)
+        except ValueError as exc:
+            raise RuntimeError(f"trajectory aborted at step {i} (t={t}): {exc}") from exc
+        x_t[i], x0_cond[i], x0_uncond[i], x0_guided[i] = x, cond, uncond, guided
+        gamma[i] = np.where(geo.safe, geo.gamma, math.nan)
+        if "gamma_omega" in columns:
+            gamma_omega[i] = np.where(geo.safe, columns["gamma_omega"], math.nan)
+        residual[i] = columns.get("cfgpp_residual", math.nan)
+        x = x_next
+    guided_norm = np.linalg.norm(x0_guided, axis=-1)
+    return [
+        TrajectoryRecord(
+            seed=seed, strategy=label, omega=float(config.omega), times=times,
+            x_t=x_t[:, j], x0_cond=x0_cond[:, j], x0_uncond=x0_uncond[:, j],
+            x0_guided=x0_guided[:, j], gamma=gamma[:, j], gamma_omega=gamma_omega[:, j],
+            guided_norm=guided_norm[:, j], final_x0=x[j],
+            cfgpp_residual=residual[:, j] if config.strategy == "cfgpp" else None,
+        )
+        for j, seed in enumerate(seeds)
+    ]
+
+
+def _pcg_correct(gmm, x, ab_t, ab_prev, config, condition, seeds, i):
+    """The pcg corrector of transition ``i`` (see :func:`pcg_sample`)."""
+    kappa = ddpm_beta(ab_t, ab_prev)
+    beta_bar_prev = 1.0 - ab_prev
+    if config.pcg_langevin_mode == "paper-literal":
+        divisor = beta_bar_prev
+    else:
+        divisor = math.sqrt(beta_bar_prev)
+    draws = np.stack(
+        [step_rng(s, i + 1).standard_normal((config.pcg_inner_steps, gmm.dim)) for s in seeds],
+        axis=1,
+    )
+    omega = config.omega
+    for noise in draws:
+        eps_c = gd.eps_from_x0(x, mx.posterior_mean_x0(gmm, x, ab_prev, condition), ab_prev)
+        eps_u = gd.eps_from_x0(x, mx.posterior_mean_x0(gmm, x, ab_prev, None), ab_prev)
+        eps_guided = (1.0 - omega) * eps_u + omega * eps_c
+        x = x - 0.5 * kappa * eps_guided / divisor + math.sqrt(kappa) * noise
+    return x
+
+
+def sample_batch(
+    gmm: GaussianMixture,
+    grid: TimeGrid,
+    config: GuidanceConfig,
+    condition: int,
+    seeds,
+) -> list[TrajectoryRecord]:
+    """Guided reverse trajectories of every seed on the grid, run as one batch.
+
+    The conditional and unconditional clean predictions come from the
+    exact mixture posterior means; the configured strategy combines them
+    and a deterministic step advances the state ("pcg" adds its
+    stochastic corrector).  Each record equals the one-seed run.
+    """
+    return _drive(gmm, config, condition, seeds, grid=grid)
+
+
+def flow_sample_batch(
+    gmm: GaussianMixture,
+    sigma_min: float,
+    steps: int,
+    omega: float,
+    angle_cap: float,
+    condition: int,
+    seeds,
+) -> list[TrajectoryRecord]:
+    """Integrate the guided flow from noise (t=0) to data (t=1) for every seed.
+
+    Per step the exact conditional/unconditional clean-target posteriors
+    are rotated by the capped-angle rule before re-deriving the velocity.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    path = FlowPath(sigma_min=sigma_min)
+    config = GuidanceConfig(strategy="adg", omega=omega, angle_cap=angle_cap)
+    return _drive(gmm, config, condition, seeds, flow=(path.sigma_min, steps))
+
 
 def sample_trajectory(
     gmm: GaussianMixture,
-    schedule: NoiseSchedule | None,
     grid: TimeGrid,
     config: GuidanceConfig,
     condition: int,
     seed: int,
-    literal_renoise: bool = False,
 ) -> TrajectoryRecord:
-    """Run one guided reverse trajectory on the grid.
-
-    The conditional and unconditional clean predictions come from the
-    exact mixture posterior means; the configured strategy combines them
-    and a deterministic step advances the state.  The "pcg" strategy is
-    routed to :func:`pcg_sample`.
-    """
-    if config.strategy == "pcg":
-        return pcg_sample(
-            gmm, schedule, grid, config.omega, config.pcg_inner_steps, condition, seed,
-            langevin_mode=config.pcg_langevin_mode,
-        )
-    x = step_rng(seed, 0).standard_normal(gmm.dim)
-    log = _StepLog()
-    apg_state = ApgState.zero(gmm.dim)
-    is_cfgpp = config.strategy == "cfgpp"
-    for i in range(grid.steps):
-        t, ab_t = float(grid.times[i]), float(grid.alpha_bars[i])
-        ab_prev = float(grid.alpha_bars[i + 1])
-        try:
-            x_next, info, apg_state = _guided_step(
-                gmm, x, t, ab_t, ab_prev, config, condition, apg_state, literal_renoise
-            )
-        except ValueError as exc:
-            raise RuntimeError(f"trajectory aborted at step {i} (t={t}): {exc}") from exc
-        log.add(t, x, *info)
-        x = x_next
-    return log.freeze(seed, config.strategy, config.omega, x, with_residual=is_cfgpp)
-
-
-def _guided_step(gmm, x, t, ab_t, ab_prev, config, condition, apg_state, literal_renoise):
-    """One strategy step; returns (next state, log tuple, APG state)."""
-    x0_cond = mx.posterior_mean_x0(gmm, x, ab_t, condition)
-    x0_uncond = mx.posterior_mean_x0(gmm, x, ab_t, None)
-    pair = PredictionPair(x0_cond=x0_cond, x0_uncond=x0_uncond, x_t=x, alpha_bar_t=ab_t)
-    gamma = _pair_angle(x0_cond, x0_uncond)
-    gamma_omega = math.nan
-    residual = math.nan
-    strategy = config.strategy
-
-    if strategy == "cfg":
-        guided = gd.cfg_combine(pair, config.omega)
-    elif strategy == "adg":
-        guided = gd.adg_rotate(pair, config.omega, config.angle_cap)
-        if math.isfinite(gamma):
-            gamma_omega = gd.cap_angle((config.omega - 1.0) * gamma, config.angle_cap)
-    elif strategy == "adg_no_cap":
-        guided = gd.adg_no_cap(pair, config.omega)
-        if math.isfinite(gamma):
-            gamma_omega = (config.omega - 1.0) * gamma
-    elif strategy == "adg_normalized":
-        guided = gd.adg_normalized(pair, config.omega, config.angle_cap)
-        if math.isfinite(gamma):
-            gamma_omega = gd.cap_angle((config.omega - 1.0) * gamma, config.angle_cap)
-    elif strategy == "adg_simplified":
-        guided = gd.adg_simplified(pair, config.omega)
-    elif strategy == "apg":
-        guided, apg_state = gd.apg_update(pair, config.omega, config.apg_params, apg_state)
-    elif strategy == "recfg":
-        eps_c = gd.eps_from_x0(x, x0_cond, ab_t)
-        eps_u = gd.eps_from_x0(x, x0_uncond, ab_t)
-        lam = config.recfg_lambda_for(condition)
-        eps_guided = gd.recfg_combine(eps_c, eps_u, config.omega, lam)
-        guided = gd.x0_from_eps(x, eps_guided, ab_t)
-    elif strategy == "cfgpp":
-        eps_c = gd.eps_from_x0(x, x0_cond, ab_t)
-        eps_u = gd.eps_from_x0(x, x0_uncond, ab_t)
-        denoised, renoise = gd.cfgpp_predictions(eps_c, eps_u, config.cfgpp_lambda, x, ab_t)
-        x_next = math.sqrt(ab_prev) * denoised + math.sqrt(1.0 - ab_prev) * renoise
-        residual = _cfgpp_residual(pair, config.cfgpp_lambda, ab_t, ab_prev, x_next)
-        info = (x0_cond, x0_uncond, denoised, gamma, gamma_omega, residual)
-        return x_next, info, apg_state
-    else:  # pragma: no cover - config validation precludes this
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    x_next = ddim_step(x, guided, ab_t, ab_prev, literal_renoise=literal_renoise)
-    info = (x0_cond, x0_uncond, guided, gamma, gamma_omega, residual)
-    return x_next, info, apg_state
-
-
-def _cfgpp_residual(pair, lam, ab_t, ab_prev, x_next) -> float:
-    """Distance between the split update and its equivalent-weight linear step."""
-    try:
-        omega_t = cfgpp_equivalent_weight(lam, ab_t, ab_prev)
-    except EquivalenceUndefined:
-        return math.nan
-    guided = gd.cfg_combine(pair, omega_t)
-    reference = ddim_step(pair.x_t, guided, ab_t, ab_prev)
-    return float(np.linalg.norm(x_next - reference))
-
-
-def ddim_population(
-    gmm: GaussianMixture,
-    grid: TimeGrid,
-    condition: int,
-    n_samples: int,
-    seed: int,
-) -> np.ndarray:
-    """Deterministic conditional chains for a whole sample population.
-
-    Vectorized Monte-Carlo driver: one (seed, 0) stream draws every
-    initial state, the per-step math runs on the (n, dim) batch.
-    Returns the final states, shape (n_samples, dim).
-    """
-    x = step_rng(seed, 0).standard_normal((n_samples, gmm.dim))
-    for i in range(grid.steps):
-        ab_t = float(grid.alpha_bars[i])
-        ab_prev = float(grid.alpha_bars[i + 1])
-        x = ddim_step(x, mx.posterior_mean_x0(gmm, x, ab_t, condition), ab_t, ab_prev)
-    return x
-
-
-def ddpm_population(
-    gmm: GaussianMixture,
-    grid: TimeGrid,
-    condition: int,
-    n_samples: int,
-    seed: int,
-) -> np.ndarray:
-    """Ancestral conditional chains for a whole sample population.
-
-    Noise for transition i comes from the (seed, i + 1) stream covering
-    the batch, so results are reproducible for a fixed sample count.
-    """
-    x = step_rng(seed, 0).standard_normal((n_samples, gmm.dim))
-    for i in range(grid.steps):
-        ab_t = float(grid.alpha_bars[i])
-        ab_prev = float(grid.alpha_bars[i + 1])
-        score = mx.score_conditional(gmm, x, ab_t, condition)
-        noise = step_rng(seed, i + 1).standard_normal((n_samples, gmm.dim))
-        x = ddpm_step(x, score, ddpm_beta(ab_t, ab_prev), noise)
-    return x
-
-
-def ddpm_trajectory(
-    gmm: GaussianMixture,
-    grid: TimeGrid,
-    condition: int,
-    seed: int,
-) -> TrajectoryRecord:
-    """Ancestral conditional trajectory with exact scores and seeded noise."""
-    x = step_rng(seed, 0).standard_normal(gmm.dim)
-    log = _StepLog()
-    for i in range(grid.steps):
-        t, ab_t = float(grid.times[i]), float(grid.alpha_bars[i])
-        ab_prev = float(grid.alpha_bars[i + 1])
-        score = mx.score_conditional(gmm, x, ab_t, condition)
-        x0_cond = mx.posterior_mean_x0(gmm, x, ab_t, condition)
-        noise = step_rng(seed, i + 1).standard_normal(gmm.dim)
-        x_next = ddpm_step(x, score, ddpm_beta(ab_t, ab_prev), noise)
-        log.add(t, x, x0_cond, x0_cond, x0_cond)
-        x = x_next
-    return log.freeze(seed, "ddpm", 1.0, x)
+    """Run one guided reverse trajectory on the grid (see :func:`sample_batch`)."""
+    return sample_batch(gmm, grid, config, condition, [seed])[0]
 
 
 def pcg_sample(
     gmm: GaussianMixture,
-    schedule: NoiseSchedule | None,
     grid: TimeGrid,
     omega: float,
     inner_steps: int,
@@ -423,35 +393,10 @@ def pcg_sample(
     ``sqrt(beta_bar)`` in "score-consistent" mode (the form under which
     the update is plain Langevin dynamics on the guided density).
     """
-    if inner_steps < 0:
-        raise ValueError("inner_steps must be >= 0")
-    if langevin_mode not in ("paper-literal", "score-consistent"):
-        raise ValueError("langevin_mode must be 'paper-literal' or 'score-consistent'")
-    if not omega >= 1.0:
-        raise ValueError("omega must be >= 1")
-    x = step_rng(seed, 0).standard_normal(gmm.dim)
-    log = _StepLog()
-    for i in range(grid.steps):
-        t, ab_t = float(grid.times[i]), float(grid.alpha_bars[i])
-        ab_prev = float(grid.alpha_bars[i + 1])
-        x0_cond = mx.posterior_mean_x0(gmm, x, ab_t, condition)
-        x0_uncond = mx.posterior_mean_x0(gmm, x, ab_t, None)
-        log.add(t, x, x0_cond, x0_uncond, x0_cond)
-        x = ddim_step(x, x0_cond, ab_t, ab_prev)
-        if inner_steps == 0 or ab_prev >= 1.0:
-            # no corrector at the terminal point (beta_bar would be 0)
-            continue
-        kappa = ddpm_beta(ab_t, ab_prev)
-        beta_bar_prev = 1.0 - ab_prev
-        divisor = beta_bar_prev if langevin_mode == "paper-literal" else math.sqrt(beta_bar_prev)
-        rng = step_rng(seed, i + 1)
-        for _ in range(inner_steps):
-            eps_c = gd.eps_from_x0(x, mx.posterior_mean_x0(gmm, x, ab_prev, condition), ab_prev)
-            eps_u = gd.eps_from_x0(x, mx.posterior_mean_x0(gmm, x, ab_prev, None), ab_prev)
-            eps_guided = (1.0 - omega) * eps_u + omega * eps_c
-            noise = rng.standard_normal(gmm.dim)
-            x = x - 0.5 * kappa * eps_guided / divisor + math.sqrt(kappa) * noise
-    return log.freeze(seed, "pcg", omega, x)
+    config = GuidanceConfig(
+        strategy="pcg", omega=omega, pcg_inner_steps=inner_steps, pcg_langevin_mode=langevin_mode
+    )
+    return sample_batch(gmm, grid, config, condition, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +451,7 @@ def flow_posterior_mean_x1(
     # responsibilities under x_t | c ~ N(t * mu_c, (var + t^2) I)
     obs_var = var + t * t
     diff = x_t[..., None, :] - t * gmm.means
-    logits = -0.5 * np.sum(diff * diff, axis=-1) / obs_var + np.log(gmm.weights)
-    logits -= logsumexp(logits, axis=-1, keepdims=True)
-    resp = np.exp(logits)
+    resp = mx._normalized_exp(-0.5 * np.sum(diff * diff, axis=-1) / obs_var + np.log(gmm.weights))
     comp_means = (gmm.means + (t / var) * x_t[..., None, :]) / precision
     return np.sum(resp[..., None] * comp_means, axis=-2)
 
@@ -522,26 +465,5 @@ def flow_sample_adg(
     condition: int,
     seed: int,
 ) -> TrajectoryRecord:
-    """Integrate the guided flow from noise (t=0) to data (t=1).
-
-    Per step the exact conditional/unconditional clean-target posteriors
-    are rotated by the capped-angle rule before re-deriving the velocity.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    path = FlowPath(sigma_min=sigma_min)
-    dt = 1.0 / steps
-    x = step_rng(seed, 0).standard_normal(gmm.dim)
-    log = _StepLog()
-    for i in range(steps):
-        t = i * dt
-        x1_cond = flow_posterior_mean_x1(gmm, x, t, path.sigma_min, condition)
-        x1_uncond = flow_posterior_mean_x1(gmm, x, t, path.sigma_min, None)
-        gamma = _pair_angle(x1_cond, x1_uncond)
-        gamma_omega = math.nan
-        if math.isfinite(gamma):
-            gamma_omega = gd.cap_angle((omega - 1.0) * gamma, angle_cap)
-        guided = gd.rotate_raw(x1_cond, x1_uncond, omega, angle_cap)
-        log.add(t, x, x1_cond, x1_uncond, guided, gamma, gamma_omega)
-        x = flow_euler_step(x, guided, t, dt, path.sigma_min)
-    return log.freeze(seed, "flow_adg", omega, x)
+    """One guided flow trajectory (see :func:`flow_sample_batch`)."""
+    return flow_sample_batch(gmm, sigma_min, steps, omega, angle_cap, condition, [seed])[0]

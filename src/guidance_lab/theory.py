@@ -19,7 +19,7 @@ from . import mixture as mx
 from . import samplers as sp
 from .guidance import GuidanceConfig
 from .mixture import GaussianMixture, SurfaceCertificate
-from .schedule import NoiseSchedule, TimeGrid
+from .schedule import TimeGrid
 
 __all__ = [
     "ProbeReport",
@@ -79,6 +79,10 @@ def _plain(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
+
+
+def _finals(records) -> np.ndarray:
+    return np.stack([r.final_x0 for r in records])
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +168,6 @@ def estimate_c1(
 def norm_amplification_check(
     gmm: GaussianMixture,
     certificate: SurfaceCertificate,
-    schedule: NoiseSchedule,
     grid: TimeGrid,
     omega: float,
     seeds,
@@ -180,18 +183,6 @@ def norm_amplification_check(
     """
     seeds = sorted(int(s) for s in seeds)
     condition = certificate.component_index
-    w = certificate.normal
-    cond_cfg = GuidanceConfig(strategy="cfg", omega=1.0)
-    guided_cfg = GuidanceConfig(strategy="cfg", omega=omega)
-    margins = []
-    for seed in seeds:
-        base = sp.sample_trajectory(gmm, schedule, grid, cond_cfg, condition, seed)
-        if omega == 1.0:
-            margins.append(0.0)
-            continue
-        guided = sp.sample_trajectory(gmm, schedule, grid, guided_cfg, condition, seed)
-        margins.append(float(w @ guided.final_x0 - w @ base.final_x0))
-    margins = np.array(margins)
     params = {
         "omega": omega,
         "seeds": seeds,
@@ -207,6 +198,12 @@ def norm_amplification_check(
             measured={"note": "guided and conditional trajectories coincide at omega=1"},
             tolerance=margin_floor,
         )
+
+    def projections(weight):
+        config = GuidanceConfig(strategy="cfg", omega=weight)
+        return _finals(sp.sample_batch(gmm, grid, config, condition, seeds)) @ certificate.normal
+
+    margins = projections(omega) - projections(1.0)
     failures = [s for s, m in zip(seeds, margins) if not m > margin_floor]
     return ProbeReport(
         name="norm_amplification",
@@ -260,23 +257,22 @@ def prop1_stress(
         x_uncond = n_uncond[:, None] * u
         x_cond = n_cond[:, None] * (np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * perp)
         omega = rng.uniform(1.0, 12.0, per_dim)
-        rotated = gd.rotate_raw(x_cond, x_uncond, omega)
+        # the norm the vector has, not the one sampled: they differ where
+        # perp, renormalized from a near-zero rejection, is not orthogonal to u
+        n_cond = np.linalg.norm(x_cond, axis=-1)
+        geometry = gd._pair_geometry(x_cond, x_uncond)
+        rotated, gamma_omega = gd._rotate(geometry, omega, gd.DEFAULT_ANGLE_CAP)
         ratios = np.linalg.norm(rotated, axis=-1) / n_cond
         max_ratio = max(max_ratio, float(ratios.max()))
-        # norm identity: ratio^2 = 1 + sin(2 g_w) <e, x_cond> / |x_cond|^2,
-        # with e the rejection rescaled to |x_cond| (so <e, x_cond> reduces
-        # to |x_cond|^2 sin(gamma) in exact arithmetic)
-        cosine = np.clip(
-            np.sum(x_cond * x_uncond, axis=-1) / (n_cond * n_uncond), -1.0, 1.0
-        )
-        gamma = np.arccos(cosine)
-        gamma_omega = np.minimum((omega - 1.0) * gamma, gd.DEFAULT_ANGLE_CAP)
-        proj = (np.sum(x_cond * x_uncond, axis=-1) / n_uncond**2)[:, None] * x_uncond
-        rejection = x_cond - proj
+        # norm identity of the rotation as computed, with e the rejection it
+        # used: ratio^2 = 1 + sin(2 g_w) <e, x_cond> / (|e| |x_cond|), where
+        # <e, x_cond> = |e|^2 = |x_cond|^2 sin(gamma)^2 in exact arithmetic.
+        # Near-antiparallel rows get a rejection with a large relative
+        # rounding error, so e must be the one the rotation used.
+        rejection = geometry.rejection
         rej_norm = np.linalg.norm(rejection, axis=-1)
-        unit_scale = np.where(rej_norm > 0, n_cond / np.where(rej_norm > 0, rej_norm, 1.0), 0.0)
-        e_dot = unit_scale * np.sum(rejection * x_cond, axis=-1)
-        predicted_sq = 1.0 + np.sin(2.0 * gamma_omega) * e_dot / n_cond**2
+        e_dot = np.sum(rejection * x_cond, axis=-1) / np.where(rej_norm > 0, rej_norm, np.inf)
+        predicted_sq = 1.0 + np.sin(2.0 * gamma_omega) * e_dot / n_cond
         max_identity_err = max(
             max_identity_err, float(np.abs(ratios**2 - predicted_sq).max())
         )
@@ -310,7 +306,6 @@ class SweepRow:
 
 def norm_sweep(
     gmm: GaussianMixture,
-    schedule: NoiseSchedule,
     grid: TimeGrid,
     strategies,
     omegas,
@@ -327,11 +322,8 @@ def norm_sweep(
     for strategy in strategies:
         for omega in omegas:
             config = replace(base, strategy=strategy, omega=float(omega))
-            norms = []
-            for seed in seeds:
-                rec = sp.sample_trajectory(gmm, schedule, grid, config, condition, seed)
-                norms.append(float(np.linalg.norm(rec.final_x0)))
-            norms = np.array(norms)
+            finals = _finals(sp.sample_batch(gmm, grid, config, condition, seeds))
+            norms = np.linalg.norm(finals, axis=1)
             rows.append(
                 SweepRow(
                     strategy=strategy,
@@ -367,7 +359,6 @@ class ScatterSet:
 
 def scatter_experiment(
     gmm: GaussianMixture,
-    schedule: NoiseSchedule,
     grid: TimeGrid,
     omegas,
     seeds_per_class: int,
@@ -387,21 +378,19 @@ def scatter_experiment(
     sets = []
     for omega in omegas:
         config = replace(base, strategy=strategy, omega=float(omega))
-        comps, seed_list, samples = [], [], []
-        for c in range(gmm.n_components):
-            for i in range(seeds_per_class):
-                seed = seed_offset + c * seeds_per_class + i
-                rec = sp.sample_trajectory(gmm, schedule, grid, config, c, seed)
-                comps.append(c)
-                seed_list.append(seed)
-                samples.append(rec.final_x0)
+        comps = np.repeat(np.arange(gmm.n_components), seeds_per_class)
+        seeds = seed_offset + np.arange(len(comps))
+        samples = [
+            _finals(sp.sample_batch(gmm, grid, config, c, seeds[comps == c]))
+            for c in range(gmm.n_components)
+        ]
         sets.append(
             ScatterSet(
                 omega=float(omega),
                 strategy=strategy,
-                components=np.array(comps),
-                seeds=np.array(seed_list),
-                samples=np.array(samples),
+                components=comps,
+                seeds=seeds,
+                samples=np.concatenate(samples),
             )
         )
     return sets

@@ -265,7 +265,6 @@ def probe_guidance_off(
 ) -> ProbeReport:
     """All strategies collapse to the conditional trajectory at omega = 1."""
     gmm = config.gmm()
-    schedule = config.noise_schedule()
     grid = config.time_grid()
     condition = config.condition()
     base = config.guidance(strategy="cfg", omega=1.0)
@@ -278,10 +277,10 @@ def probe_guidance_off(
         reduction,
     ]
     worst = 0.0
-    for seed in range(seed_count):
-        ref = sp.sample_trajectory(gmm, schedule, grid, base, condition, seed)
-        for variant in variants:
-            rec = sp.sample_trajectory(gmm, schedule, grid, variant, condition, seed)
+    seeds = range(seed_count)
+    refs = sp.sample_batch(gmm, grid, base, condition, seeds)
+    for variant in variants:
+        for rec, ref in zip(sp.sample_batch(gmm, grid, variant, condition, seeds), refs):
             worst = max(worst, float(np.max(np.abs(rec.x_t - ref.x_t))))
             worst = max(worst, float(np.max(np.abs(rec.final_x0 - ref.final_x0))))
     return ProbeReport(
@@ -300,13 +299,12 @@ def probe_guidance_off(
 def probe_determinism(config: ExperimentConfig) -> ProbeReport:
     """Identical (config, seed) twice must be bit-identical."""
     gmm = config.gmm()
-    schedule = config.noise_schedule()
     grid = config.time_grid()
     guidance_cfg = config.guidance()
     condition = config.condition()
     seed = config.seeds()[0]
-    a = sp.sample_trajectory(gmm, schedule, grid, guidance_cfg, condition, seed)
-    b = sp.sample_trajectory(gmm, schedule, grid, guidance_cfg, condition, seed)
+    a = sp.sample_trajectory(gmm, grid, guidance_cfg, condition, seed)
+    b = sp.sample_trajectory(gmm, grid, guidance_cfg, condition, seed)
     identical = (
         np.array_equal(a.final_x0, b.final_x0)
         and np.array_equal(a.x_t, b.x_t)
@@ -329,7 +327,6 @@ def run_suite(config: ExperimentConfig) -> list[ProbeReport]:
     """Full certifier suite for one configuration document."""
     probes_cfg = config.data["probes"]
     gmm = config.gmm()
-    schedule = config.noise_schedule()
     grid = config.time_grid()
     condition = config.condition()
 
@@ -369,7 +366,7 @@ def run_suite(config: ExperimentConfig) -> list[ProbeReport]:
     else:
         reports.append(
             theory.norm_amplification_check(
-                gmm, cert, schedule, grid, float(nm["omega"]),
+                gmm, cert, grid, float(nm["omega"]),
                 range(int(nm["seed_count"])), float(nm["margin_floor"]),
             )
         )

@@ -33,9 +33,9 @@ from guidance_lab.mixture import (
 )
 from guidance_lab.samplers import (
     cfgpp_equivalent_weight,
-    ddim_population,
     ddim_step,
-    ddpm_population,
+    ddpm_beta,
+    ddpm_step,
     sample_trajectory,
     step_rng,
 )
@@ -127,10 +127,10 @@ def test_criterion_4_norm_amplification():
     cert = surface_certificate(SQUARE, 0)
     grid = make_grid(SCHED, 400)
     seeds = range(256)
-    r5 = norm_amplification_check(SQUARE, cert, SCHED, grid, 5.0, seeds)
+    r5 = norm_amplification_check(SQUARE, cert, grid, 5.0, seeds)
     assert r5.verdict == "pass"
     assert r5.measured["min_margin"] > 1e-9
-    r3 = norm_amplification_check(SQUARE, cert, SCHED, grid, 3.0, seeds)
+    r3 = norm_amplification_check(SQUARE, cert, grid, 3.0, seeds)
     assert r5.measured["mean_margin"] > r3.measured["mean_margin"]
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
@@ -183,7 +183,7 @@ def test_criterion_6_guidance_off_equivalence():
             x = ddim_step(x, posterior_mean_x0(SQUARE, x, ab_t, 0), ab_t, ab_prev)
         reference = np.array(reference)
         for config in strategies:
-            rec = sample_trajectory(SQUARE, SCHED, grid, config, 0, seed)
+            rec = sample_trajectory(SQUARE, grid, config, 0, seed)
             worst = max(worst, float(np.max(np.abs(rec.x_t - reference))))
             worst = max(worst, float(np.max(np.abs(rec.final_x0 - x))))
     assert worst <= 1e-12
@@ -228,8 +228,15 @@ def test_criterion_8_sampler_statistics():
     g = GaussianMixture(dim=2, means=[mu], weights=[1.0])
     grid = make_grid(SCHED, 400)
     n = 10_000
-    ddpm = ddpm_population(g, grid, 0, n, seed=7)
-    ddim = ddim_population(g, grid, 0, n, seed=7)
+    # both populations start from stream (7, 0); stream (7, i + 1) noises
+    # ancestral transition i
+    ddpm = ddim = step_rng(7, 0).standard_normal((n, 2))
+    for i in range(grid.steps):
+        ab_t, ab_prev = float(grid.alpha_bars[i]), float(grid.alpha_bars[i + 1])
+        noise = step_rng(7, i + 1).standard_normal((n, 2))
+        score = score_conditional(g, ddpm, ab_t, 0)
+        ddpm = ddpm_step(ddpm, score, ddpm_beta(ab_t, ab_prev), noise)
+        ddim = ddim_step(ddim, posterior_mean_x0(g, ddim, ab_t, 0), ab_t, ab_prev)
     for name, xs in (("ddpm", ddpm), ("ddim", ddim)):
         se = xs.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(xs.mean(axis=0) - mu) < 3 * se), name
@@ -248,7 +255,7 @@ def test_criterion_8_sampler_statistics():
 
 def test_criterion_9_norm_sweep_trends():
     grid = make_grid(SCHED, 200)
-    rows = norm_sweep(SQUARE, SCHED, grid, ["cfg", "adg"], [1.0, 2.0, 4.0, 6.0, 8.0],
+    rows = norm_sweep(SQUARE, grid, ["cfg", "adg"], [1.0, 2.0, 4.0, 6.0, 8.0],
                       range(64), 0)
     cfg = [r.mean_norm for r in rows if r.strategy == "cfg"]
     adg = {r.omega: r.mean_norm for r in rows if r.strategy == "adg"}

@@ -3,11 +3,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import guidance_lab
 from guidance_lab.cli import main
 from guidance_lab.config import ConfigError, dump_config, load_config, loads_config
 from guidance_lab.reports import format_float, write_csv
@@ -86,6 +89,11 @@ class TestConfig:
         config = loads_config("guidance: {recfg_lambda: {0: 0.5, 1: 0.9}}")
         assert config.guidance().recfg_lambda_for(1) == 0.9
 
+    def test_repeated_seeds_rejected(self):
+        with pytest.raises(ConfigError, match=r"run\.seeds: seed 1 repeated"):
+            loads_config("run: {seeds: [1, 2, 1]}")
+        assert loads_config("run: {seeds: [2, 1]}").seeds() == [2, 1]
+
 
 def run_cli(*argv) -> int:
     return main(list(argv))
@@ -158,6 +166,23 @@ class TestCliContracts:
         assert by_name["norm_amplification"]["verdict"] == "n/a"
         assert os.path.exists(out / "probe_anomalous_interval.csv")
 
+    def test_repeated_seeds_exit_2(self, tmp_path, capsys):
+        assert run_cli(
+            "sample", "--config", DEFAULT, "--out", str(tmp_path / "r"),
+            "--set", "run.seeds=[3, 3]",
+        ) == 2
+        assert "run.seeds" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_cli_import_leaves_scipy_out(self):
+        package_root = os.path.dirname(os.path.dirname(guidance_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, guidance_lab.cli; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
+
     def test_missing_config_is_input_error(self, tmp_path):
         assert run_cli("sample", "--config", str(tmp_path / "nope.yaml")) == 2
 
@@ -226,27 +251,6 @@ class TestCliContracts:
         ) == 0
         assert sorted(os.listdir(workdir)) == []
         assert (out / "summary_cfg.csv").exists()
-
-
-class TestWorkerPool:
-    def test_env_var_caps_worker_count(self, monkeypatch):
-        from guidance_lab._parallel import parallel_map, worker_count
-
-        monkeypatch.setenv("GUIDANCE_LAB_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("GUIDANCE_LAB_THREADS", "not-a-number")
-        with pytest.raises(ValueError, match="GUIDANCE_LAB_THREADS"):
-            worker_count()
-
-    def test_parallel_map_preserves_order(self, monkeypatch):
-        from guidance_lab._parallel import parallel_map
-
-        items = list(range(50))
-        monkeypatch.setenv("GUIDANCE_LAB_THREADS", "4")
-        parallel = parallel_map(lambda x: x * x, items)
-        monkeypatch.setenv("GUIDANCE_LAB_THREADS", "1")
-        sequential = parallel_map(lambda x: x * x, items)
-        assert parallel == sequential == [x * x for x in items]
 
 
 class TestEmission:

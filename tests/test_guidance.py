@@ -103,6 +103,16 @@ class TestAngles:
         with pytest.raises(DegenerateGeometryError):
             angle_between(np.zeros(2), np.array([1.0, 0.0]))
 
+    def test_small_angles_keep_full_precision(self):
+        # arccos of a cosine returns 0 for theta = 1e-8; the rejection keeps it
+        rng = np.random.default_rng(8)
+        for theta in np.geomspace(1e-9, 1e-6, 31):
+            a, b = rng.uniform(0.01, 100.0, size=2)
+            u = np.array([a, 0.0])
+            v = b * np.array([math.cos(theta), math.sin(theta)])
+            for gamma in (angle_between(u, v), angle_between(v, u)):
+                assert abs(gamma - theta) <= 1e-12 * theta
+
     def test_cap_angle(self):
         assert cap_angle(2.0, math.pi / 3) == pytest.approx(1.0471975511965976, abs=1e-12)
         assert cap_angle(0.5, math.pi / 3) == 0.5

@@ -5,32 +5,53 @@ import math
 import numpy as np
 import pytest
 
-from guidance_lab.guidance import GuidanceConfig
-from guidance_lab.mixture import GaussianMixture, posterior_mean_x0
+from guidance_lab.guidance import STRATEGIES, GuidanceConfig
+from guidance_lab.mixture import GaussianMixture, posterior_mean_x0, score_conditional
 from guidance_lab.samplers import (
     EquivalenceUndefined,
-    TrajectoryBatch,
     cfgpp_equivalent_weight,
-    ddim_population,
     ddim_step,
     ddpm_beta,
-    ddpm_population,
     ddpm_step,
-    ddpm_trajectory,
     flow_euler_step,
     flow_posterior_mean_x1,
     flow_sample_adg,
+    flow_sample_batch,
     pcg_sample,
+    sample_batch,
     sample_trajectory,
     step_rng,
 )
-from guidance_lab.schedule import constant_beta_schedule, default_schedule, make_grid
+from guidance_lab.schedule import default_schedule, make_grid
 
 PAIR_1D = GaussianMixture(dim=1, means=[[-1.0], [1.0]], weights=[0.5, 0.5])
 SQUARE = GaussianMixture(
     dim=2, means=[[1, 1], [1, -1], [-1, 1], [-1, -1]], weights=[0.25] * 4
 )
 SCHED = default_schedule()
+
+
+def ddim_population(gmm, grid, condition, n, seed):
+    """Deterministic conditional chains for an (n, dim) population.
+
+    Stream (seed, 0) draws every initial state.
+    """
+    x = step_rng(seed, 0).standard_normal((n, gmm.dim))
+    for i in range(grid.steps):
+        ab_t, ab_prev = float(grid.alpha_bars[i]), float(grid.alpha_bars[i + 1])
+        x = ddim_step(x, posterior_mean_x0(gmm, x, ab_t, condition), ab_t, ab_prev)
+    return x
+
+
+def ddpm_population(gmm, grid, condition, n, seed):
+    """Ancestral conditional chains; stream (seed, i + 1) noises transition i."""
+    x = step_rng(seed, 0).standard_normal((n, gmm.dim))
+    for i in range(grid.steps):
+        ab_t, ab_prev = float(grid.alpha_bars[i]), float(grid.alpha_bars[i + 1])
+        noise = step_rng(seed, i + 1).standard_normal((n, gmm.dim))
+        score = score_conditional(gmm, x, ab_t, condition)
+        x = ddpm_step(x, score, ddpm_beta(ab_t, ab_prev), noise)
+    return x
 
 
 class TestDdimStep:
@@ -108,8 +129,8 @@ class TestSampleTrajectory:
     def test_determinism_bit_identical(self):
         grid = make_grid(SCHED, 50)
         cfg = GuidanceConfig(strategy="adg", omega=3.0)
-        a = sample_trajectory(SQUARE, SCHED, grid, cfg, 0, 9)
-        b = sample_trajectory(SQUARE, SCHED, grid, cfg, 0, 9)
+        a = sample_trajectory(SQUARE, grid, cfg, 0, 9)
+        b = sample_trajectory(SQUARE, grid, cfg, 0, 9)
         assert np.array_equal(a.x_t, b.x_t)
         assert np.array_equal(a.final_x0, b.final_x0)
         assert np.array_equal(a.x0_guided, b.x0_guided)
@@ -127,14 +148,14 @@ class TestSampleTrajectory:
         reference = np.array(states[:-1])
         for strategy in ("cfg", "adg", "adg_normalized", "adg_simplified", "apg"):
             rec = sample_trajectory(
-                SQUARE, SCHED, grid, GuidanceConfig(strategy=strategy, omega=1.0), 0, seed
+                SQUARE, grid, GuidanceConfig(strategy=strategy, omega=1.0), 0, seed
             )
             assert np.max(np.abs(rec.x_t - reference)) < 1e-12
             assert np.max(np.abs(rec.final_x0 - states[-1])) < 1e-12
 
     def test_record_shapes_and_angles(self):
         grid = make_grid(SCHED, 30)
-        rec = sample_trajectory(SQUARE, SCHED, grid, GuidanceConfig(strategy="adg", omega=4.0), 1, 2)
+        rec = sample_trajectory(SQUARE, grid, GuidanceConfig(strategy="adg", omega=4.0), 1, 2)
         assert rec.steps == 30
         assert rec.x_t.shape == (30, 2)
         assert np.all(np.isfinite(rec.guided_norm))
@@ -148,7 +169,7 @@ class TestSampleTrajectory:
         grid = make_grid(SCHED, 60)
         for seed in range(4):
             rec = sample_trajectory(
-                SQUARE, SCHED, grid, GuidanceConfig(strategy="adg", omega=6.0), 0, seed
+                SQUARE, grid, GuidanceConfig(strategy="adg", omega=6.0), 0, seed
             )
             cond_norm = np.linalg.norm(rec.x0_cond, axis=1)
             assert np.all(rec.guided_norm <= math.sqrt(2) * cond_norm * (1 + 1e-12))
@@ -162,30 +183,49 @@ class TestSampleTrajectory:
     def test_error_aborts_with_step_index(self):
         grid = make_grid(SCHED, 10)
         with pytest.raises(RuntimeError, match="step 0"):
-            sample_trajectory(SQUARE, SCHED, grid, GuidanceConfig(), 17, 0)
+            sample_trajectory(SQUARE, grid, GuidanceConfig(), 17, 0)
 
     def test_cfgpp_residual_logged_and_tiny(self):
         grid = make_grid(SCHED, 40)
         rec = sample_trajectory(
-            SQUARE, SCHED, grid, GuidanceConfig(strategy="cfgpp", cfgpp_lambda=0.6), 0, 8
+            SQUARE, grid, GuidanceConfig(strategy="cfgpp", cfgpp_lambda=0.6), 0, 8
         )
         assert rec.cfgpp_residual is not None
         assert rec.cfgpp_residual.shape == (40,)
         assert np.nanmax(rec.cfgpp_residual) < 1e-8
 
-    def test_batch_requires_distinct_seeds(self):
-        grid = make_grid(SCHED, 10)
-        rec = sample_trajectory(SQUARE, SCHED, grid, GuidanceConfig(), 0, 1)
-        with pytest.raises(ValueError, match="distinct"):
-            TrajectoryBatch(records=[rec, rec], gmm=SQUARE, schedule=SCHED,
-                            config=GuidanceConfig(), condition=0)
+    def test_batch_matches_each_seed_alone(self):
+        # a seed's trajectory must not depend on which batch runs it
+        grid = make_grid(SCHED, 100)
+        seeds = [0, 3, 5, 8, 13, 21, 34, 55]
+        runs = [
+            (
+                sample_batch(SQUARE, grid, config, 0, seeds),
+                [sample_trajectory(SQUARE, grid, config, 0, s) for s in seeds],
+            )
+            for config in (
+                GuidanceConfig(strategy=s, omega=4.0, pcg_inner_steps=2) for s in STRATEGIES
+            )
+        ]
+        runs.append((
+            flow_sample_batch(SQUARE, 0.1, 100, 4.0, math.pi / 3, 0, seeds),
+            [flow_sample_adg(SQUARE, 0.1, 100, 4.0, math.pi / 3, 0, s) for s in seeds],
+        ))
+        for batch, alone in runs:
+            for a, b in zip(batch, alone):
+                assert (a.seed, a.strategy) == (b.seed, b.strategy)
+                for field in ("x_t", "x0_guided", "gamma", "gamma_omega", "final_x0"):
+                    np.testing.assert_allclose(
+                        getattr(a, field), getattr(b, field), rtol=0, atol=1e-12,
+                        err_msg=f"{a.strategy} seed {a.seed} {field}",
+                    )
 
 
 class TestPcg:
     def test_zero_inner_steps_is_conditional(self):
         grid = make_grid(SCHED, 60)
-        base = sample_trajectory(PAIR_1D, SCHED, grid, GuidanceConfig(), 1, 5)
-        rec = pcg_sample(PAIR_1D, SCHED, grid, 3.0, 0, 1, 5)
+        base = sample_trajectory(PAIR_1D, grid, GuidanceConfig(), 1, 5)
+        rec = pcg_sample(PAIR_1D, grid, 3.0, 0, 1, 5)
         np.testing.assert_array_equal(rec.final_x0, base.final_x0)
 
     def test_kappa_value(self):
@@ -193,14 +233,14 @@ class TestPcg:
 
     def test_determinism(self):
         grid = make_grid(SCHED, 40)
-        a = pcg_sample(PAIR_1D, SCHED, grid, 2.0, 3, 1, 7)
-        b = pcg_sample(PAIR_1D, SCHED, grid, 2.0, 3, 1, 7)
+        a = pcg_sample(PAIR_1D, grid, 2.0, 3, 1, 7)
+        b = pcg_sample(PAIR_1D, grid, 2.0, 3, 1, 7)
         np.testing.assert_array_equal(a.final_x0, b.final_x0)
 
     def test_langevin_modes_differ(self):
         grid = make_grid(SCHED, 40)
-        lit = pcg_sample(PAIR_1D, SCHED, grid, 2.0, 2, 1, 7, langevin_mode="paper-literal")
-        sc = pcg_sample(PAIR_1D, SCHED, grid, 2.0, 2, 1, 7, langevin_mode="score-consistent")
+        lit = pcg_sample(PAIR_1D, grid, 2.0, 2, 1, 7, langevin_mode="paper-literal")
+        sc = pcg_sample(PAIR_1D, grid, 2.0, 2, 1, 7, langevin_mode="score-consistent")
         assert not np.allclose(lit.final_x0, sc.final_x0)
 
     def test_corrector_stationarity_bounded(self):
@@ -219,9 +259,9 @@ class TestPcg:
     def test_validation(self):
         grid = make_grid(SCHED, 10)
         with pytest.raises(ValueError, match="inner_steps"):
-            pcg_sample(PAIR_1D, SCHED, grid, 2.0, -1, 1, 0)
+            pcg_sample(PAIR_1D, grid, 2.0, -1, 1, 0)
         with pytest.raises(ValueError, match="langevin_mode"):
-            pcg_sample(PAIR_1D, SCHED, grid, 2.0, 1, 1, 0, langevin_mode="x")
+            pcg_sample(PAIR_1D, grid, 2.0, 1, 1, 0, langevin_mode="x")
 
 
 class TestEquivalentWeight:
@@ -345,25 +385,10 @@ class TestNoiseStreams:
         assert not np.array_equal(a, d)
 
     def test_population_drivers_deterministic(self):
-        g = GaussianMixture(dim=1, means=[[1.0]], weights=[1.0])
         grid = make_grid(SCHED, 30)
-        np.testing.assert_array_equal(
-            ddpm_population(g, grid, 0, 100, 3), ddpm_population(g, grid, 0, 100, 3)
-        )
-        np.testing.assert_array_equal(
-            ddim_population(g, grid, 0, 100, 3), ddim_population(g, grid, 0, 100, 3)
-        )
-
-    def test_ddpm_trajectory_matches_stepwise(self):
-        g = GaussianMixture(dim=1, means=[[1.0]], weights=[1.0])
-        grid = make_grid(constant_beta_schedule(2.0), 20)
-        rec = ddpm_trajectory(g, grid, 0, 2)
-        assert rec.steps == 20
-        x = step_rng(2, 0).standard_normal(1)
-        from guidance_lab.mixture import score_conditional
-
-        for i in range(20):
-            ab_t, ab_prev = float(grid.alpha_bars[i]), float(grid.alpha_bars[i + 1])
-            noise = step_rng(2, i + 1).standard_normal(1)
-            x = ddpm_step(x, score_conditional(g, x, ab_t, 0), ddpm_beta(ab_t, ab_prev), noise)
-        np.testing.assert_array_equal(rec.final_x0, x)
+        for strategy in ("pcg", "adg"):
+            config = GuidanceConfig(strategy=strategy, omega=2.0, pcg_inner_steps=2)
+            a, b = (sample_batch(SQUARE, grid, config, 0, range(6)) for _ in range(2))
+            for ra, rb in zip(a, b):
+                np.testing.assert_array_equal(ra.x_t, rb.x_t)
+                np.testing.assert_array_equal(ra.final_x0, rb.final_x0)
