@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import sys
 
@@ -100,7 +101,8 @@ def _load(args) -> ExperimentConfig:
     if args.seed_count is not None:
         overrides += [f"run.seed_count={args.seed_count}", "run.seeds=null"]
     if args.out is not None:
-        overrides.append(f"run.output_dir={args.out}")
+        # quoted, so a path such as 2024 or 010 stays the string it is
+        overrides.append(f"run.output_dir={json.dumps(args.out, ensure_ascii=False)}")
     if args.strategy is not None:
         overrides += [f"guidance.strategy={args.strategy}", f"run.strategies=[{args.strategy}]"]
     if args.omega is not None:
@@ -183,11 +185,7 @@ def cmd_probe_c1(args) -> int:
     from .verify import probe_c1_monotone
 
     config = _load(args)
-    c1 = config.data["probes"]["c1"]
-    report = probe_c1_monotone(
-        config.gmm(), config.condition(), float(c1["alpha_bar"]),
-        [float(w) for w in c1["omegas"]], float(c1["k_max"]), float(c1["bisection_tol"]),
-    )
+    report = probe_c1_monotone(config.gmm(), config.condition(), **config.data["probes"]["c1"])
     rp.write_report_json([report], _outpath(config, "c1_report.json"))
     rp.write_probe_csv(report, _outpath(config, "c1_values.csv"))
     print(f"[{report.verdict.upper():4s}] {report.name}: {_summary_line(report)}")
@@ -202,10 +200,9 @@ def cmd_probe_norm(args) -> int:
     if cert is None:
         print(f"component {config.condition()} is not a surface class; probe n/a")
         return EXIT_OK
-    omega = float(nm["omega"]) if args.omega is None else args.omega
+    omega = nm["omega"] if args.omega is None else args.omega
     report = theory.norm_amplification_check(
-        gmm, cert, config.time_grid(), omega,
-        range(int(nm["seed_count"])), float(nm["margin_floor"]),
+        gmm, cert, config.time_grid(), omega, range(nm["seed_count"]), nm["margin_floor"],
     )
     rp.write_report_json([report], _outpath(config, "norm_report.json"))
     rp.write_probe_csv(report, _outpath(config, "norm_margins.csv"))
@@ -217,9 +214,8 @@ def cmd_sweep(args) -> int:
     config = _load(args)
     block = config.data["sweep"]
     rows = theory.norm_sweep(
-        config.gmm(), config.time_grid(),
-        [str(s) for s in block["strategies"]], [float(w) for w in block["omegas"]],
-        range(int(block["seed_count"])), config.condition(), config.guidance(),
+        config.gmm(), config.time_grid(), block["strategies"], block["omegas"],
+        range(block["seed_count"]), config.condition(), config.guidance(),
     )
     rp.write_sweep_csv(rows, _outpath(config, "sweep.csv"))
     for row in rows:
@@ -234,9 +230,8 @@ def cmd_scatter(args) -> int:
     config = _load(args)
     block = config.data["scatter"]
     sets = theory.scatter_experiment(
-        config.gmm(), config.time_grid(),
-        [float(w) for w in block["omegas"]], int(block["seeds_per_class"]),
-        strategy=str(block["strategy"]), base_config=config.guidance(),
+        config.gmm(), config.time_grid(), block["omegas"], block["seeds_per_class"],
+        strategy=block["strategy"], base_config=config.guidance(),
     )
     rp.write_scatter_csv(sets, _outpath(config, "scatter.csv"))
     gmm = config.gmm()
@@ -258,12 +253,11 @@ def cmd_flow_sample(args) -> int:
     config = _load(args)
     gmm = config.gmm()
     block = config.data["flow"]
-    omega = float(block["omega"]) if args.omega is None else args.omega
-    angle_cap = float(config.data["guidance"]["angle_cap"])
+    omega = block["omega"] if args.omega is None else args.omega
     seeds = config.seeds()
-    condition = config.condition()
     records = sp.flow_sample_batch(
-        gmm, float(block["sigma_min"]), int(block["steps"]), omega, angle_cap, condition, seeds
+        gmm, block["sigma_min"], block["steps"], omega, config.guidance().angle_cap,
+        config.condition(), seeds,
     )
     rp.write_trajectory_csv(records, _outpath(config, "flow_trajectories.csv"))
     rp.write_summary_csv(records, _outpath(config, "flow_summary.csv"))

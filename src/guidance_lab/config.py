@@ -1,23 +1,25 @@
-"""Experiment configuration: one YAML document, validated on load.
+"""Experiment configuration: one YAML document, checked on load.
 
 The document has nested blocks (gmm, schedule, grid, guidance, run,
-probes, sweep, scatter, flow).  Loading normalizes the document by
-filling defaults and rejects unknown keys with a dotted-path location,
-so ``load -> dump -> load`` is a fixed point.
+probes, sweep, scatter, flow).  ``DEFAULTS`` is its one table of each
+leaf's default, type and lower bound.  Loading fills the defaults and
+checks every leaf under its dotted path, so ``load -> dump -> load`` is a
+fixed point and every invalid document is a :class:`ConfigError`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, field, replace
+from typing import Any, NamedTuple
 
 import numpy as np
 import yaml
 
-from .guidance import ApgParams, GuidanceConfig, STRATEGIES
+from .guidance import ApgParams, GuidanceConfig
 from .mixture import GaussianMixture
-from .schedule import NoiseSchedule, TimeGrid, make_grid
+from .schedule import FlowPath, NoiseSchedule, TimeGrid, make_grid
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "loads_config", "dump_config"]
 
@@ -26,13 +28,35 @@ class ConfigError(ValueError):
     """Invalid configuration document; message carries the dotted path."""
 
 
-_NUMBER = (int, float)
+class Leaf(NamedTuple):
+    """A table entry the default alone does not type or bound.  ``kind`` is
+    int, float, str, ``[kind]`` (a non-empty list) or a function ``(value,
+    path) -> value``; None means the default's type.  ``lo`` bounds a number
+    or each list entry.  A None default also admits None."""
+
+    default: Any
+    kind: Any = None
+    lo: float | None = None
+
+
+def _point(value, path):
+    """One mixture mean: a list of numbers, or a number for a 1-D mixture."""
+    return _typed(value, [float] if isinstance(value, list) else float, None, path)
+
+
+def _recfg_lambda(value, path):
+    """A number, or a table of numbers keyed by condition."""
+    if not isinstance(value, dict):
+        return _typed(value, float, None, path)
+    return {_typed(k, int, None, f"{path}.{k}"): _typed(v, float, None, f"{path}.{k}")
+            for k, v in value.items()}
+
 
 DEFAULTS: dict[str, Any] = {
     "gmm": {
-        "dim": None,        # inferred from means when omitted
-        "means": [[0.0]],
-        "weights": None,    # uniform when omitted
+        "dim": Leaf(None, int),             # inferred from means when omitted
+        "means": Leaf([[0.0]], [_point]),
+        "weights": Leaf(None, [float]),     # uniform when omitted
     },
     "schedule": {
         "beta_min": 0.1,
@@ -41,8 +65,8 @@ DEFAULTS: dict[str, Any] = {
         "shape": "linear",
     },
     "grid": {
-        "steps": 200,
-        "t_end": None,      # defaults to schedule T
+        "steps": Leaf(200, lo=1),
+        "t_end": Leaf(None, float),         # defaults to schedule T
         "t_start": 0.0,
     },
     "guidance": {
@@ -51,61 +75,99 @@ DEFAULTS: dict[str, Any] = {
         "angle_cap": math.pi / 3.0,
         "cfgpp_lambda": 0.5,
         "apg": {"eta": 0.0, "beta": -0.5, "r": 2.5},
-        "recfg_lambda": 1.0,
-        "pcg_inner_steps": 0,
+        "recfg_lambda": Leaf(1.0, _recfg_lambda),
+        "pcg_inner_steps": Leaf(0, lo=0),
         "pcg_langevin_mode": "paper-literal",
     },
     "run": {
-        "seeds": None,      # explicit list, or use seed_count
-        "seed_count": 16,
-        "condition": 0,
-        "strategies": None,  # defaults to [guidance.strategy]
+        "seeds": Leaf(None, [int], lo=0),   # explicit list, or use seed_count
+        "seed_count": Leaf(16, lo=1),
+        "condition": Leaf(0, lo=0),
+        "strategies": Leaf(None, [str]),    # defaults to [guidance.strategy]
         "output_dir": "out",
     },
     "probes": {
-        "score_oracle": {"cases": 200, "seed": 2024, "tolerance": 1e-5},
-        "score_identity": {"cases": 200, "seed": 2025, "tolerance": 1e-10},
-        "prop1": {"trials": 20000, "seed": 7, "dims": [2, 8, 64]},
+        "score_oracle": {"cases": Leaf(200, lo=1), "seed": Leaf(2024, lo=0), "tolerance": 1e-5},
+        "score_identity": {"cases": Leaf(200, lo=1), "seed": Leaf(2025, lo=0),
+                           "tolerance": 1e-10},
+        "prop1": {"trials": Leaf(20000, lo=1), "seed": Leaf(7, lo=0),
+                  "dims": Leaf([2, 8, 64], lo=1)},
         "c1": {"alpha_bar": 0.5, "omegas": [2.0, 3.0, 5.0], "k_max": 10.0,
                "bisection_tol": 1e-8},
-        "norm": {"omega": 5.0, "seed_count": 32, "margin_floor": 1e-9},
-        "cfgpp": {"steps": 32, "seed": 11, "tolerance": 1e-8},
-        "guidance_off": {"seed_count": 4, "tolerance": 1e-12},
+        "norm": {"omega": 5.0, "seed_count": Leaf(32, lo=1), "margin_floor": 1e-9},
+        "cfgpp": {"steps": Leaf(32, lo=1), "seed": Leaf(11, lo=0), "tolerance": 1e-8},
+        "guidance_off": {"seed_count": Leaf(4, lo=1), "tolerance": 1e-12},
     },
     "sweep": {
         "strategies": ["cfg", "adg"],
         "omegas": [1.0, 2.0, 4.0, 6.0, 8.0],
-        "seed_count": 64,
+        "seed_count": Leaf(64, lo=1),
     },
     "scatter": {
         "omegas": [1.0, 3.0, 5.0],
-        "seeds_per_class": 64,
+        "seeds_per_class": Leaf(64, lo=1),
         "strategy": "cfg",
     },
     "flow": {
         "sigma_min": 0.1,
-        "steps": 200,
+        "steps": Leaf(200, lo=1),
         "omega": 3.0,
     },
 }
 
+# Largest float64 trajectory log one sampling batch may hold: per step and
+# seed, x_t and the three predictions (dim each) and three scalar columns.
+LOG_BUDGET_BYTES = 2**30
+
+
+def _typed(value, kind, lo, path):
+    """``value`` checked against a table type and bound; a float type stores an int as float."""
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: expected a non-empty list, got {value!r}")
+        return [_typed(v, kind[0], lo, f"{path}[{i}]") for i, v in enumerate(value)]
+    if kind not in (int, float, str):
+        return kind(value, path)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        hint = _spelling_hint(value) if kind is float and isinstance(value, str) else ""
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}{hint}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: {value} is beyond the float range") from None
+    if lo is not None and value < lo:
+        raise ConfigError(f"{path}: must be >= {lo}, got {value!r}")
+    return value
+
+
+def _spelling_hint(text: str) -> str:
+    """For a number YAML 1.1 reads as a string, such as 1e-8, a spelling it reads as one."""
+    with suppress(ValueError):
+        spelling = yaml.safe_dump(float(text)).splitlines()[0]
+        return f" (YAML reads {text} as a string; write {spelling})"
+    return ""
+
 
 def _merge(defaults: dict, given: Any, path: str) -> dict:
-    """Overlay a user mapping on the defaults, rejecting unknown keys."""
+    """Overlay a user mapping on the table, checking each leaf and rejecting unknown keys."""
     if given is None:
         given = {}
     if not isinstance(given, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(given).__name__}")
     out = {}
-    for key, default in defaults.items():
+    for key, entry in defaults.items():
         sub_path = f"{path}.{key}" if path else key
-        if key in given:
-            value = given[key]
-            if isinstance(default, dict) and not isinstance(value, dict) and value is not None:
-                raise ConfigError(f"{sub_path}: expected a mapping")
-            out[key] = _merge(default, value, sub_path) if isinstance(default, dict) else value
-        else:
-            out[key] = _merge(default, {}, sub_path) if isinstance(default, dict) else default
+        if isinstance(entry, dict):
+            out[key] = _merge(entry, given.get(key), sub_path)
+            continue
+        leaf = entry if isinstance(entry, Leaf) else Leaf(entry)
+        kind = leaf.kind or (
+            [type(leaf.default[0])] if isinstance(leaf.default, list) else type(leaf.default))
+        value = given.get(key, leaf.default)
+        if key in given and not (value is None and leaf.default is None):
+            value = _typed(value, kind, leaf.lo, sub_path)
+        out[key] = value
     for key in given:
         if key not in defaults:
             sub_path = f"{path}.{key}" if path else key
@@ -113,172 +175,164 @@ def _merge(defaults: dict, given: Any, path: str) -> dict:
     return out
 
 
-def _require_number(value, path, lo=None, hi=None):
-    if not isinstance(value, _NUMBER) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"{path}: must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{path}: must be <= {hi}, got {value}")
-    return float(value)
+@contextmanager
+def _at(path: str):
+    """Report a constructor's ValueError as a ConfigError at ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _require_int(value, path, lo=None):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"{path}: must be >= {lo}, got {value}")
-    return value
+def _validate(data: dict) -> None:
+    """The rules a leaf's table entry cannot state: ties to other leaves, strict bounds."""
+    run, c1, prop1 = data["run"], data["probes"]["c1"], data["probes"]["prop1"]
+    seeds = run["seeds"] or []
+    if len(set(seeds)) < len(seeds):
+        repeated = next(s for i, s in enumerate(seeds) if s in seeds[:i])
+        raise ConfigError(f"run.seeds: seed {repeated!r} repeated; seeds must be distinct")
+    if not run["condition"] < len(data["gmm"]["means"]):
+        raise ConfigError(f"run.condition: {run['condition']} is not a mixture component")
+    if not all(w > 1.0 for w in c1["omegas"]):
+        raise ConfigError(f"probes.c1.omegas: each must be > 1, got {c1['omegas']!r}")
+    if not 0.0 < c1["alpha_bar"] <= 1.0:
+        raise ConfigError(f"probes.c1.alpha_bar: must lie in (0, 1], got {c1['alpha_bar']!r}")
+    for key in ("k_max", "bisection_tol"):
+        if not c1[key] > 0.0:
+            raise ConfigError(f"probes.c1.{key}: must be > 0, got {c1[key]!r}")
+    if prop1["trials"] < len(prop1["dims"]):
+        raise ConfigError(f"probes.prop1.trials: must be >= the {len(prop1['dims'])} dims")
+
+
+def _check_log_budget(data: dict) -> None:
+    """Refuse a block whose trajectory log would exceed LOG_BUDGET_BYTES."""
+    run, probes, first_mean = data["run"], data["probes"], data["gmm"]["means"][0]
+    row_bytes = 8 * (4 * (len(first_mean) if isinstance(first_mean, list) else 1) + 3)
+    if run["seeds"] is None:
+        run_seeds = ("run.seed_count", run["seed_count"])
+    else:
+        run_seeds = ("run.seeds", len(run["seeds"]))
+    grid_steps = ("grid.steps", data["grid"]["steps"])
+    for block, (steps_path, steps), (seeds_path, n_seeds) in (
+        ("run", grid_steps, run_seeds),
+        ("sweep", grid_steps, ("sweep.seed_count", data["sweep"]["seed_count"])),
+        # scatter runs one batch per class
+        ("scatter", grid_steps, ("scatter.seeds_per_class", data["scatter"]["seeds_per_class"])),
+        ("flow", ("flow.steps", data["flow"]["steps"]), run_seeds),
+        ("probes.norm", grid_steps, ("probes.norm.seed_count", probes["norm"]["seed_count"])),
+        ("probes.guidance_off", grid_steps,
+         ("probes.guidance_off.seed_count", probes["guidance_off"]["seed_count"])),
+    ):
+        if steps * n_seeds * row_bytes > LOG_BUDGET_BYTES:
+            raise ConfigError(
+                f"{block}: {steps_path}={steps} x {seeds_path}={n_seeds} x {row_bytes} bytes of "
+                f"trajectory log exceeds the {LOG_BUDGET_BYTES}-byte budget"
+            )
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Normalized configuration document with typed accessors."""
+    """Normalized configuration document and the typed objects built from it.
+
+    Construction checks the document and builds what the commands use,
+    once; equality is the document's.
+    """
 
     data: dict
+    _built: dict = field(init=False, compare=False, repr=False)
 
-    # -- builders ---------------------------------------------------------
+    def __post_init__(self):
+        data = self.data
+        _validate(data)
+        _check_log_budget(data)  # before make_grid allocates the grid
+        block = data["gmm"]
+        with _at("gmm"):
+            means = np.asarray(block["means"], dtype=float)
+            if means.ndim == 1:
+                means = means[:, None]
+            weights = block["weights"] or np.full(means.shape[0], 1.0 / means.shape[0])
+            dim = means.shape[1] if block["dim"] is None else block["dim"]
+            gmm = GaussianMixture(dim=dim, means=means, weights=np.asarray(weights, float))
+        block = data["schedule"]
+        with _at("schedule"):
+            schedule = NoiseSchedule(
+                block["beta_min"], block["beta_max"], block["T"], block["shape"])
+        block = data["grid"]
+        with _at("grid"):
+            grid = make_grid(schedule, block["steps"], block["t_end"], block["t_start"])
+        block = data["guidance"]
+        with _at("guidance"):
+            guidance = GuidanceConfig(
+                **{k: v for k, v in block.items() if k != "apg"},
+                apg_params=ApgParams(**block["apg"]),
+            )
+        # GuidanceConfig checks the strategy and the weight separately, so
+        # one build per named value covers every strategy x omega run
+        run, sweep, scatter = data["run"], data["sweep"], data["scatter"]
+        for path, key, values in (
+            ("run.strategies", "strategy", run["strategies"] or ()),
+            ("sweep.strategies", "strategy", sweep["strategies"]),
+            ("sweep.omegas", "omega", sweep["omegas"]),
+            ("scatter.strategy", "strategy", [scatter["strategy"]]),
+            ("scatter.omegas", "omega", scatter["omegas"]),
+            ("probes.norm.omega", "omega", [data["probes"]["norm"]["omega"]]),
+            ("flow.omega", "omega", [data["flow"]["omega"]]),
+        ):
+            for value in values:
+                with _at(path):
+                    replace(guidance, **{key: value})
+        with _at("flow.sigma_min"):
+            FlowPath(sigma_min=data["flow"]["sigma_min"])
+        built = {"gmm": gmm, "schedule": schedule, "grid": grid, "guidance": guidance}
+        object.__setattr__(self, "_built", built)
 
     def gmm(self) -> GaussianMixture:
-        block = self.data["gmm"]
-        means = np.asarray(block["means"], dtype=float)
-        if means.ndim == 1:
-            means = means[:, None]
-        dim = block["dim"] if block["dim"] is not None else means.shape[1]
-        weights = block["weights"]
-        if weights is None:
-            weights = np.full(means.shape[0], 1.0 / means.shape[0])
-        try:
-            return GaussianMixture(dim=int(dim), means=means, weights=np.asarray(weights, float))
-        except ValueError as exc:
-            raise ConfigError(f"gmm: {exc}") from exc
+        return self._built["gmm"]
 
     def noise_schedule(self) -> NoiseSchedule:
-        block = self.data["schedule"]
-        try:
-            return NoiseSchedule(
-                beta_min=float(block["beta_min"]),
-                beta_max=float(block["beta_max"]),
-                horizon=float(block["T"]),
-                shape=str(block["shape"]),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"schedule: {exc}") from exc
+        return self._built["schedule"]
 
     def time_grid(self) -> TimeGrid:
-        block = self.data["grid"]
-        schedule = self.noise_schedule()
-        t_end = block["t_end"] if block["t_end"] is not None else schedule.horizon
-        try:
-            return make_grid(schedule, int(block["steps"]), float(t_end), float(block["t_start"]))
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from exc
+        return self._built["grid"]
 
     def guidance(self, strategy: str | None = None, omega: float | None = None) -> GuidanceConfig:
-        block = self.data["guidance"]
-        apg = block["apg"]
-        recfg = block["recfg_lambda"]
-        if isinstance(recfg, dict):
-            recfg = {int(k): float(v) for k, v in recfg.items()}
-        try:
-            return GuidanceConfig(
-                strategy=strategy if strategy is not None else str(block["strategy"]),
-                omega=float(omega if omega is not None else block["omega"]),
-                angle_cap=float(block["angle_cap"]),
-                cfgpp_lambda=float(block["cfgpp_lambda"]),
-                apg_params=ApgParams(
-                    eta=float(apg["eta"]), beta=float(apg["beta"]), r=float(apg["r"])
-                ),
-                recfg_lambda=recfg,
-                pcg_inner_steps=int(block["pcg_inner_steps"]),
-                pcg_langevin_mode=str(block["pcg_langevin_mode"]),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"guidance: {exc}") from exc
-
-    # -- run block --------------------------------------------------------
+        """The guidance block, with the strategy or the weight replaced when given."""
+        changes = {k: v for k, v in (("strategy", strategy), ("omega", omega)) if v is not None}
+        return replace(self._built["guidance"], **changes) if changes else self._built["guidance"]
 
     def seeds(self) -> list[int]:
-        block = self.data["run"]
-        if block["seeds"] is not None:
-            return [int(s) for s in block["seeds"]]
-        return list(range(int(block["seed_count"])))
+        run = self.data["run"]
+        return list(run["seeds"] if run["seeds"] is not None else range(run["seed_count"]))
 
     def condition(self) -> int:
-        return int(self.data["run"]["condition"])
+        return self.data["run"]["condition"]
 
     def strategies(self) -> list[str]:
-        block = self.data["run"]
-        if block["strategies"] is not None:
-            return [str(s) for s in block["strategies"]]
-        return [str(self.data["guidance"]["strategy"])]
+        return list(self.data["run"]["strategies"] or [self.data["guidance"]["strategy"]])
 
     def output_dir(self) -> str:
-        return str(self.data["run"]["output_dir"])
+        return self.data["run"]["output_dir"]
 
 
-def _validate(data: dict) -> dict:
-    """Semantic checks beyond key names; returns the same dict."""
-    gmm = data["gmm"]
-    if not isinstance(gmm["means"], list) or not gmm["means"]:
-        raise ConfigError("gmm.means: expected a non-empty list")
-    if gmm["dim"] is not None:
-        _require_int(gmm["dim"], "gmm.dim", lo=1)
-    sched = data["schedule"]
-    _require_number(sched["beta_min"], "schedule.beta_min")
-    _require_number(sched["beta_max"], "schedule.beta_max")
-    _require_number(sched["T"], "schedule.T")
-    grid = data["grid"]
-    _require_int(grid["steps"], "grid.steps", lo=1)
-    if grid["t_end"] is not None:
-        _require_number(grid["t_end"], "grid.t_end", lo=0.0)
-    _require_number(grid["t_start"], "grid.t_start", lo=0.0)
-    g = data["guidance"]
-    if g["strategy"] not in STRATEGIES:
-        raise ConfigError(
-            f"guidance.strategy: unknown strategy {g['strategy']!r}; expected one of {STRATEGIES}"
-        )
-    _require_number(g["omega"], "guidance.omega", lo=1.0)
-    _require_number(g["angle_cap"], "guidance.angle_cap")
-    run = data["run"]
-    if run["seeds"] is None:
-        _require_int(run["seed_count"], "run.seed_count", lo=1)
-    elif not isinstance(run["seeds"], list):
-        raise ConfigError("run.seeds: expected a list of integers")
-    else:
-        repeated = [s for i, s in enumerate(run["seeds"]) if s in run["seeds"][:i]]
-        if repeated:
-            raise ConfigError(f"run.seeds: seed {repeated[0]!r} repeated; seeds must be distinct")
-    if run["strategies"] is not None:
-        if not isinstance(run["strategies"], list) or not run["strategies"]:
-            raise ConfigError("run.strategies: expected a non-empty list")
-        for s in run["strategies"]:
-            if s not in STRATEGIES:
-                raise ConfigError(f"run.strategies: unknown strategy {s!r}")
-    _require_int(run["condition"], "run.condition", lo=0)
-    return data
+def _parse_yaml(text: str, where: str):
+    """YAML text to values; PyYAML raises ValueError, LookupError or
+    AttributeError, not YAMLError, for scalars like 2001-13-45 or !!bool 3."""
+    try:
+        return yaml.safe_load(text)
+    except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def loads_config(text: str, overrides: list[str] | None = None) -> ExperimentConfig:
     """Parse a YAML document (plus --set overrides) into a config."""
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML: {exc}") from exc
+    raw = _parse_yaml(text, "invalid YAML")
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a mapping")
     for item in overrides or []:
         raw = _apply_override(raw, item)
-    data = _validate(_merge(DEFAULTS, raw, ""))
-    config = ExperimentConfig(data=data)
-    # building the typed objects surfaces any remaining value errors now
-    config.gmm()
-    config.noise_schedule()
-    config.time_grid()
-    config.guidance()
-    return config
+    return ExperimentConfig(data=_merge(DEFAULTS, raw, ""))
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
@@ -303,10 +357,7 @@ def _apply_override(raw: dict, item: str) -> dict:
     key = key.strip()
     if not key:
         raise ConfigError(f"--set {item!r}: empty key")
-    try:
-        value = yaml.safe_load(value_text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"--set {key}: invalid value: {exc}") from exc
+    value = _parse_yaml(value_text, f"--set {key}: invalid value")
     node = raw
     parts = key.split(".")
     for part in parts[:-1]:

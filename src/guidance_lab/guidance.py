@@ -9,7 +9,8 @@ over leading axes (vectors are ``(..., dim)``).
 
 Geometry conventions: the rotation happens in span{x0_cond, x0_uncond};
 the separation angle is taken with ``atan2``; pairs that are numerically
-parallel (angle below ``ANGLE_FLOOR``) or almost zero-length (norm below
+parallel (angle below ``ANGLE_FLOOR``), exactly antiparallel (rejection
+below ``REJECTION_FLOOR`` of its norm) or almost zero-length (norm below
 ``NORM_FLOOR``) make the rotation a no-op and fall back to the
 conditional prediction.
 """
@@ -25,6 +26,7 @@ import numpy as np
 __all__ = [
     "NORM_FLOOR",
     "ANGLE_FLOOR",
+    "REJECTION_FLOOR",
     "DEFAULT_ANGLE_CAP",
     "DegenerateGeometryError",
     "PredictionPair",
@@ -49,6 +51,9 @@ __all__ = [
 
 NORM_FLOOR = 1e-12
 ANGLE_FLOOR = 1e-7
+# Exactly antiparallel pairs leave a rejection of rounding noise, under 1e-15
+# of |x_cond| up to dim 4096; it spans no plane to turn in.
+REJECTION_FLOOR = 1e-12
 DEFAULT_ANGLE_CAP = math.pi / 3.0
 
 STRATEGIES = (
@@ -213,7 +218,7 @@ class _PairGeometry(NamedTuple):
     gamma: np.ndarray       # separation angle
     sin_gamma: np.ndarray   # |rejection| / |x_cond|
     safe: np.ndarray        # both norms above NORM_FLOOR
-    valid: np.ndarray       # safe and gamma >= ANGLE_FLOOR: the rotation applies
+    valid: np.ndarray       # safe, gamma >= ANGLE_FLOOR, sin_gamma > REJECTION_FLOOR
 
 
 def _pair_geometry(x_cond: np.ndarray, x_uncond: np.ndarray) -> _PairGeometry:
@@ -234,7 +239,8 @@ def _pair_geometry(x_cond: np.ndarray, x_uncond: np.ndarray) -> _PairGeometry:
     rej_norm = _norm(rejection)
     gamma = np.arctan2(rej_norm * n_uncond, dot)
     sin_gamma = rej_norm / np.where(safe, n_cond, 1.0)
-    return _PairGeometry(x_cond, rejection, gamma, sin_gamma, safe, safe & (gamma >= ANGLE_FLOOR))
+    valid = safe & (gamma >= ANGLE_FLOOR) & (sin_gamma > REJECTION_FLOOR)
+    return _PairGeometry(x_cond, rejection, gamma, sin_gamma, safe, valid)
 
 
 def _rotate(
@@ -245,9 +251,7 @@ def _rotate(
     gamma_omega = (omega - 1.0) * geometry.gamma
     if angle_cap is not None:
         gamma_omega = np.minimum(gamma_omega, angle_cap)
-    # exactly antiparallel pairs have sin_gamma == 0 with a zero rejection;
-    # a unit divisor keeps the vanishing term well-defined
-    sin_safe = np.where(geometry.valid & (geometry.sin_gamma > 0.0), geometry.sin_gamma, 1.0)
+    sin_safe = np.where(geometry.valid, geometry.sin_gamma, 1.0)
     rotated = (
         np.cos(gamma_omega)[..., None] * x_cond
         + (np.sin(gamma_omega) / sin_safe)[..., None] * geometry.rejection

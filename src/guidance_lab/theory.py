@@ -126,13 +126,16 @@ def estimate_c1(
 
     Probes ``sqrt(alpha_bar) * mu + k * w`` on a geometric k-grid over
     (1e-6, k_max]; the first failing point brackets the boundary, which
-    bisection then pins to ``bisection_tol``.  Returns 0 when even the
+    bisection then pins to ``bisection_tol``, or to adjacent doubles when
+    the tolerance is below their spacing.  Returns 0 when even the
     smallest probe fails and ``k_max`` when no probe fails.
     """
     if not omega > 1.0:
         raise ValueError("estimate_c1 requires omega > 1")
     if not k_max > 0:
         raise ValueError("k_max must be positive")
+    if not bisection_tol > 0:
+        raise ValueError("bisection_tol must be positive")
     mu_star = gmm.means[certificate.component_index]
     base = math.sqrt(alpha_bar) * mu_star
 
@@ -154,6 +157,8 @@ def estimate_c1(
         return float(k_max)
     while hi - lo > bisection_tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent doubles: a tolerance below their spacing is met
         if member(mid):
             lo = mid
         else:

@@ -331,25 +331,12 @@ def run_suite(config: ExperimentConfig) -> list[ProbeReport]:
     condition = config.condition()
 
     reports = []
-    sc = probes_cfg["score_oracle"]
-    reports.append(probe_score_oracle(int(sc["cases"]), int(sc["seed"]), float(sc["tolerance"])))
-    lm = probes_cfg["score_identity"]
-    reports.append(probe_score_identity(int(lm["cases"]), int(lm["seed"]), float(lm["tolerance"])))
-    reports.append(probe_posterior_simplex(100, int(sc["seed"]) + 1))
+    reports.append(probe_score_oracle(**probes_cfg["score_oracle"]))
+    reports.append(probe_score_identity(**probes_cfg["score_identity"]))
+    reports.append(probe_posterior_simplex(100, probes_cfg["score_oracle"]["seed"] + 1))
     reports.append(probe_surface_invariants(gmm))
-
-    p1 = probes_cfg["prop1"]
-    reports.append(
-        theory.prop1_stress(trials=int(p1["trials"]), dims=tuple(p1["dims"]), seed=int(p1["seed"]))
-    )
-
-    c1 = probes_cfg["c1"]
-    reports.append(
-        probe_c1_monotone(
-            gmm, condition, float(c1["alpha_bar"]), [float(w) for w in c1["omegas"]],
-            float(c1["k_max"]), float(c1["bisection_tol"]),
-        )
-    )
+    reports.append(theory.prop1_stress(**probes_cfg["prop1"]))
+    reports.append(probe_c1_monotone(gmm, condition, **probes_cfg["c1"]))
 
     nm = probes_cfg["norm"]
     cert = mx.surface_certificate(gmm, condition)
@@ -360,20 +347,17 @@ def run_suite(config: ExperimentConfig) -> list[ProbeReport]:
                 parameters={"condition": condition},
                 verdict="n/a",
                 measured={"note": f"component {condition} is not a surface class"},
-                tolerance=float(nm["margin_floor"]),
+                tolerance=nm["margin_floor"],
             )
         )
     else:
         reports.append(
             theory.norm_amplification_check(
-                gmm, cert, grid, float(nm["omega"]),
-                range(int(nm["seed_count"])), float(nm["margin_floor"]),
+                gmm, cert, grid, nm["omega"], range(nm["seed_count"]), nm["margin_floor"],
             )
         )
 
-    cp = probes_cfg["cfgpp"]
-    reports.append(probe_cfgpp_equivalence(int(cp["steps"]), int(cp["seed"]), float(cp["tolerance"])))
-    go = probes_cfg["guidance_off"]
-    reports.append(probe_guidance_off(config, int(go["seed_count"]), float(go["tolerance"])))
+    reports.append(probe_cfgpp_equivalence(**probes_cfg["cfgpp"]))
+    reports.append(probe_guidance_off(config, **probes_cfg["guidance_off"]))
     reports.append(probe_determinism(config))
     return reports

@@ -9,10 +9,12 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import guidance_lab
 from guidance_lab.cli import main
-from guidance_lab.config import ConfigError, dump_config, load_config, loads_config
+from guidance_lab.config import DEFAULTS, ConfigError, dump_config, load_config, loads_config
 from guidance_lab.reports import format_float, write_csv
 from guidance_lab.svgplot import render_scatter, render_sweep
 
@@ -30,6 +32,33 @@ run:
   seed_count: 10
   condition: 1
 """
+
+
+def _leaf_paths(table, prefix=""):
+    for key, entry in table.items():
+        if isinstance(entry, dict):
+            yield from _leaf_paths(entry, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+LEAF_PATHS = sorted(_leaf_paths(DEFAULTS))
+with open(DEFAULT, encoding="utf-8") as _fh:
+    DEFAULT_TEXT = _fh.read()
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)
+)
+YAML_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_SCALARS, inner, max_size=3),
+    max_leaves=8,
+)
+TRICKY_SCALARS = [
+    "1e-8", "1.0e9", "1.0e+400", "-1e400", ".inf", "-.inf", ".nan", "~", "[]", "{}", "0x1F",
+    "0o17", "010", "1_000", "1:20", "2001-12-14", "2001-13-45", "!!bool 3", "!!int abc",
+    "!!timestamp 99", "!!float x", "!!binary zz", "{[1]: 2}", "[1, [2]]", "[[1.0], [2.0, 3.0]]",
+    "100000000000", str(10**400),
+]
 
 
 class TestConfig:
@@ -93,6 +122,48 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"run\.seeds: seed 1 repeated"):
             loads_config("run: {seeds: [1, 2, 1]}")
         assert loads_config("run: {seeds: [2, 1]}").seeds() == [2, 1]
+
+    def test_leaf_types_follow_the_table(self):
+        config = loads_config("guidance: {omega: 5, apg: {r: 3}}\ngmm: {means: [-1, 1]}")
+        assert config.data["guidance"]["omega"] == 5.0
+        assert isinstance(config.data["guidance"]["omega"], float)
+        assert config.gmm().means.tolist() == [[-1.0], [1.0]]  # flat means: a 1-D mixture
+        with pytest.raises(ConfigError, match=r"grid\.steps: expected int, got True"):
+            loads_config("grid: {steps: true}")
+        with pytest.raises(ConfigError, match=r"guidance\.omega: expected float, got False"):
+            loads_config("guidance: {omega: false}")
+        with pytest.raises(ConfigError, match=r"run\.strategies\[1\]: expected str"):
+            loads_config("run: {strategies: [cfg, 3]}")
+
+    def test_string_number_names_a_yaml_float_spelling(self):
+        # YAML 1.1 reads 1e-8 (no decimal point) and 1.0e9 (unsigned exponent)
+        # as strings
+        with pytest.raises(ConfigError, match=r"probes\.c1\.bisection_tol: .*write 1\.0e-08"):
+            loads_config("probes: {c1: {bisection_tol: 1e-8}}")
+        with pytest.raises(ConfigError, match=r"probes\.norm\.margin_floor: .*write 1000000000\.0"):
+            loads_config("probes: {norm: {margin_floor: 1.0e9}}")
+        assert loads_config("probes: {c1: {bisection_tol: 1.0e-8}}").data["probes"]["c1"][
+            "bisection_tol"] == 1e-8
+
+    def test_malformed_yaml_scalars_are_config_errors(self):
+        # PyYAML raises ValueError, KeyError or AttributeError for these
+        for text in ("2001-13-45", "!!bool 3", "!!timestamp 99", "!!int abc"):
+            with pytest.raises(ConfigError):
+                loads_config(f"run: {{output_dir: {text}}}")
+            with pytest.raises(ConfigError, match=r"--set run\.output_dir"):
+                loads_config("", [f"run.output_dir={text}"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(LEAF_PATHS), value=st.one_of(
+        YAML_VALUES.map(lambda v: yaml.safe_dump(v, default_flow_style=True)),
+        st.sampled_from(TRICKY_SCALARS),
+        st.text(max_size=12),
+    ))
+    def test_any_leaf_override_loads_or_is_a_config_error(self, path, value):
+        try:
+            loads_config(DEFAULT_TEXT, [f"{path}={value}"])
+        except ConfigError:
+            pass
 
 
 def run_cli(*argv) -> int:
@@ -165,6 +236,48 @@ class TestCliContracts:
         by_name = {p["name"]: p for p in payload["probes"]}
         assert by_name["norm_amplification"]["verdict"] == "n/a"
         assert os.path.exists(out / "probe_anomalous_interval.csv")
+
+    # Every block is checked at load, so each input exits 2 whichever command
+    # reads it; `sample` reads none of the probe blocks.
+    @pytest.mark.parametrize("command, setting", [
+        ("sample", "probes.norm.seed_count=abc"),
+        ("sample", "probes.norm.margin_floor=abc"),
+        ("sample", "probes.norm.seed_count=0"),
+        ("sample", "probes.c1.omegas=[1.0,2.0]"),
+        ("sample", "probes.c1.k_max=0"),
+        ("sample", "probes.c1.alpha_bar=1.5"),
+        ("sample", "probes.c1.bisection_tol=0"),
+        ("sample", "probes.prop1.dims=[]"),
+        ("sample", "probes.prop1.trials=2"),
+        ("sample", "probes.score_oracle.cases=-5"),
+        ("sample", "probes.cfgpp.steps=0"),
+        ("sample", "probes.guidance_off.seed_count=0"),
+        ("flow-sample", "flow.steps=0"),
+        ("flow-sample", "flow.sigma_min=1.5"),
+        ("sweep", "sweep.omegas=[0.5]"),
+        ("sweep", "sweep.strategies=[warp]"),
+        ("sweep", "sweep.seed_count=100000000"),
+        ("scatter", "scatter.strategy=warp"),
+        ("scatter", "scatter.seeds_per_class=-1"),
+        ("scatter", "scatter.seeds_per_class=0"),
+        ("sample", "run.seeds=[]"),
+        ("sample", "run.condition=9"),
+        ("sample", "grid.steps=100000000000"),
+        ("sample", f"run.seed_count={10**400}"),
+    ])
+    def test_invalid_input_exits_2_naming_its_path(self, tmp_path, capsys, command, setting):
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", DEFAULT, "--out", str(out), "--set", setting) == 2
+        assert setting.partition("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_numeric_output_dir_stays_a_string(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(
+            "sample", "--config", DEFAULT, "--seed-count", "2", "--out", "010",
+            "--set", "grid.steps=20",
+        ) == 0
+        assert (tmp_path / "010" / "summary_cfg.csv").exists()
 
     def test_repeated_seeds_exit_2(self, tmp_path, capsys):
         assert run_cli(

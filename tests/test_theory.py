@@ -1,6 +1,9 @@
 """Certifier behavior: membership sets, outward-drift checks, stress tests."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -81,6 +84,28 @@ class TestC1Estimation:
         with pytest.raises(ValueError, match="omega"):
             estimate_c1(PAIR_1D, CERT_1D, 0.5, 1.0)
 
+    def test_rejects_nonpositive_bisection_tol(self):
+        with pytest.raises(ValueError, match="bisection_tol"):
+            estimate_c1(PAIR_1D, CERT_1D, 0.5, 3.0, bisection_tol=0.0)
+
+    def test_tolerance_below_double_spacing_terminates(self):
+        # near c1 ~ 0.46 adjacent doubles are 5.6e-17 apart, so a 1e-17
+        # tolerance cannot be met; the bisection must stop at adjacent doubles
+        code = (
+            "from guidance_lab.mixture import GaussianMixture, surface_certificate\n"
+            "from guidance_lab.theory import estimate_c1\n"
+            "gmm = GaussianMixture(dim=1, means=[[-1.0], [1.0]], weights=[0.5, 0.5])\n"
+            "cert = surface_certificate(gmm, 1)\n"
+            "print(repr(estimate_c1(gmm, cert, 0.5, 3.0, bisection_tol=1e-17)))\n"
+        )
+        package_root = os.path.dirname(os.path.dirname(gl.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=package_root),
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        coarse = estimate_c1(PAIR_1D, CERT_1D, 0.5, 3.0, bisection_tol=1e-15)
+        assert float(out.stdout) == pytest.approx(coarse, abs=1e-15)
+
     def test_saturates_at_k_max(self):
         value = estimate_c1(PAIR_1D, CERT_1D, 0.5, 3.0, k_max=0.1)
         assert value == 0.1
@@ -135,8 +160,9 @@ class TestProp1Stress:
 
     def test_parallel_pair_ratio_is_one(self):
         v = np.array([1.0, 2.0])
-        out = gl.rotate_raw(v, 3.0 * v, 5.0)
-        assert np.linalg.norm(out) / np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+        for uncond in (3.0 * v, -3.0 * v):
+            out = gl.rotate_raw(v, uncond, 5.0)
+            assert np.linalg.norm(out) / np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal_quarter_turn_attains_bound(self):
         # gamma = pi/2 and omega = 1.5 gives the tight case cos+sin = sqrt(2)
