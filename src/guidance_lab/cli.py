@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import reports as rp
 from . import samplers as sp
 from . import svgplot
@@ -130,6 +128,33 @@ def _guidance_echo(config: ExperimentConfig, strategy: str) -> str:
     return ""
 
 
+def _emit_run(config, records, names, head, cert=None, tail="") -> None:
+    """Write the trajectory and summary CSVs named ``names`` and print the
+    run's line: ``head``, the seed count, the mean final norm, with a
+    certificate the mean projection on its normal, then ``tail``."""
+    trajectories, summary = names
+    rp.write_trajectory_csv(records, _outpath(config, trajectories))
+    columns = rp.write_summary_csv(records, _outpath(config, summary), cert)
+    line = f"{head} seeds={len(records)} mean_norm={columns['norm'].mean():.6f}"
+    if cert is not None:
+        line += f" mean_w_dot_x0={columns['w_dot_x0'].mean():.6f}"
+    print(line + tail)
+
+
+def _emit_reports(config, reports, json_name, csv_name) -> int:
+    """Write the reports' JSON and one CSV per report (``csv_name`` formatted
+    with the report's ``name``), print a verdict line each; the exit code."""
+    rp.write_report_json(reports, _outpath(config, json_name))
+    for report in reports:
+        rp.write_probe_csv(report, _outpath(config, csv_name.format(name=report.name)))
+        pairs = ", ".join(
+            f"{k}={v:.3e}" if isinstance(v, float) else f"{k}={v}"
+            for k, v in list(report.measured.items())[:3]
+        )
+        print(f"[{report.verdict.upper():4s}] {report.name}: {pairs}")
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_PROBE_FAILURE
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -137,48 +162,27 @@ def _guidance_echo(config: ExperimentConfig, strategy: str) -> str:
 def cmd_sample(args) -> int:
     config = _load(args)
     gmm = config.gmm()
-    grid = config.time_grid()
     condition = config.condition()
-    seeds = config.seeds()
     cert = surface_certificate(gmm, condition) if gmm.n_components > 1 else None
     for strategy in config.strategies():
         guidance_cfg = config.guidance(strategy=strategy)
-        records = sp.sample_batch(gmm, grid, guidance_cfg, condition, seeds)
-        rp.write_trajectory_csv(records, _outpath(config, f"trajectories_{strategy}.csv"))
-        rp.write_summary_csv(records, _outpath(config, f"summary_{strategy}.csv"), cert)
-        finals = np.stack([r.final_x0 for r in records])
-        norms = np.linalg.norm(finals, axis=1)
-        line = (
-            f"strategy={strategy} omega={guidance_cfg.omega} seeds={len(seeds)} "
-            f"mean_norm={norms.mean():.6f}"
+        records = sp.sample_batch(gmm, config.time_grid(), guidance_cfg, condition, config.seeds())
+        _emit_run(
+            config, records, (f"trajectories_{strategy}.csv", f"summary_{strategy}.csv"),
+            f"strategy={strategy} omega={guidance_cfg.omega}", cert,
+            _guidance_echo(config, strategy),
         )
-        if cert is not None:
-            line += f" mean_w_dot_x0={float((finals @ cert.normal).mean()):.6f}"
-        line += _guidance_echo(config, strategy)
-        print(line)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     config = _load(args)
-    suite = run_suite(config)
-    rp.write_report_json(suite, _outpath(config, "verify_report.json"))
-    for report in suite:
-        rp.write_probe_csv(report, _outpath(config, f"probe_{report.name}.csv"))
-        print(f"[{report.verdict.upper():4s}] {report.name}: {_summary_line(report)}")
-    if all(r.passed for r in suite):
+    code = _emit_reports(config, run_suite(config), "verify_report.json", "probe_{name}.csv")
+    if code == EXIT_OK:
         print("verification suite: all probes passed")
-        return EXIT_OK
-    print("verification suite: FAILURES present", file=sys.stderr)
-    return EXIT_PROBE_FAILURE
-
-
-def _summary_line(report) -> str:
-    pairs = ", ".join(
-        f"{k}={v:.3e}" if isinstance(v, float) else f"{k}={v}"
-        for k, v in list(report.measured.items())[:3]
-    )
-    return pairs
+    else:
+        print("verification suite: FAILURES present", file=sys.stderr)
+    return code
 
 
 def cmd_probe_c1(args) -> int:
@@ -186,10 +190,7 @@ def cmd_probe_c1(args) -> int:
 
     config = _load(args)
     report = probe_c1_monotone(config.gmm(), config.condition(), **config.data["probes"]["c1"])
-    rp.write_report_json([report], _outpath(config, "c1_report.json"))
-    rp.write_probe_csv(report, _outpath(config, "c1_values.csv"))
-    print(f"[{report.verdict.upper():4s}] {report.name}: {_summary_line(report)}")
-    return EXIT_OK if report.passed else EXIT_PROBE_FAILURE
+    return _emit_reports(config, [report], "c1_report.json", "c1_values.csv")
 
 
 def cmd_probe_norm(args) -> int:
@@ -204,10 +205,7 @@ def cmd_probe_norm(args) -> int:
     report = theory.norm_amplification_check(
         gmm, cert, config.time_grid(), omega, range(nm["seed_count"]), nm["margin_floor"],
     )
-    rp.write_report_json([report], _outpath(config, "norm_report.json"))
-    rp.write_probe_csv(report, _outpath(config, "norm_margins.csv"))
-    print(f"[{report.verdict.upper():4s}] {report.name}: {_summary_line(report)}")
-    return EXIT_OK if report.passed else EXIT_PROBE_FAILURE
+    return _emit_reports(config, [report], "norm_report.json", "norm_margins.csv")
 
 
 def cmd_sweep(args) -> int:
@@ -251,31 +249,22 @@ def cmd_scatter(args) -> int:
 
 def cmd_flow_sample(args) -> int:
     config = _load(args)
-    gmm = config.gmm()
     block = config.data["flow"]
     omega = block["omega"] if args.omega is None else args.omega
-    seeds = config.seeds()
     records = sp.flow_sample_batch(
-        gmm, block["sigma_min"], block["steps"], omega, config.guidance().angle_cap,
-        config.condition(), seeds,
+        config.gmm(), block["sigma_min"], block["steps"], omega, config.guidance().angle_cap,
+        config.condition(), config.seeds(),
     )
-    rp.write_trajectory_csv(records, _outpath(config, "flow_trajectories.csv"))
-    rp.write_summary_csv(records, _outpath(config, "flow_summary.csv"))
-    finals = np.stack([r.final_x0 for r in records])
-    print(
-        f"flow omega={omega} sigma_min={block['sigma_min']} seeds={len(seeds)} "
-        f"mean_norm={np.linalg.norm(finals, axis=1).mean():.6f}"
+    _emit_run(
+        config, records, ("flow_trajectories.csv", "flow_summary.csv"),
+        f"flow omega={omega} sigma_min={block['sigma_min']}",
     )
     return EXIT_OK
 
 
 def cmd_plot(args) -> int:
-    try:
-        with open(args.csv_path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    with open(args.csv_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
     out = args.out or os.path.splitext(args.csv_path)[0] + ".svg"
     try:
         if args.kind == "scatter":

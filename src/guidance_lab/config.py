@@ -31,26 +31,30 @@ class ConfigError(ValueError):
 class Leaf(NamedTuple):
     """A table entry the default alone does not type or bound.  ``kind`` is
     int, float, str, ``[kind]`` (a non-empty list) or a function ``(value,
-    path) -> value``; None means the default's type.  ``lo`` bounds a number
-    or each list entry.  A None default also admits None."""
+    path) -> value``; None means the default's type.  ``lo`` and ``hi``
+    bound a number or each list entry.  A None default also admits None."""
 
     default: Any
     kind: Any = None
     lo: float | None = None
+    hi: float | None = None
 
 
 def _point(value, path):
     """One mixture mean: a list of numbers, or a number for a 1-D mixture."""
-    return _typed(value, [float] if isinstance(value, list) else float, None, path)
+    return _typed(value, Leaf(None, [float] if isinstance(value, list) else float), path)
 
 
 def _recfg_lambda(value, path):
     """A number, or a table of numbers keyed by condition."""
     if not isinstance(value, dict):
-        return _typed(value, float, None, path)
-    return {_typed(k, int, None, f"{path}.{k}"): _typed(v, float, None, f"{path}.{k}")
+        return _typed(value, Leaf(None, float), path)
+    return {_typed(k, Leaf(None, int), f"{path}.{k}"): _typed(v, Leaf(None, float), f"{path}.{k}")
             for k, v in value.items()}
 
+
+# Seeds key Philox streams through np.uint64.
+SEED_MAX = 2**64 - 1
 
 DEFAULTS: dict[str, Any] = {
     "gmm": {
@@ -80,22 +84,24 @@ DEFAULTS: dict[str, Any] = {
         "pcg_langevin_mode": "paper-literal",
     },
     "run": {
-        "seeds": Leaf(None, [int], lo=0),   # explicit list, or use seed_count
+        "seeds": Leaf(None, [int], 0, SEED_MAX),  # explicit list, or use seed_count
         "seed_count": Leaf(16, lo=1),
         "condition": Leaf(0, lo=0),
         "strategies": Leaf(None, [str]),    # defaults to [guidance.strategy]
         "output_dir": "out",
     },
     "probes": {
-        "score_oracle": {"cases": Leaf(200, lo=1), "seed": Leaf(2024, lo=0), "tolerance": 1e-5},
-        "score_identity": {"cases": Leaf(200, lo=1), "seed": Leaf(2025, lo=0),
+        # seed + 1 seeds the simplex probe
+        "score_oracle": {"cases": Leaf(200, lo=1), "seed": Leaf(2024, int, 0, SEED_MAX - 1),
+                         "tolerance": 1e-5},
+        "score_identity": {"cases": Leaf(200, lo=1), "seed": Leaf(2025, int, 0, SEED_MAX),
                            "tolerance": 1e-10},
-        "prop1": {"trials": Leaf(20000, lo=1), "seed": Leaf(7, lo=0),
+        "prop1": {"trials": Leaf(20000, lo=1), "seed": Leaf(7, int, 0, SEED_MAX),
                   "dims": Leaf([2, 8, 64], lo=1)},
         "c1": {"alpha_bar": 0.5, "omegas": [2.0, 3.0, 5.0], "k_max": 10.0,
                "bisection_tol": 1e-8},
         "norm": {"omega": 5.0, "seed_count": Leaf(32, lo=1), "margin_floor": 1e-9},
-        "cfgpp": {"steps": Leaf(32, lo=1), "seed": Leaf(11, lo=0), "tolerance": 1e-8},
+        "cfgpp": {"steps": Leaf(32, lo=1), "seed": Leaf(11, int, 0, SEED_MAX), "tolerance": 1e-8},
         "guidance_off": {"seed_count": Leaf(4, lo=1), "tolerance": 1e-12},
     },
     "sweep": {
@@ -115,17 +121,22 @@ DEFAULTS: dict[str, Any] = {
     },
 }
 
-# Largest float64 trajectory log one sampling batch may hold: per step and
-# seed, x_t and the three predictions (dim each) and three scalar columns.
+# Largest float64 working set one block may allocate: a sampling batch's
+# trajectory log (per step and seed, x_t and the three predictions, dim
+# each, and three scalar columns) with one transition's pcg corrector
+# draws, or the pair arrays of the prop1 stress test.
 LOG_BUDGET_BYTES = 2**30
 
 
-def _typed(value, kind, lo, path):
-    """``value`` checked against a table type and bound; a float type stores an int as float."""
+def _typed(value, leaf: Leaf, path):
+    """``value`` checked against a table entry's type and bounds; a float type stores an int
+    as float."""
+    kind = leaf.kind
     if isinstance(kind, list):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{path}: expected a non-empty list, got {value!r}")
-        return [_typed(v, kind[0], lo, f"{path}[{i}]") for i, v in enumerate(value)]
+        entry = leaf._replace(kind=kind[0])
+        return [_typed(v, entry, f"{path}[{i}]") for i, v in enumerate(value)]
     if kind not in (int, float, str):
         return kind(value, path)
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
@@ -136,8 +147,10 @@ def _typed(value, kind, lo, path):
             value = float(value)
         except OverflowError:
             raise ConfigError(f"{path}: {value} is beyond the float range") from None
-    if lo is not None and value < lo:
-        raise ConfigError(f"{path}: must be >= {lo}, got {value!r}")
+    if leaf.lo is not None and value < leaf.lo:
+        raise ConfigError(f"{path}: must be >= {leaf.lo}, got {value!r}")
+    if leaf.hi is not None and value > leaf.hi:
+        raise ConfigError(f"{path}: must be <= {leaf.hi}, got {value!r}")
     return value
 
 
@@ -166,7 +179,7 @@ def _merge(defaults: dict, given: Any, path: str) -> dict:
             [type(leaf.default[0])] if isinstance(leaf.default, list) else type(leaf.default))
         value = given.get(key, leaf.default)
         if key in given and not (value is None and leaf.default is None):
-            value = _typed(value, kind, leaf.lo, sub_path)
+            value = _typed(value, leaf._replace(kind=kind), sub_path)
         out[key] = value
     for key in given:
         if key not in defaults:
@@ -202,32 +215,66 @@ def _validate(data: dict) -> None:
             raise ConfigError(f"probes.c1.{key}: must be > 0, got {c1[key]!r}")
     if prop1["trials"] < len(prop1["dims"]):
         raise ConfigError(f"probes.prop1.trials: must be >= the {len(prop1['dims'])} dims")
+    lam = data["guidance"]["recfg_lambda"]
+    if isinstance(lam, dict):
+        # recfg samples run.condition in sample, sweep and the determinism
+        # probe, and every component in scatter
+        used = set()
+        if "recfg" in {data["guidance"]["strategy"], *(run["strategies"] or ()),
+                       *data["sweep"]["strategies"]}:
+            used.add(run["condition"])
+        if data["scatter"]["strategy"] == "recfg":
+            used.update(range(len(data["gmm"]["means"])))
+        missing = sorted(used - lam.keys())
+        if missing:
+            raise ConfigError(
+                f"guidance.recfg_lambda: no entry for condition {missing[0]}, which recfg samples")
 
 
 def _check_log_budget(data: dict) -> None:
-    """Refuse a block whose trajectory log would exceed LOG_BUDGET_BYTES."""
-    run, probes, first_mean = data["run"], data["probes"], data["gmm"]["means"][0]
-    row_bytes = 8 * (4 * (len(first_mean) if isinstance(first_mean, list) else 1) + 3)
+    """Refuse a block whose float64 arrays would exceed LOG_BUDGET_BYTES."""
+    guidance, run, probes = data["guidance"], data["run"], data["probes"]
+    first_mean = data["gmm"]["means"][0]
+    dim = len(first_mean) if isinstance(first_mean, list) else 1
+    row_bytes = 8 * (4 * dim + 3)
+    # pcg draws each seed's (inner_steps, dim) block, then stacks them
+    inner, draw_bytes = guidance["pcg_inner_steps"], 16 * dim
     if run["seeds"] is None:
         run_seeds = ("run.seed_count", run["seed_count"])
     else:
         run_seeds = ("run.seeds", len(run["seeds"]))
     grid_steps = ("grid.steps", data["grid"]["steps"])
-    for block, (steps_path, steps), (seeds_path, n_seeds) in (
-        ("run", grid_steps, run_seeds),
-        ("sweep", grid_steps, ("sweep.seed_count", data["sweep"]["seed_count"])),
+    for block, (steps_path, steps), (seeds_path, n_seeds), pcg in (
+        ("run", grid_steps, run_seeds, "pcg" in {guidance["strategy"], *(run["strategies"] or ())}),
+        ("sweep", grid_steps, ("sweep.seed_count", data["sweep"]["seed_count"]),
+         "pcg" in data["sweep"]["strategies"]),
         # scatter runs one batch per class
-        ("scatter", grid_steps, ("scatter.seeds_per_class", data["scatter"]["seeds_per_class"])),
-        ("flow", ("flow.steps", data["flow"]["steps"]), run_seeds),
-        ("probes.norm", grid_steps, ("probes.norm.seed_count", probes["norm"]["seed_count"])),
+        ("scatter", grid_steps, ("scatter.seeds_per_class", data["scatter"]["seeds_per_class"]),
+         data["scatter"]["strategy"] == "pcg"),
+        ("flow", ("flow.steps", data["flow"]["steps"]), run_seeds, False),
+        ("probes.norm", grid_steps, ("probes.norm.seed_count", probes["norm"]["seed_count"]),
+         False),
         ("probes.guidance_off", grid_steps,
-         ("probes.guidance_off.seed_count", probes["guidance_off"]["seed_count"])),
+         ("probes.guidance_off.seed_count", probes["guidance_off"]["seed_count"]), False),
     ):
-        if steps * n_seeds * row_bytes > LOG_BUDGET_BYTES:
+        if n_seeds * (steps * row_bytes + pcg * inner * draw_bytes) > LOG_BUDGET_BYTES:
+            terms = f"{steps_path}={steps} x {row_bytes} bytes of trajectory log"
+            if pcg:
+                terms += f" + guidance.pcg_inner_steps={inner} x {draw_bytes} bytes of pcg draws"
             raise ConfigError(
-                f"{block}: {steps_path}={steps} x {seeds_path}={n_seeds} x {row_bytes} bytes of "
-                f"trajectory log exceeds the {LOG_BUDGET_BYTES}-byte budget"
+                f"{block}: {seeds_path}={n_seeds} x ({terms}) "
+                f"exceeds the {LOG_BUDGET_BYTES}-byte budget"
             )
+    # prop1_stress holds about nine (trials per dim, dim + 1) arrays at once; count ten
+    prop1 = probes["prop1"]
+    per_dim, widest = prop1["trials"] // len(prop1["dims"]), max(prop1["dims"])
+    trial_bytes = 8 * 10 * (widest + 1)
+    if per_dim * trial_bytes > LOG_BUDGET_BYTES:
+        raise ConfigError(
+            f"probes.prop1: probes.prop1.trials={prop1['trials']} over {len(prop1['dims'])} dims "
+            f"x {trial_bytes} bytes per trial at probes.prop1.dims entry {widest} "
+            f"exceeds the {LOG_BUDGET_BYTES}-byte budget"
+        )
 
 
 @dataclass(frozen=True)

@@ -287,10 +287,12 @@ def classify_component(gmm: GaussianMixture, component_index: int) -> ComponentC
     """Vertex test: does the component mean stick out of the others' hull?
 
     Projects the candidate mean onto the convex hull of the remaining
-    means.  A positive hull distance yields a certificate whose normal
-    points from the projection toward the candidate; hull distances
-    below ``HULL_DISTANCE_FLOOR`` (including the all-means-coincide
-    degenerate case) are classified non-surface.
+    means.  A positive hull distance yields a candidate normal pointing
+    from the projection toward the candidate; the component is "surface"
+    only when every other mean then sits below the hyperplane by more
+    than ``HULL_DISTANCE_FLOOR``.  Smaller hull distances or margins
+    (an unconverged projection can leave a negative one) are classified
+    non-surface, as is the all-means-coincide degenerate case.
     """
     component_index = _check_condition(gmm, component_index)
     if gmm.n_components < 2:
@@ -307,12 +309,14 @@ def classify_component(gmm: GaussianMixture, component_index: int) -> ComponentC
         return ComponentClassification(component_index, "interior", distance, None)
     normal = gap / distance
     offset = -float(normal @ mu_star)
-    margins = -(others @ normal + offset)
+    min_margin = float((-(others @ normal + offset)).min())
+    if min_margin <= HULL_DISTANCE_FLOOR:
+        return ComponentClassification(component_index, "interior", distance, None)
     cert = SurfaceCertificate(
         component_index=component_index,
         normal=normal,
         offset=offset,
-        min_margin=float(margins.min()),
+        min_margin=min_margin,
     )
     return ComponentClassification(component_index, "surface", distance, cert)
 

@@ -19,8 +19,6 @@ from .theory import ProbeReport, ScatterSet, SweepRow
 __all__ = [
     "format_float",
     "write_csv",
-    "trajectory_rows",
-    "summary_rows",
     "write_trajectory_csv",
     "write_summary_csv",
     "write_sweep_csv",
@@ -34,99 +32,78 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    return str(value)
-
-
 def write_csv(path: str, header: list[str], rows) -> None:
+    """``rows`` is a sized sequence of rows: float cells at .17g, others by str."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    formats = {}  # one printf format per sequence of cell types
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+            kinds = tuple(map(type, row))
+            fmt = formats.get(kinds)
+            if fmt is None:
+                cells = ("%.17g" if issubclass(k, (float, np.floating)) else "%s" for k in kinds)
+                fmt = formats[kinds] = ",".join(cells) + "\n"
+            fh.write(fmt % tuple(row))
 
 
-def _vector_columns(prefix: str, dim: int) -> list[str]:
-    return [f"{prefix}_{i}" for i in range(dim)]
+def _write_columns(path: str, columns: dict[str, np.ndarray]) -> None:
+    """One CSV from named columns of equal length; a 2-D block (n, k)
+    expands to ``name_0..name_{k-1}``."""
+    header, cells = [], []
+    for name, block in columns.items():
+        if block.ndim == 1:
+            header.append(name)
+            cells.append(block.tolist())
+        else:
+            header += [f"{name}_{i}" for i in range(block.shape[1])]
+            cells += block.T.tolist()
+    write_csv(path, header, list(zip(*cells)))
 
 
-def trajectory_rows(record: TrajectoryRecord):
-    dim = record.final_x0.shape[0]
-    header = (
-        ["seed", "strategy", "omega", "step", "t"]
-        + _vector_columns("x_t", dim)
-        + _vector_columns("x0_cond", dim)
-        + _vector_columns("x0_uncond", dim)
-        + _vector_columns("x0_guided", dim)
-        + ["gamma", "gamma_omega", "guided_norm", "cfgpp_residual"]
-    )
-    rows = []
-    residual = record.cfgpp_residual
-    for i in range(record.steps):
-        rows.append(
-            [record.seed, record.strategy, record.omega, i, record.times[i]]
-            + list(record.x_t[i])
-            + list(record.x0_cond[i])
-            + list(record.x0_uncond[i])
-            + list(record.x0_guided[i])
-            + [
-                record.gamma[i],
-                record.gamma_omega[i],
-                record.guided_norm[i],
-                residual[i] if residual is not None else float("nan"),
-            ]
-        )
-    return header, rows
+def _repeat(items, name: str, counts=1) -> np.ndarray:
+    """Attribute ``name`` of each item, repeated ``counts`` times, as an object column."""
+    return np.repeat(np.array([getattr(item, name) for item in items], dtype=object), counts)
 
 
 def write_trajectory_csv(records: list[TrajectoryRecord], path: str) -> None:
     """One row per (trajectory, step), trajectories ordered by seed."""
-    records = sorted(records, key=lambda r: r.seed)
-    header = None
-    all_rows = []
-    for record in records:
-        h, rows = trajectory_rows(record)
-        header = header or h
-        all_rows.extend(rows)
-    if header is None:
+    if not records:
         raise ValueError("no records to write")
-    write_csv(path, header, all_rows)
-
-
-def summary_rows(
-    records: list[TrajectoryRecord],
-    certificate: SurfaceCertificate | None = None,
-):
     records = sorted(records, key=lambda r: r.seed)
-    dim = records[0].final_x0.shape[0]
-    header = ["seed", "strategy", "omega"] + _vector_columns("x0", dim) + ["norm"]
-    if certificate is not None:
-        header.append("w_dot_x0")
-    rows = []
-    for record in records:
-        row = (
-            [record.seed, record.strategy, record.omega]
-            + list(record.final_x0)
-            + [float(np.linalg.norm(record.final_x0))]
-        )
-        if certificate is not None:
-            row.append(float(certificate.normal @ record.final_x0))
-        rows.append(row)
-    return header, rows
+    steps = [r.steps for r in records]
+    residual = [np.full(r.steps, np.nan) if r.cfgpp_residual is None else r.cfgpp_residual
+                for r in records]
+    _write_columns(path, {
+        **{name: _repeat(records, name, steps) for name in ("seed", "strategy", "omega")},
+        "step": np.concatenate([np.arange(n) for n in steps]),
+        "t": np.concatenate([r.times for r in records]),
+        **{name: np.concatenate([getattr(r, name) for r in records]) for name in (
+            "x_t", "x0_cond", "x0_uncond", "x0_guided", "gamma", "gamma_omega", "guided_norm")},
+        "cfgpp_residual": np.concatenate(residual),
+    })
 
 
 def write_summary_csv(
     records: list[TrajectoryRecord],
     path: str,
     certificate: SurfaceCertificate | None = None,
-) -> None:
-    """Final-sample summary; projection column only with a certificate."""
+) -> dict[str, np.ndarray]:
+    """Final samples in seed order with their norm, and their projection on
+    the certificate's normal when one is given; returns the columns written."""
     if not records:
         raise ValueError("no records to write")
-    header, rows = summary_rows(records, certificate)
-    write_csv(path, header, rows)
+    records = sorted(records, key=lambda r: r.seed)
+    finals = np.stack([r.final_x0 for r in records])
+    columns = {
+        **{name: _repeat(records, name) for name in ("seed", "strategy", "omega")},
+        "x0": finals,
+        "norm": np.linalg.norm(finals, axis=1),
+    }
+    if certificate is not None:
+        columns["w_dot_x0"] = finals @ certificate.normal
+    _write_columns(path, columns)
+    return columns
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
@@ -140,13 +117,14 @@ def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
 def write_scatter_csv(sets: list[ScatterSet], path: str) -> None:
     if not sets:
         raise ValueError("no scatter sets to write")
-    dim = sets[0].samples.shape[1]
-    header = ["omega", "strategy", "component", "seed"] + _vector_columns("x0", dim)
-    rows = []
-    for s in sets:
-        for comp, seed, sample in zip(s.components, s.seeds, s.samples):
-            rows.append([s.omega, s.strategy, int(comp), int(seed)] + list(sample))
-    write_csv(path, header, rows)
+    sizes = [len(s.seeds) for s in sets]
+    _write_columns(path, {
+        "omega": _repeat(sets, "omega", sizes),
+        "strategy": _repeat(sets, "strategy", sizes),
+        "component": np.concatenate([s.components for s in sets]),
+        "seed": np.concatenate([s.seeds for s in sets]),
+        "x0": np.concatenate([s.samples for s in sets]),
+    })
 
 
 def write_probe_csv(report: ProbeReport, path: str) -> None:

@@ -264,12 +264,50 @@ class TestCliContracts:
         ("sample", "run.condition=9"),
         ("sample", "grid.steps=100000000000"),
         ("sample", f"run.seed_count={10**400}"),
+        ("sample", f"run.seeds=[3, {2**64}]"),
+        ("sample", f"probes.score_oracle.seed={2**64 - 1}"),  # seed + 1 seeds the simplex probe
+        ("sample", f"probes.score_identity.seed={2**64}"),
+        ("sample", f"probes.prop1.seed={2**64}"),
+        ("sample", f"probes.cfgpp.seed={2**64}"),
+        ("sample", "probes.prop1.trials=10000000000000"),
+        ("sample", "probes.prop1.dims=[100000000]"),
     ])
     def test_invalid_input_exits_2_naming_its_path(self, tmp_path, capsys, command, setting):
         out = tmp_path / "o"
         assert run_cli(command, "--config", DEFAULT, "--out", str(out), "--set", setting) == 2
         assert setting.partition("=")[0] in capsys.readouterr().err
         assert not out.exists()
+
+    # Inputs only a sampling run would reach: rejected at load, before any output.
+    @pytest.mark.parametrize("path, argv", [
+        ("guidance.recfg_lambda",
+         ["sample", "--strategy", "recfg", "--set", "guidance.recfg_lambda={1: 0.5}"]),
+        ("guidance.recfg_lambda",
+         ["scatter", "--set", "scatter.strategy=recfg", "--set", "guidance.recfg_lambda={0: 0.5}"]),
+        ("run.seeds", ["sample", "--set", "run.seeds=[18446744073709551616]"]),
+        ("guidance.pcg_inner_steps",
+         ["sample", "--strategy", "pcg", "--set", "guidance.pcg_inner_steps=1000000000000"]),
+        ("guidance.pcg_inner_steps",
+         ["scatter", "--set", "scatter.strategy=pcg", "--set",
+          "guidance.pcg_inner_steps=1000000000000"]),
+    ])
+    def test_sampling_inputs_exit_2_at_load(self, tmp_path, capsys, path, argv):
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--config", DEFAULT, "--out", str(out)) == 2
+        assert path in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_recfg_table_and_pcg_steps_within_bounds_load(self):
+        config = loads_config(DEFAULT_TEXT, [
+            "run.strategies=[recfg, pcg]", "guidance.recfg_lambda={0: 0.5}",
+            "guidance.pcg_inner_steps=1000",
+        ])
+        assert config.guidance(strategy="recfg").recfg_lambda_for(0) == 0.5
+        # nothing this document runs samples recfg or pcg, so neither is checked
+        loads_config(DEFAULT_TEXT, ["guidance.recfg_lambda={3: 0.5}",
+                                    "guidance.pcg_inner_steps=1000000000000"])
+        loads_config(DEFAULT_TEXT, [f"run.seeds=[0, {2**64 - 1}]",
+                                    f"probes.score_oracle.seed={2**64 - 2}"])
 
     def test_numeric_output_dir_stays_a_string(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from guidance_lab.mixture import (
+    HULL_DISTANCE_FLOOR,
     GaussianMixture,
     classify_component,
     finite_diff_score,
@@ -317,6 +318,24 @@ class TestSurfaceCertificates:
         assert decision.status == "interior"
         assert decision.certificate is None
         assert surface_certificate(g, 0) is not None
+
+    def test_interior_by_construction_is_interior(self):
+        # a Dirichlet-weighted point inside a random simplex; the projected
+        # gradient can stop short of the hull and hand out a normal that
+        # leaves other means above the hyperplane
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            dim = int(rng.integers(2, 6))
+            vertices = rng.uniform(-5.0, 5.0, (dim + 1, dim))
+            inside = rng.dirichlet(np.ones(dim + 1)) @ vertices
+            g = GaussianMixture(dim=dim, means=np.vstack([vertices, inside]),
+                                weights=np.full(dim + 2, 1.0 / (dim + 2)))
+            decision = classify_component(g, dim + 1)
+            assert decision.status == "interior"
+            assert decision.certificate is None
+            for c in range(dim + 1):
+                cert = surface_certificate(g, c)
+                assert cert is not None and cert.min_margin > HULL_DISTANCE_FLOOR
 
     def test_triangle_vertex_normal_matches_oracle(self):
         g = GaussianMixture(dim=2, means=[[0, 0], [1, 0], [0, 1]], weights=[1 / 3] * 3)
