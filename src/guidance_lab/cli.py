@@ -263,15 +263,16 @@ def cmd_flow_sample(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    with open(args.csv_path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
     out = args.out or os.path.splitext(args.csv_path)[0] + ".svg"
     try:
+        # inside the handler: a file that is not UTF-8 raises UnicodeDecodeError
+        with open(args.csv_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
         if args.kind == "scatter":
             doc = _plot_scatter(rows, args.omega)
         else:
             doc = _plot_sweep(rows)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row's None cell
         print(f"malformed CSV for kind={args.kind}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     svgplot.write_svg(doc, out)
@@ -290,7 +291,9 @@ def _plot_scatter(rows, omega_filter):
         label = f"component {row['component']}"
         if multi:
             label = f"omega={omega:g} " + label
-        groups.setdefault(label, []).append((float(row["x0_0"]), float(row["x0_1"])))
+        # a 1-D mixture's samples have no x0_1: they lie on the x axis
+        y = float(row["x0_1"]) if "x0_1" in row else 0.0
+        groups.setdefault(label, []).append((float(row["x0_0"]), y))
     groups = {k: groups[k] for k in sorted(groups)}
     title = "samples" if omega_filter is None else f"samples at omega={omega_filter:g}"
     return svgplot.render_scatter(groups, title=title)

@@ -20,6 +20,7 @@ import yaml
 from .guidance import ApgParams, GuidanceConfig
 from .mixture import GaussianMixture
 from .schedule import FlowPath, NoiseSchedule, TimeGrid, make_grid
+from .theory import prop1_peak_bytes
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "loads_config", "dump_config"]
 
@@ -124,7 +125,7 @@ DEFAULTS: dict[str, Any] = {
 # Largest float64 working set one block may allocate: a sampling batch's
 # trajectory log (per step and seed, x_t and the three predictions, dim
 # each, and three scalar columns) with one transition's pcg corrector
-# draws, or the pair arrays of the prop1 stress test.
+# draws, or the draw arrays and one pair block of the prop1 stress test.
 LOG_BUDGET_BYTES = 2**30
 
 
@@ -265,15 +266,14 @@ def _check_log_budget(data: dict) -> None:
                 f"{block}: {seeds_path}={n_seeds} x ({terms}) "
                 f"exceeds the {LOG_BUDGET_BYTES}-byte budget"
             )
-    # prop1_stress holds about nine (trials per dim, dim + 1) arrays at once; count ten
+    # prop1_stress holds its draw arrays whole and builds the pairs block by block
     prop1 = probes["prop1"]
-    per_dim, widest = prop1["trials"] // len(prop1["dims"]), max(prop1["dims"])
-    trial_bytes = 8 * 10 * (widest + 1)
-    if per_dim * trial_bytes > LOG_BUDGET_BYTES:
+    need = prop1_peak_bytes(prop1["trials"], prop1["dims"])
+    if need > LOG_BUDGET_BYTES:
         raise ConfigError(
             f"probes.prop1: probes.prop1.trials={prop1['trials']} over {len(prop1['dims'])} dims "
-            f"x {trial_bytes} bytes per trial at probes.prop1.dims entry {widest} "
-            f"exceeds the {LOG_BUDGET_BYTES}-byte budget"
+            f"up to probes.prop1.dims entry {max(prop1['dims'])} needs {need} bytes, "
+            f"over the {LOG_BUDGET_BYTES}-byte budget"
         )
 
 

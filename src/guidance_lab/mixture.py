@@ -182,6 +182,12 @@ def posterior_mean_x0(
     return root * x + beta_bar * np.einsum("...c,cd->...d", resp, gmm.means)
 
 
+# finite_diff_score evaluates its x +- h e_j points a chunk of coordinates at
+# a time, sized so one chunk's points and (points, components, dim)
+# temporaries hold at most this many bytes
+_FD_CHUNK_BYTES = 2**20
+
+
 def finite_diff_score(
     gmm: GaussianMixture,
     x: np.ndarray,
@@ -189,21 +195,34 @@ def finite_diff_score(
     condition: int | None = None,
     h: float = 1e-4,
 ) -> np.ndarray:
-    """Central-difference gradient of log_density_t, the score oracle."""
+    """Central-difference gradient of log_density_t, the score oracle.
+
+    Every ``x + h e_j`` and ``x - h e_j`` goes through one batched
+    log_density_t call per chunk of coordinates.  Each point is x with one
+    coordinate stepped, rounded as in a one-point evaluation, and the
+    row-wise sums do not depend on the batch, so the gradient is the same,
+    bit for bit, as one call per point.
+    """
     if not h > 0:
         raise ValueError("step size h must be positive")
     x = np.asarray(_as_points(gmm, x), dtype=float)
     if x.ndim != 1:
         raise ValueError("finite_diff_score expects a single point")
+    # x, the gradient and the scaled means stay; each coordinate adds two
+    # points, each with a (components, dim) difference array, its square
+    # and the components' squared distances
+    dim, n_comp = gmm.dim, gmm.n_components
+    held = 8 * dim * (n_comp + 2)
+    chunk = max(1, (_FD_CHUNK_BYTES - held) // (16 * (dim * (2 * n_comp + 1) + n_comp)))
     grad = np.empty_like(x)
-    for j in range(gmm.dim):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        fp = log_density_t(gmm, xp, alpha_bar, condition)
-        fm = log_density_t(gmm, xm, alpha_bar, condition)
-        grad[j] = (fp - fm) / (2.0 * h)
+    for start in range(0, dim, chunk):
+        cols = np.arange(start, min(start + chunk, dim))
+        steps = np.arange(len(cols))
+        points = np.tile(x, (2, len(cols), 1))  # x + h e_j, then x - h e_j
+        points[0, steps, cols] += h
+        points[1, steps, cols] -= h
+        fp, fm = log_density_t(gmm, points, alpha_bar, condition)
+        grad[cols] = (fp - fm) / (2.0 * h)
     return grad
 
 

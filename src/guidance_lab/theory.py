@@ -28,6 +28,7 @@ __all__ = [
     "estimate_c1",
     "norm_amplification_check",
     "prop1_stress",
+    "prop1_peak_bytes",
     "norm_sweep",
     "scatter_experiment",
     "SweepRow",
@@ -229,6 +230,31 @@ def norm_amplification_check(
 # Norm-bound stress test
 # ---------------------------------------------------------------------------
 
+# prop1_stress builds and rotates its pairs in blocks of rows holding about
+# this many floats per (rows, dim) array: 256 KiB, so a block's arrays stay
+# near L2 size (the fastest measured at dims 2, 8 and 64). Every step is
+# row-wise, so the maxima over blocks equal those of one full batch, bit
+# for bit.
+_PROP1_BLOCK_FLOATS = 32768
+
+
+def _prop1_block_rows(dim: int) -> int:
+    return max(1, _PROP1_BLOCK_FLOATS // dim)
+
+
+def prop1_peak_bytes(trials: int, dims) -> int:
+    """Upper bound on the float64 bytes prop1_stress holds at once.
+
+    Per dim it keeps two ``(trials per dim, dim)`` draw arrays and four
+    ``(trials per dim,)`` vectors while one block runs.  A block is charged
+    ten ``(rows, dim + 1)`` arrays (tracemalloc measures 7.3 to 7.6) and
+    64 KiB more covers the array and tuple objects of small runs.
+    """
+    per_dim = trials // len(dims)
+    block = max(min(per_dim, _prop1_block_rows(d)) * (d + 1) for d in dims)
+    return 8 * (per_dim * (2 * max(dims) + 4) + 10 * block) + 2**16
+
+
 def prop1_stress(
     trials: int = 100_000,
     dims=(2, 8, 64),
@@ -249,38 +275,10 @@ def prop1_stress(
     per_dim = trials // len(dims)
     max_ratio = 0.0
     max_identity_err = 0.0
-    lo, hi = norm_range
     for dim in dims:
-        u = rng.standard_normal((per_dim, dim))
-        u /= np.linalg.norm(u, axis=-1, keepdims=True)
-        raw = rng.standard_normal((per_dim, dim))
-        perp = raw - np.sum(raw * u, axis=-1, keepdims=True) * u
-        perp /= np.maximum(np.linalg.norm(perp, axis=-1, keepdims=True), 1e-300)
-        theta = rng.uniform(0.0, math.pi, per_dim)
-        n_cond = np.exp(rng.uniform(math.log(lo), math.log(hi), per_dim))
-        n_uncond = np.exp(rng.uniform(math.log(lo), math.log(hi), per_dim))
-        x_uncond = n_uncond[:, None] * u
-        x_cond = n_cond[:, None] * (np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * perp)
-        omega = rng.uniform(1.0, 12.0, per_dim)
-        # the norm the vector has, not the one sampled: they differ where
-        # perp, renormalized from a near-zero rejection, is not orthogonal to u
-        n_cond = np.linalg.norm(x_cond, axis=-1)
-        geometry = gd._pair_geometry(x_cond, x_uncond)
-        rotated, gamma_omega = gd._rotate(geometry, omega, gd.DEFAULT_ANGLE_CAP)
-        ratios = np.linalg.norm(rotated, axis=-1) / n_cond
-        max_ratio = max(max_ratio, float(ratios.max()))
-        # norm identity of the rotation as computed, with e the rejection it
-        # used: ratio^2 = 1 + sin(2 g_w) <e, x_cond> / (|e| |x_cond|), where
-        # <e, x_cond> = |e|^2 = |x_cond|^2 sin(gamma)^2 in exact arithmetic.
-        # Near-antiparallel rows get a rejection with a large relative
-        # rounding error, so e must be the one the rotation used.
-        rejection = geometry.rejection
-        rej_norm = np.linalg.norm(rejection, axis=-1)
-        e_dot = np.sum(rejection * x_cond, axis=-1) / np.where(rej_norm > 0, rej_norm, np.inf)
-        predicted_sq = 1.0 + np.sin(2.0 * gamma_omega) * e_dot / n_cond
-        max_identity_err = max(
-            max_identity_err, float(np.abs(ratios**2 - predicted_sq).max())
-        )
+        ratio, identity_err = _prop1_dim(rng, per_dim, dim, norm_range)
+        max_ratio = max(max_ratio, ratio)
+        max_identity_err = max(max_identity_err, identity_err)
     bound = math.sqrt(2.0) * (1.0 + rel_tol)
     verdict = "pass" if max_ratio <= bound and max_identity_err <= identity_tol else "fail"
     return ProbeReport(
@@ -294,6 +292,55 @@ def prop1_stress(
         },
         tolerance=rel_tol,
     )
+
+
+def _prop1_dim(rng, per_dim: int, dim: int, norm_range) -> tuple[float, float]:
+    """(max ratio, max identity residual) over per_dim random pairs of one dim.
+
+    The draws take the whole dim at once, so the stream is consumed the
+    same way whatever the block size; the pairs are then built and
+    rotated one block of rows at a time.
+    """
+    lo, hi = norm_range
+    u = rng.standard_normal((per_dim, dim))
+    raw = rng.standard_normal((per_dim, dim))
+    theta = rng.uniform(0.0, math.pi, per_dim)
+    n_cond = np.exp(rng.uniform(math.log(lo), math.log(hi), per_dim))
+    n_uncond = np.exp(rng.uniform(math.log(lo), math.log(hi), per_dim))
+    omega = rng.uniform(1.0, 12.0, per_dim)
+    rows = _prop1_block_rows(dim)
+    worst = [
+        _prop1_block(u[s], raw[s], theta[s], n_cond[s], n_uncond[s], omega[s])
+        for s in (slice(i, i + rows) for i in range(0, per_dim, rows))
+    ]
+    # np.max propagates a NaN the way one max over all rows would
+    ratio, identity_err = np.max(worst, axis=0)
+    return float(ratio), float(identity_err)
+
+
+def _prop1_block(u, raw, theta, n_cond, n_uncond, omega) -> tuple[float, float]:
+    """(max ratio, max identity residual) over one block of drawn pairs."""
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    perp = raw - np.sum(raw * u, axis=-1, keepdims=True) * u
+    perp /= np.maximum(np.linalg.norm(perp, axis=-1, keepdims=True), 1e-300)
+    x_uncond = n_uncond[:, None] * u
+    x_cond = n_cond[:, None] * (np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * perp)
+    # the norm the vector has, not the one sampled: they differ where
+    # perp, renormalized from a near-zero rejection, is not orthogonal to u
+    n_cond = np.linalg.norm(x_cond, axis=-1)
+    geometry = gd._pair_geometry(x_cond, x_uncond)
+    rotated, gamma_omega = gd._rotate(geometry, omega, gd.DEFAULT_ANGLE_CAP)
+    ratios = np.linalg.norm(rotated, axis=-1) / n_cond
+    # norm identity of the rotation as computed, with e the rejection it
+    # used: ratio^2 = 1 + sin(2 g_w) <e, x_cond> / (|e| |x_cond|), where
+    # <e, x_cond> = |e|^2 = |x_cond|^2 sin(gamma)^2 in exact arithmetic.
+    # Near-antiparallel rows get a rejection with a large relative
+    # rounding error, so e must be the one the rotation used.
+    rejection = geometry.rejection
+    rej_norm = np.linalg.norm(rejection, axis=-1)
+    e_dot = np.sum(rejection * x_cond, axis=-1) / np.where(rej_norm > 0, rej_norm, np.inf)
+    predicted_sq = 1.0 + np.sin(2.0 * gamma_omega) * e_dot / n_cond
+    return ratios.max(), np.abs(ratios**2 - predicted_sq).max()
 
 
 # ---------------------------------------------------------------------------

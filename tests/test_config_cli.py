@@ -381,6 +381,30 @@ class TestCliContracts:
         assert run_cli("plot", str(bad), "--kind", "sweep") == 2
         assert run_cli("plot", str(tmp_path / "missing.csv"), "--kind", "scatter") == 2
 
+    @pytest.mark.parametrize("kind", ["scatter", "sweep"])
+    def test_plot_undecodable_or_short_csv_is_input_error(self, tmp_path, capsys, kind):
+        not_utf8 = tmp_path / "bytes.csv"
+        not_utf8.write_bytes(b"a,b\n\xff\xfe\n")
+        short = tmp_path / "short.csv"
+        short.write_text("omega,strategy,component,seed,x0_0,x0_1,mean_norm\n1,cfg,0,0\n")
+        for path in (not_utf8, short):
+            assert run_cli("plot", str(path), "--kind", kind) == 2
+            assert "malformed CSV" in capsys.readouterr().err
+            assert not path.with_suffix(".svg").exists()
+
+    def test_plot_scatter_of_a_1d_mixture(self, tmp_path):
+        cfg = tmp_path / "line.yaml"
+        cfg.write_text(MINIMAL_1D)
+        out = tmp_path / "line"
+        assert run_cli(
+            "scatter", "--config", str(cfg), "--out", str(out),
+            "--set", "scatter.seeds_per_class=3", "--set", "scatter.omegas=[1.0, 5.0]",
+        ) == 0
+        scatter_csv = out / "scatter.csv"
+        assert run_cli("plot", str(scatter_csv), "--kind", "scatter") == 0
+        svg = scatter_csv.with_suffix(".svg").read_text()
+        assert svg.count("<circle") == 2 * 2 * 3  # omegas x classes x seeds
+
     def test_flow_sample(self, tmp_path):
         out = tmp_path / "fl"
         code = run_cli(

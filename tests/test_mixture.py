@@ -1,11 +1,13 @@
 """Mixture densities, scores, posterior quantities and surface certificates."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import guidance_lab.mixture as mx
 from guidance_lab.mixture import (
     HULL_DISTANCE_FLOOR,
     GaussianMixture,
@@ -19,6 +21,7 @@ from guidance_lab.mixture import (
     score_unconditional,
     surface_certificate,
 )
+from guidance_lab.verify import random_mixture_cases
 
 PAIR_1D = GaussianMixture(dim=1, means=[[-1.0], [1.0]], weights=[0.5, 0.5])
 SQUARE = GaussianMixture(
@@ -276,6 +279,43 @@ class TestFiniteDifferenceOracle:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError, match="h must be positive"):
             finite_diff_score(PAIR_1D, np.array([0.0]), 0.5, h=0.0)
+
+    @staticmethod
+    def one_point_per_call(gmm, x, alpha_bar, condition, h=1e-4):
+        grad = np.empty_like(x)
+        for j in range(gmm.dim):
+            xp, xm = x.copy(), x.copy()
+            xp[j] += h
+            xm[j] -= h
+            fp = log_density_t(gmm, xp, alpha_bar, condition)
+            fm = log_density_t(gmm, xm, alpha_bar, condition)
+            grad[j] = (fp - fm) / (2.0 * h)
+        return grad
+
+    @pytest.mark.parametrize("seed", [0, 169886732])
+    def test_batched_points_equal_one_call_per_point_bitwise(self, seed):
+        for gmm, x, alpha_bar, condition in random_mixture_cases(200, seed):
+            for cond in (condition, None):
+                assert np.array_equal(
+                    finite_diff_score(gmm, x, alpha_bar, cond),
+                    self.one_point_per_call(gmm, x, alpha_bar, cond),
+                )
+
+    def test_wide_point_is_evaluated_in_bounded_chunks(self):
+        rng = np.random.default_rng(5)
+        gmm = GaussianMixture(dim=512, means=rng.standard_normal((4, 512)), weights=[0.25] * 4)
+        x = rng.standard_normal(512)
+        finite_diff_score(gmm, x, 0.5)  # warm the call path once
+        for cond in (1, None):
+            tracemalloc.start()
+            try:
+                grad = finite_diff_score(gmm, x, 0.5, cond)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # one call over all 1024 points would hold 1024 x 4 x 512 x 8 bytes twice
+            assert peak <= mx._FD_CHUNK_BYTES
+            assert np.array_equal(grad, self.one_point_per_call(gmm, x, 0.5, cond))
 
 
 def brute_force_hull_projection(points, target, refinements=60):

@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import guidance_lab as gl
+import guidance_lab.theory as th
 from guidance_lab.mixture import GaussianMixture, score_conditional, surface_certificate
 from guidance_lab.schedule import default_schedule, make_grid
 from guidance_lab.theory import (
@@ -176,6 +178,44 @@ class TestProp1Stress:
         a = prop1_stress(trials=5000, seed=3)
         b = prop1_stress(trials=5000, seed=3)
         assert a.to_dict() == b.to_dict()
+
+    # measured before the pairs were built in blocks, from one batch per dim
+    GOLDEN = [
+        # (seed, trials, dims, max_ratio, max_identity_residual)
+        (0, 3000, (2, 8, 64), 1.4134836915600548, 1.1102230246251565e-15),
+        (3, 5000, (2, 8, 64), 1.4138306214228722, 1.3322676295501878e-15),
+        (7, 200_000, (2, 8, 64), 1.414188169557623, 1.5543122344752192e-15),
+        (169886732, 200_000, (2, 8, 64), 1.41417413941609, 1.5543122344752192e-15),
+        (7, 2500, (256,), 1.4107742062284345, 1.3322676295501878e-15),
+        (3, 7, (2, 8, 64), 1.363880991049461, 4.440892098500626e-16),
+    ]
+
+    @pytest.mark.parametrize("seed, trials, dims, ratio, residual", GOLDEN)
+    def test_blocked_report_equals_the_one_batch_report(self, seed, trials, dims, ratio, residual):
+        per_dim = trials // len(dims)
+        rows = [th._prop1_block_rows(d) for d in dims]
+        # one block, several with a ragged last one, or both across the dims
+        assert per_dim < max(rows) or any(per_dim % r for r in rows)
+        assert prop1_stress(trials=trials, dims=dims, seed=seed).to_dict() == {
+            "name": "rotation_norm_bound",
+            "parameters": {"trials": trials, "dims": list(dims),
+                           "norm_range": [1e-3, 1e3], "seed": seed},
+            "verdict": "pass",
+            "measured": {"max_ratio": ratio, "sqrt2": math.sqrt(2.0),
+                         "max_identity_residual": residual},
+            "tolerance": 1e-12,
+        }
+
+    @pytest.mark.parametrize("trials, dims", [(30_000, (2, 8, 64)), (9000, (256,)), (3, (2, 8, 64))])
+    def test_traced_peak_within_the_config_charge(self, trials, dims):
+        prop1_stress(trials=3, dims=(2,), seed=0)  # numpy.random's lazy imports
+        tracemalloc.start()
+        try:
+            prop1_stress(trials=trials, dims=dims, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= th.prop1_peak_bytes(trials, dims)
 
 
 class TestSweepAndScatter:
