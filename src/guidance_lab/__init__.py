@@ -48,6 +48,7 @@ from .samplers import (
     flow_sample_batch,
     pcg_sample,
     sample_batch,
+    sample_finals,
     sample_trajectory,
 )
 from .schedule import (

@@ -234,13 +234,14 @@ def cmd_scatter(args) -> int:
     rp.write_scatter_csv(sets, _outpath(config, "scatter.csv"))
     gmm = config.gmm()
     for s in sets:
-        if gmm.dim >= 2:
-            groups = {
-                f"component {c}": [tuple(p[:2]) for p in s.samples[s.components == c]]
-                for c in range(gmm.n_components)
-            }
-            doc = svgplot.render_scatter(groups, title=f"samples at omega={s.omega:g}")
-            svgplot.write_svg(doc, _outpath(config, f"scatter_omega_{s.omega:g}.svg"))
+        # a 1-D mixture's samples lie on the x axis
+        groups = {
+            f"component {c}": [(p[0], p[1] if gmm.dim > 1 else 0.0)
+                               for p in s.samples[s.components == c]]
+            for c in range(gmm.n_components)
+        }
+        doc = svgplot.render_scatter(groups, title=f"samples at omega={s.omega:g}")
+        svgplot.write_svg(doc, _outpath(config, f"scatter_omega_{s.omega:g}.svg"))
         drift = s.centroid_drift(gmm)
         drift_text = " ".join(f"c{c}={d:.4f}" for c, d in sorted(drift.items()))
         print(f"omega={s.omega:g} centroid_drift: {drift_text}")

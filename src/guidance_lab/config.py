@@ -19,6 +19,7 @@ import yaml
 
 from .guidance import ApgParams, GuidanceConfig
 from .mixture import GaussianMixture
+from .samplers import finals_peak_bytes
 from .schedule import FlowPath, NoiseSchedule, TimeGrid, make_grid
 from .theory import prop1_peak_bytes
 
@@ -125,7 +126,8 @@ DEFAULTS: dict[str, Any] = {
 # Largest float64 working set one block may allocate: a sampling batch's
 # trajectory log (per step and seed, x_t and the three predictions, dim
 # each, and three scalar columns) with one transition's pcg corrector
-# draws, or the draw arrays and one pair block of the prop1 stress test.
+# draws, the working set of a finals-only drive (samplers.finals_peak_bytes),
+# or the draw arrays and one pair block of the prop1 stress test.
 LOG_BUDGET_BYTES = 2**30
 
 
@@ -235,8 +237,9 @@ def _validate(data: dict) -> None:
 def _check_log_budget(data: dict) -> None:
     """Refuse a block whose float64 arrays would exceed LOG_BUDGET_BYTES."""
     guidance, run, probes = data["guidance"], data["run"], data["probes"]
-    first_mean = data["gmm"]["means"][0]
-    dim = len(first_mean) if isinstance(first_mean, list) else 1
+    sweep, scatter, means = data["sweep"], data["scatter"], data["gmm"]["means"]
+    dim = len(means[0]) if isinstance(means[0], list) else 1
+    components = len(means)
     row_bytes = 8 * (4 * dim + 3)
     # pcg draws each seed's (inner_steps, dim) block, then stacks them
     inner, draw_bytes = guidance["pcg_inner_steps"], 16 * dim
@@ -245,16 +248,10 @@ def _check_log_budget(data: dict) -> None:
     else:
         run_seeds = ("run.seeds", len(run["seeds"]))
     grid_steps = ("grid.steps", data["grid"]["steps"])
+    # sample and flow-sample write every step's log; the guidance-off probe compares it
     for block, (steps_path, steps), (seeds_path, n_seeds), pcg in (
         ("run", grid_steps, run_seeds, "pcg" in {guidance["strategy"], *(run["strategies"] or ())}),
-        ("sweep", grid_steps, ("sweep.seed_count", data["sweep"]["seed_count"]),
-         "pcg" in data["sweep"]["strategies"]),
-        # scatter runs one batch per class
-        ("scatter", grid_steps, ("scatter.seeds_per_class", data["scatter"]["seeds_per_class"]),
-         data["scatter"]["strategy"] == "pcg"),
         ("flow", ("flow.steps", data["flow"]["steps"]), run_seeds, False),
-        ("probes.norm", grid_steps, ("probes.norm.seed_count", probes["norm"]["seed_count"]),
-         False),
         ("probes.guidance_off", grid_steps,
          ("probes.guidance_off.seed_count", probes["guidance_off"]["seed_count"]), False),
     ):
@@ -265,6 +262,27 @@ def _check_log_budget(data: dict) -> None:
             raise ConfigError(
                 f"{block}: {seeds_path}={n_seeds} x ({terms}) "
                 f"exceeds the {LOG_BUDGET_BYTES}-byte budget"
+            )
+    # sweep (per strategy), scatter and the norm probe each run one
+    # finals-only drive over all their rows
+    n_sweep, n_scatter = len(sweep["omegas"]), len(scatter["omegas"])
+    for block, rows, terms, pcg in (
+        ("sweep", n_sweep * sweep["seed_count"],
+         f"{n_sweep} sweep.omegas x sweep.seed_count={sweep['seed_count']}",
+         "pcg" in sweep["strategies"]),
+        ("scatter", n_scatter * components * scatter["seeds_per_class"],
+         f"{n_scatter} scatter.omegas x {components} components x "
+         f"scatter.seeds_per_class={scatter['seeds_per_class']}",
+         scatter["strategy"] == "pcg"),
+        ("probes.norm", 2 * probes["norm"]["seed_count"],
+         f"2 x probes.norm.seed_count={probes['norm']['seed_count']}", False),
+    ):
+        need = finals_peak_bytes(rows, dim, components, inner if pcg else 0)
+        if need > LOG_BUDGET_BYTES:
+            draws = f" with guidance.pcg_inner_steps={inner}" if pcg else ""
+            raise ConfigError(
+                f"{block}: {terms} = {rows} rows of dim {dim} over {components} components"
+                f"{draws} need {need} bytes, over the {LOG_BUDGET_BYTES}-byte budget"
             )
     # prop1_stress holds its draw arrays whole and builds the pairs block by block
     prop1 = probes["prop1"]

@@ -95,12 +95,26 @@ def _check_condition(gmm: GaussianMixture, condition: int) -> int:
         raise ValueError(f"component index {condition} outside [0, {gmm.n_components})")
     return condition
 
+def _condition_means(gmm: GaussianMixture, condition) -> np.ndarray:
+    """mu_c for one component index, or the rows mu[cond] for an ``(n,)`` index array."""
+    if np.ndim(condition) == 0:
+        return gmm.means[_check_condition(gmm, condition)]
+    cond = np.asarray(condition)
+    if cond.dtype.kind not in "iu":
+        raise ValueError(f"component indices must be integers, got dtype {cond.dtype}")
+    outside = (cond < 0) | (cond >= gmm.n_components)
+    if outside.any():
+        _check_condition(gmm, cond[outside][0])
+    return gmm.means[cond]
+
 
 def _component_log_densities(gmm: GaussianMixture, x: np.ndarray, alpha_bar: float) -> np.ndarray:
     """log N(x; sqrt(alpha_bar)*mu_c, I) for every component; shape (..., C)."""
     diff = x[..., None, :] - math.sqrt(alpha_bar) * gmm.means  # (..., C, dim)
-    sq = np.sum(diff * diff, axis=-1)
-    return -0.5 * (gmm.dim * _LOG_2PI + sq)
+    # squared in place: a second (..., C, dim) array costs far more than the
+    # arithmetic once the batch outgrows about 256 KiB
+    diff *= diff
+    return -0.5 * (gmm.dim * _LOG_2PI + np.sum(diff, axis=-1))
 
 
 def log_density_t(
@@ -160,12 +174,14 @@ def posterior_mean_x0(
     gmm: GaussianMixture,
     x: np.ndarray,
     alpha_bar: float,
-    condition: int | None = None,
+    condition: int | np.ndarray | None = None,
 ) -> np.ndarray:
     """Denoising posterior mean E[x0 | x_t = x].
 
-    Conditional case: ``beta_bar * mu_c + sqrt(alpha_bar) * x``.  The
-    mixture case weighs the per-component posterior means by the
+    Conditional case: ``beta_bar * mu_c + sqrt(alpha_bar) * x``; an
+    ``(n,)`` index array conditions each row of an ``(n, dim)`` batch on
+    its own component, ``beta_bar * mu[cond] + sqrt(alpha_bar) * x``.
+    The mixture case weighs the per-component posterior means by the
     responsibilities.  Satisfies the score identity
     ``(sqrt(alpha_bar) * result - x) / beta_bar == score``.
     """
@@ -174,8 +190,7 @@ def posterior_mean_x0(
     beta_bar = 1.0 - alpha_bar
     root = math.sqrt(alpha_bar)
     if condition is not None:
-        mu = gmm.means[_check_condition(gmm, condition)]
-        return beta_bar * mu + root * x
+        return beta_bar * _condition_means(gmm, condition) + root * x
     resp = posterior_weights(gmm, x, alpha_bar)
     # einsum rather than a BLAS matmul: its per-row sums do not depend on
     # how many rows the batch holds, so a trajectory is the same in any batch
@@ -209,8 +224,9 @@ def finite_diff_score(
     if x.ndim != 1:
         raise ValueError("finite_diff_score expects a single point")
     # x, the gradient and the scaled means stay; each coordinate adds two
-    # points, each with a (components, dim) difference array, its square
-    # and the components' squared distances
+    # points, each with a (components, dim) difference array (squared in
+    # place; the charge keeps room for a second one) and the components'
+    # squared distances
     dim, n_comp = gmm.dim, gmm.n_components
     held = 8 * dim * (n_comp + 2)
     chunk = max(1, (_FD_CHUNK_BYTES - held) // (16 * (dim * (2 * n_comp + 1) + n_comp)))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -297,6 +298,12 @@ class TestCliContracts:
         assert path in capsys.readouterr().err
         assert not out.exists()
 
+    def test_finals_only_blocks_are_charged_per_row(self):
+        # one sweep drive holds len(sweep.omegas) x sweep.seed_count rows
+        loads_config(DEFAULT_TEXT, ["sweep.omegas=[2.0]", "sweep.seed_count=300000"])
+        with pytest.raises(ConfigError, match="sweep: 5 sweep.omegas x sweep.seed_count=300000"):
+            loads_config(DEFAULT_TEXT, ["sweep.seed_count=300000"])
+
     def test_recfg_table_and_pcg_steps_within_bounds_load(self):
         config = loads_config(DEFAULT_TEXT, [
             "run.strategies=[recfg, pcg]", "guidance.recfg_lambda={0: 0.5}",
@@ -404,6 +411,19 @@ class TestCliContracts:
         assert run_cli("plot", str(scatter_csv), "--kind", "scatter") == 0
         svg = scatter_csv.with_suffix(".svg").read_text()
         assert svg.count("<circle") == 2 * 2 * 3  # omegas x classes x seeds
+
+    def test_scatter_draws_a_1d_mixture_on_the_x_axis(self, tmp_path):
+        cfg = tmp_path / "line.yaml"
+        cfg.write_text(MINIMAL_1D)
+        out = tmp_path / "line"
+        assert run_cli(
+            "scatter", "--config", str(cfg), "--out", str(out),
+            "--set", "scatter.seeds_per_class=3", "--set", "scatter.omegas=[1.0, 5.0]",
+        ) == 0
+        for omega in ("1", "5"):
+            svg = (out / f"scatter_omega_{omega}.svg").read_text()
+            assert svg.count("<circle") == 2 * 3  # classes x seeds
+            assert len(set(re.findall(r'<circle cx="[^"]*" cy="([^"]*)"', svg))) == 1
 
     def test_flow_sample(self, tmp_path):
         out = tmp_path / "fl"

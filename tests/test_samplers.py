@@ -1,10 +1,13 @@
 """Reverse-time steps, trajectory drivers, and the flow integrator."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from guidance_lab import samplers as sp
 from guidance_lab.guidance import STRATEGIES, GuidanceConfig
 from guidance_lab.mixture import GaussianMixture, posterior_mean_x0, score_conditional
 from guidance_lab.samplers import (
@@ -13,12 +16,14 @@ from guidance_lab.samplers import (
     ddim_step,
     ddpm_beta,
     ddpm_step,
+    finals_peak_bytes,
     flow_euler_step,
     flow_posterior_mean_x1,
     flow_sample_adg,
     flow_sample_batch,
     pcg_sample,
     sample_batch,
+    sample_finals,
     sample_trajectory,
     step_rng,
 )
@@ -29,6 +34,18 @@ SQUARE = GaussianMixture(
     dim=2, means=[[1, 1], [1, -1], [-1, 1], [-1, -1]], weights=[0.25] * 4
 )
 SCHED = default_schedule()
+
+
+def _wide_mixture():
+    """dim 32, 16 components on a radius-3 sphere, uneven weights."""
+    rng = np.random.default_rng(32)
+    means = rng.standard_normal((16, 32))
+    means *= 3.0 / np.linalg.norm(means, axis=1, keepdims=True)
+    weights = rng.dirichlet(np.full(16, 4.0))
+    return GaussianMixture(dim=32, means=means, weights=weights / weights.sum())
+
+
+WIDE = _wide_mixture()
 
 
 def ddim_population(gmm, grid, condition, n, seed):
@@ -392,3 +409,96 @@ class TestNoiseStreams:
             for ra, rb in zip(a, b):
                 np.testing.assert_array_equal(ra.x_t, rb.x_t)
                 np.testing.assert_array_equal(ra.final_x0, rb.final_x0)
+
+
+class TestMixedRows:
+    """One drive over rows of several (omega, condition) runs."""
+
+    OMEGAS = (1.0, 2.5, 6.0)
+    SEEDS = (3, 11, 4)  # every group repeats them, drawing the same streams
+    LOGGED = ("times", "x_t", "x0_cond", "x0_uncond", "x0_guided", "gamma", "gamma_omega",
+              "guided_norm", "final_x0")
+
+    def _rows(self, gmm):
+        conditions = (0, 1, gmm.n_components - 1)
+        groups = [(w, c) for w in self.OMEGAS for c in conditions]
+        rows = [(w, c, s) for w, c in groups for s in self.SEEDS]
+        # interleave the groups, so no group's rows sit together
+        order = np.random.default_rng(0).permutation(len(rows))
+        return groups, rows, order
+
+    def _check(self, mixed, finals, alone, strategy):
+        assert (mixed.seed, mixed.strategy, mixed.omega) == (alone.seed, alone.strategy, alone.omega)
+        assert np.array_equal(finals, alone.final_x0)
+        for field in self.LOGGED:
+            assert np.array_equal(getattr(mixed, field), getattr(alone, field), equal_nan=True), (
+                f"{strategy} seed {alone.seed} omega {alone.omega} {field}")
+        if alone.cfgpp_residual is None:
+            assert mixed.cfgpp_residual is None
+        else:
+            assert np.array_equal(mixed.cfgpp_residual, alone.cfgpp_residual, equal_nan=True)
+
+    @pytest.mark.parametrize("gmm", [SQUARE, WIDE], ids=["dim2", "dim32"])
+    @pytest.mark.parametrize("strategy", sorted(sp._STEP_RULES))
+    def test_mixed_drive_equals_separate_drives(self, gmm, strategy):
+        grid = make_grid(SCHED, 30)
+        config = GuidanceConfig(
+            strategy=strategy, pcg_inner_steps=2,
+            recfg_lambda={c: 0.5 + 0.25 * c for c in range(gmm.n_components)},
+        )
+        groups, rows, order = self._rows(gmm)
+        omega, cond, seeds = (np.array(col)[order] for col in zip(*rows))
+        finals = sample_finals(gmm, grid, config, cond, seeds, omega)
+        records = sp._drive(gmm, config, cond, seeds, grid=grid, omega=omega)
+        position = {row: k for k, row in enumerate(zip(omega, cond, seeds))}
+        for w, c in groups:
+            alone = sample_batch(gmm, grid, replace(config, omega=w), c, self.SEEDS)
+            for ref in alone:
+                k = position[(w, c, ref.seed)]
+                self._check(records[k], finals[k], ref, strategy)
+
+    @pytest.mark.parametrize("gmm", [SQUARE, WIDE], ids=["dim2", "dim32"])
+    def test_mixed_flow_drive_equals_separate_drives(self, gmm):
+        groups, rows, order = self._rows(gmm)
+        omega, cond, seeds = (np.array(col)[order] for col in zip(*rows))
+        config = GuidanceConfig(strategy="adg")
+        records = sp._drive(gmm, config, cond, seeds, flow=(0.1, 30), omega=omega)
+        finals = sp._drive(gmm, config, cond, seeds, flow=(0.1, 30), omega=omega, log=False)
+        position = {row: k for k, row in enumerate(zip(omega, cond, seeds))}
+        for w, c in groups:
+            for ref in flow_sample_batch(gmm, 0.1, 30, w, config.angle_cap, c, self.SEEDS):
+                k = position[(w, c, ref.seed)]
+                self._check(records[k], finals[k], ref, "flow_adg")
+
+    def test_row_inputs_are_checked(self):
+        grid = make_grid(SCHED, 5)
+        with pytest.raises(ValueError, match="omega must be >= 1"):
+            sample_finals(SQUARE, grid, GuidanceConfig(), 0, [0, 1], [2.0, 0.5])
+        with pytest.raises(ValueError, match="one condition per row"):
+            sample_finals(SQUARE, grid, GuidanceConfig(), np.array([0, 1, 2]), [0, 1])
+        with pytest.raises(RuntimeError, match="component index 4"):
+            sample_finals(SQUARE, grid, GuidanceConfig(), np.array([0, 4]), [0, 1])
+        with pytest.raises(ValueError, match="no recfg lambda entry for condition 2"):
+            sample_finals(SQUARE, grid, GuidanceConfig(strategy="recfg", recfg_lambda={0: 0.5}),
+                          np.array([0, 2]), [0, 1])
+
+    @pytest.mark.parametrize("gmm, rows, strategy, inner", [
+        (SQUARE, 768, "cfg", 0),
+        (SQUARE, 320, "apg", 0),
+        (WIDE, 128, "adg", 0),
+        (WIDE, 96, "pcg", 4),
+        (GaussianMixture(dim=64, means=np.eye(64)[:48] * 3, weights=[1 / 48] * 48), 64, "cfgpp", 0),
+    ])
+    def test_traced_peak_within_the_config_charge(self, gmm, rows, strategy, inner):
+        grid = make_grid(SCHED, 5)
+        config = GuidanceConfig(strategy=strategy, pcg_inner_steps=inner)
+        cond = np.arange(rows) % gmm.n_components
+        omega = np.linspace(1.0, 6.0, rows)
+        sample_finals(gmm, grid, config, cond[:2], range(2), omega[:2])  # lazy imports
+        tracemalloc.start()
+        try:
+            sample_finals(gmm, grid, config, cond, range(rows), omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= finals_peak_bytes(rows, gmm.dim, gmm.n_components, inner)

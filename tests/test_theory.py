@@ -174,6 +174,15 @@ class TestProp1Stress:
         ratio = np.linalg.norm(out) / np.linalg.norm(cond)
         assert abs(ratio - math.sqrt(2)) < 1e-12
 
+    def test_nan_ratios_fail(self):
+        # norms up to 1e300 overflow every pair's squared norm: each ratio
+        # and residual is NaN, which must reach the maxima and the verdict
+        with np.errstate(all="ignore"):
+            report = prop1_stress(trials=300, dims=(2,), norm_range=(1e-3, 1e300), seed=1)
+        assert report.verdict == "fail"
+        assert math.isnan(report.measured["max_ratio"])
+        assert math.isnan(report.measured["max_identity_residual"])
+
     def test_deterministic(self):
         a = prop1_stress(trials=5000, seed=3)
         b = prop1_stress(trials=5000, seed=3)
