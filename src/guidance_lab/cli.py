@@ -163,10 +163,12 @@ def cmd_sample(args) -> int:
     config = _load(args)
     gmm = config.gmm()
     condition = config.condition()
-    cert = surface_certificate(gmm, condition) if gmm.n_components > 1 else None
-    for strategy in config.strategies():
-        guidance_cfg = config.guidance(strategy=strategy)
-        records = sp.sample_batch(gmm, config.time_grid(), guidance_cfg, condition, config.seeds())
+    cert = surface_certificate(gmm, condition)
+    strategies = config.strategies()
+    configs = [config.guidance(strategy=strategy) for strategy in strategies]
+    runs = sp.sample_runs(
+        gmm, config.time_grid(), [sp.Run(g, condition, config.seeds()) for g in configs])
+    for strategy, guidance_cfg, records in zip(strategies, configs, runs):
         _emit_run(
             config, records, (f"trajectories_{strategy}.csv", f"summary_{strategy}.csv"),
             f"strategy={strategy} omega={guidance_cfg.omega}", cert,

@@ -123,10 +123,11 @@ DEFAULTS: dict[str, Any] = {
     },
 }
 
-# Largest float64 working set one block may allocate: a sampling batch's
-# trajectory log (per step and seed, x_t and the three predictions, dim
-# each, and three scalar columns) with one transition's pcg corrector
-# draws, the working set of a finals-only drive (samplers.finals_peak_bytes),
+# Largest float64 working set one block may allocate: a sampling drive's
+# trajectory logs, over every run in it (per step and seed, x_t and the
+# three predictions, dim each, and three scalar columns) with one
+# transition's pcg corrector draws, the working set of a finals-only drive
+# (samplers.finals_peak_bytes),
 # or the draw arrays and one pair block of the prop1 stress test.
 LOG_BUDGET_BYTES = 2**30
 
@@ -248,27 +249,35 @@ def _check_log_budget(data: dict) -> None:
     else:
         run_seeds = ("run.seeds", len(run["seeds"]))
     grid_steps = ("grid.steps", data["grid"]["steps"])
-    # sample and flow-sample write every step's log; the guidance-off probe compares it
-    for block, (steps_path, steps), (seeds_path, n_seeds), pcg in (
-        ("run", grid_steps, run_seeds, "pcg" in {guidance["strategy"], *(run["strategies"] or ())}),
-        ("flow", ("flow.steps", data["flow"]["steps"]), run_seeds, False),
+    strategies = run["strategies"] or [guidance["strategy"]]
+    runs = (f"{len(strategies)} run.strategies" if run["strategies"] else "1 guidance.strategy",
+            len(strategies))
+    # sample and flow-sample write every step's log, one drive for all
+    # their runs; the guidance-off probe compares its 4 runs' logs
+    for block, (steps_path, steps), (seeds_path, n_seeds), (runs_text, n_runs), n_pcg in (
+        ("run", grid_steps, run_seeds, runs, strategies.count("pcg")),
+        ("flow", ("flow.steps", data["flow"]["steps"]), run_seeds, ("1 run", 1), 0),
         ("probes.guidance_off", grid_steps,
-         ("probes.guidance_off.seed_count", probes["guidance_off"]["seed_count"]), False),
+         ("probes.guidance_off.seed_count", probes["guidance_off"]["seed_count"]),
+         ("4 guidance-off runs", 4), 0),
     ):
-        if n_seeds * (steps * row_bytes + pcg * inner * draw_bytes) > LOG_BUDGET_BYTES:
-            terms = f"{steps_path}={steps} x {row_bytes} bytes of trajectory log"
-            if pcg:
-                terms += f" + guidance.pcg_inner_steps={inner} x {draw_bytes} bytes of pcg draws"
+        if n_seeds * (n_runs * steps * row_bytes + n_pcg * inner * draw_bytes) > LOG_BUDGET_BYTES:
+            terms = f"{runs_text} x {steps_path}={steps} x {row_bytes} bytes of trajectory log"
+            if n_pcg:
+                terms += (f" + {n_pcg} pcg x guidance.pcg_inner_steps={inner} x {draw_bytes}"
+                          " bytes of pcg draws")
             raise ConfigError(
                 f"{block}: {seeds_path}={n_seeds} x ({terms}) "
                 f"exceeds the {LOG_BUDGET_BYTES}-byte budget"
             )
-    # sweep (per strategy), scatter and the norm probe each run one
-    # finals-only drive over all their rows
-    n_sweep, n_scatter = len(sweep["omegas"]), len(scatter["omegas"])
+    # sweep, scatter and the norm probe each run one finals-only drive over
+    # all their rows; a drive with pcg is charged its draws on every row
+    n_strat, n_sweep = len(sweep["strategies"]), len(sweep["omegas"])
+    n_scatter = len(scatter["omegas"])
     for block, rows, terms, pcg in (
-        ("sweep", n_sweep * sweep["seed_count"],
-         f"{n_sweep} sweep.omegas x sweep.seed_count={sweep['seed_count']}",
+        ("sweep", n_strat * n_sweep * sweep["seed_count"],
+         f"{n_sweep} sweep.omegas x sweep.seed_count={sweep['seed_count']} x "
+         f"{n_strat} sweep.strategies",
          "pcg" in sweep["strategies"]),
         ("scatter", n_scatter * components * scatter["seeds_per_class"],
          f"{n_scatter} scatter.omegas x {components} components x "
@@ -379,11 +388,15 @@ class ExperimentConfig:
         return self.data["run"]["output_dir"]
 
 
+# libyaml's parser when PyYAML was built with it: the same safe constructors, parsing 5-8x faster
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _parse_yaml(text: str, where: str):
     """YAML text to values; PyYAML raises ValueError, LookupError or
     AttributeError, not YAMLError, for scalars like 2001-13-45 or !!bool 3."""
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_SAFE_LOADER)
     except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 

@@ -357,5 +357,9 @@ def classify_component(gmm: GaussianMixture, component_index: int) -> ComponentC
 
 
 def surface_certificate(gmm: GaussianMixture, component_index: int) -> SurfaceCertificate | None:
-    """Certificate for a surface component, or None when there is none."""
+    """Certificate for a surface component, or None when there is none
+    (always for a single-component mixture, which has no hull)."""
+    if gmm.n_components < 2:
+        _check_condition(gmm, component_index)
+        return None
     return classify_component(gmm, component_index).certificate

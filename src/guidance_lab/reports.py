@@ -33,7 +33,7 @@ def format_float(x: float) -> str:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    """``rows`` is a sized sequence of rows: float cells at .17g, others by str."""
+    """``rows`` is an iterable of rows: float cells at .17g, others by str."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     formats = {}  # one printf format per sequence of cell types
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -47,6 +47,11 @@ def write_csv(path: str, header: list[str], rows) -> None:
             fh.write(fmt % tuple(row))
 
 
+# _write_columns turns this many rows at a time into Python values, so a
+# file's cells are never all held as Python objects at once
+_CHUNK_ROWS = 1024
+
+
 def _write_columns(path: str, columns: dict[str, np.ndarray]) -> None:
     """One CSV from named columns of equal length; a 2-D block (n, k)
     expands to ``name_0..name_{k-1}``."""
@@ -54,11 +59,15 @@ def _write_columns(path: str, columns: dict[str, np.ndarray]) -> None:
     for name, block in columns.items():
         if block.ndim == 1:
             header.append(name)
-            cells.append(block.tolist())
+            cells.append(block)
         else:
             header += [f"{name}_{i}" for i in range(block.shape[1])]
-            cells += block.T.tolist()
-    write_csv(path, header, list(zip(*cells)))
+            cells += list(block.T)
+    n = len(cells[0])
+    write_csv(path, header, (
+        row for start in range(0, n, _CHUNK_ROWS)
+        for row in zip(*(c[start:start + _CHUNK_ROWS].tolist() for c in cells))
+    ))
 
 
 def _repeat(items, name: str, counts=1) -> np.ndarray:

@@ -9,14 +9,14 @@ Noise discipline: each trajectory owns counter-based Philox streams
 keyed by ``(seed, step)``; stream 0 draws the initial state and stream
 ``i + 1`` serves transition ``i`` (the pcg corrector draws one
 ``(inner_steps, dim)`` block from it).  A trajectory is therefore the
-same whichever batch of seeds it runs in.
+same whichever batch of seeds, or group of runs, it runs in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,10 +29,12 @@ from .schedule import FlowPath, TimeGrid
 __all__ = [
     "EquivalenceUndefined",
     "TrajectoryRecord",
+    "Run",
     "step_rng",
     "ddim_step",
     "ddpm_beta",
     "ddpm_step",
+    "sample_runs",
     "sample_batch",
     "sample_finals",
     "finals_peak_bytes",
@@ -173,16 +175,27 @@ class TrajectoryRecord:
 # ---------------------------------------------------------------------------
 # Strategy table
 # ---------------------------------------------------------------------------
-# Each rule maps (pair, geometry, config, rows, alpha_bar_prev, APG state)
-# to (guided prediction, next state or None, APG state, log columns); the
-# rows carry each row's guidance weight as an (n, 1) column and, for
-# recfg, its lambda.  Only cfgpp returns the next state itself: its
+# Each rule maps one run's slice of (pair, geometry), its config, its rows,
+# alpha_bar_prev and its APG state to (guided prediction, next state or
+# None, APG state, log columns); the rows carry each row's guidance weight
+# as an (n, 1) column and, for recfg, its lambda.  Only cfgpp returns the next state itself: its
 # renoising noise is not the one a DDIM step would derive from the guided
 # prediction.  On the flow path the pair and alpha_bar_prev are None; only
 # "adg" runs there.
 
+class Run(NamedTuple):
+    """One group of rows in a drive: a config, its condition (one
+    component, or an ``(n,)`` index array), its seeds and optional per-row
+    weights (``config.omega`` when None)."""
+
+    config: GuidanceConfig
+    condition: int | np.ndarray
+    seeds: Sequence[int]
+    omega: Any = None
+
+
 class _Rows(NamedTuple):
-    """What may differ between the rows of one drive."""
+    """What may differ between the rows of one run."""
 
     seeds: list                      # one noise-stream key per row
     condition: int | np.ndarray      # one component, or an (n,) index array
@@ -190,11 +203,12 @@ class _Rows(NamedTuple):
     recfg_lambda: np.ndarray | None  # (n, 1), for recfg only
 
 
-def _rows(config, condition, seeds, omega) -> _Rows:
-    seeds = [int(s) for s in seeds]
+def _rows(run: Run) -> _Rows:
+    config, condition = run.config, run.condition
+    seeds = [int(s) for s in run.seeds]
     n = len(seeds)
     column = np.empty((n, 1))
-    column[:, 0] = config.omega if omega is None else omega
+    column[:, 0] = config.omega if run.omega is None else run.omega
     if not np.all(column >= 1.0):
         raise ValueError("guidance weight omega must be >= 1")
     if np.ndim(condition):
@@ -277,78 +291,118 @@ _STEP_RULES = {
 
 def _stream_draws(seeds, step: int, shape: tuple) -> np.ndarray:
     """Each row's standard normal ``shape`` block from stream (seed, step), as
-    one ``(n, *shape)`` array; a seed that repeats draws once."""
-    drawn = {s: step_rng(s, step).standard_normal(shape) for s in dict.fromkeys(seeds)}
+    one ``(n, *shape)`` array; a seed that repeats draws once.
+
+    Philox is counter-based, so re-keying one bit generator to ``(seed,
+    step)`` with counter 0 and an empty buffer yields the draws of
+    ``step_rng(seed, step)`` without building a generator per stream."""
+    bits = np.random.Philox(0)
+    normal = np.random.Generator(bits).standard_normal
+    state = bits.state  # counter 0, empty buffer
+    drawn = {}
+    for s in dict.fromkeys(seeds):
+        state["state"]["key"] = np.array([s, step], dtype=np.uint64)
+        bits.state = state
+        drawn[s] = normal(shape)
     return np.array([drawn[s] for s in seeds]).reshape((len(seeds),) + shape)
 
 
-def _drive(gmm, config, condition, seeds, grid=None, flow=None, omega=None, log=True):
-    """Advance every row of one config together as an (n, dim) array.
+def _drive(gmm, runs, grid=None, flow=None, log=True):
+    """Advance every row of every run together as one (n, dim) array.
 
-    Row j runs seed ``seeds[j]`` under ``condition`` (one component, or an
-    ``(n,)`` index array) at weight ``omega[j]`` (``config.omega`` when
-    omega is None).  The VP path (``grid``) predicts x0 by the exact
-    posterior means, guides through the strategy table and takes a DDIM
-    step, followed by the pcg corrector; the flow path (``flow =
-    (sigma_min, steps)``) predicts x1 and takes an Euler step.  Returns one
-    record per row, in order, or with ``log=False`` the ``(n, dim)`` final
-    states alone, with no per-step log allocated.
+    The runs' rows are stacked in order; row j of a run follows seed
+    ``seeds[j]`` under its condition and weight.  Once per step, for all
+    rows, the VP path (``grid``) predicts x0 by the exact posterior means,
+    measures the pair geometry and takes a DDIM step; the flow path
+    (``flow = (sigma_min, steps)``) predicts x1 and takes an Euler step.
+    Each run applies its own strategy rule (with its APG momentum, or
+    cfgpp's own next state) and pcg corrector to its slice of rows, so a
+    row is the same in any drive.  Returns one entry per run: its records,
+    or with ``log=False`` its ``(n, dim)`` final states alone, with no
+    per-step log allocated.
     """
-    rows = _rows(config, condition, seeds, omega)
-    x = _stream_draws(rows.seeds, 0, (gmm.dim,))
+    groups = [_rows(run) for run in runs]
+    ends = np.cumsum([len(rows.seeds) for rows in groups]).tolist()
+    slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
+    seeds = [s for rows in groups for s in rows.seeds]
+    conditions = [rows.condition for rows in groups]
+    if all(np.ndim(c) == 0 and c == conditions[0] for c in conditions):
+        condition = conditions[0] if conditions else 0
+    else:
+        condition = np.concatenate([np.broadcast_to(c, (len(rows.seeds),))
+                                    for c, rows in zip(conditions, groups)])
+    x = _stream_draws(seeds, 0, (gmm.dim,))
     if flow is None:
-        times, label = grid.times[:-1], config.strategy
+        times = grid.times[:-1]
     else:
         sigma_min, steps = flow
         dt = 1.0 / steps
-        times, label = np.arange(steps) * dt, "flow_" + config.strategy
-    rule = _STEP_RULES[config.strategy]
+        times = np.arange(steps) * dt
     if log:
         shape = (len(times),) + x.shape
         x_t, x0_cond, x0_uncond, x0_guided = (np.empty(shape) for _ in range(4))
         gamma, gamma_omega, residual = (np.full(shape[:2], math.nan) for _ in range(3))
-    state = ApgState.zero(x.shape)
+    states = [ApgState.zero((len(rows.seeds), gmm.dim)) for rows in groups]
     for i, t in enumerate(times):
         try:
             if flow is None:
                 ab_t, ab_prev = float(grid.alpha_bars[i]), float(grid.alpha_bars[i + 1])
-                cond = mx.posterior_mean_x0(gmm, x, ab_t, rows.condition)
+                cond = mx.posterior_mean_x0(gmm, x, ab_t, condition)
                 uncond = mx.posterior_mean_x0(gmm, x, ab_t, None)
-                pair = PredictionPair(x0_cond=cond, x0_uncond=uncond, x_t=x, alpha_bar_t=ab_t)
             else:
-                cond = flow_posterior_mean_x1(gmm, x, t, sigma_min, rows.condition)
+                cond = flow_posterior_mean_x1(gmm, x, t, sigma_min, condition)
                 uncond = flow_posterior_mean_x1(gmm, x, t, sigma_min, None)
                 pair = ab_prev = None
             geo = gd._pair_geometry(cond, uncond)
-            guided, x_next, state, columns = rule(pair, geo, config, rows, ab_prev, state)
-            if x_next is None:
-                x_next = (ddim_step(x, guided, ab_t, ab_prev) if flow is None
-                          else flow_euler_step(x, guided, t, dt, sigma_min))
-            if config.strategy == "pcg" and config.pcg_inner_steps and ab_prev < 1.0:
-                # no corrector at the terminal point (beta_bar would be 0)
-                x_next = _pcg_correct(gmm, x_next, ab_t, ab_prev, config, rows, i)
+            guided = np.empty_like(x)
+            own_next = []
+            for k, (run, rows, sl) in enumerate(zip(runs, groups, slices)):
+                if flow is None:
+                    pair = PredictionPair(x0_cond=cond[sl], x0_uncond=uncond[sl], x_t=x[sl],
+                                          alpha_bar_t=ab_t)
+                geo_k = gd._PairGeometry._make(a[sl] for a in geo)
+                guided[sl], x_next, states[k], columns = _STEP_RULES[run.config.strategy](
+                    pair, geo_k, run.config, rows, ab_prev, states[k])
+                if x_next is not None:
+                    own_next.append((sl, x_next))
+                if log and "gamma_omega" in columns:
+                    gamma_omega[i, sl] = np.where(geo_k.safe, columns["gamma_omega"], math.nan)
+                if log and "cfgpp_residual" in columns:
+                    residual[i, sl] = columns["cfgpp_residual"]
+            x_next = (ddim_step(x, guided, ab_t, ab_prev) if flow is None
+                      else flow_euler_step(x, guided, t, dt, sigma_min))
+            for sl, own in own_next:
+                x_next[sl] = own
+            for run, rows, sl in zip(runs, groups, slices):
+                config = run.config
+                if config.strategy == "pcg" and config.pcg_inner_steps and ab_prev < 1.0:
+                    # no corrector at the terminal point (beta_bar would be 0)
+                    x_next[sl] = _pcg_correct(gmm, x_next[sl], ab_t, ab_prev, config, rows, i)
         except ValueError as exc:
             raise RuntimeError(f"trajectory aborted at step {i} (t={t}): {exc}") from exc
         if log:
             x_t[i], x0_cond[i], x0_uncond[i], x0_guided[i] = x, cond, uncond, guided
             gamma[i] = np.where(geo.safe, geo.gamma, math.nan)
-            if "gamma_omega" in columns:
-                gamma_omega[i] = np.where(geo.safe, columns["gamma_omega"], math.nan)
-            residual[i] = columns.get("cfgpp_residual", math.nan)
         x = x_next
     if not log:
-        return x
+        return [x[sl] for sl in slices]
     guided_norm = np.linalg.norm(x0_guided, axis=-1)
-    return [
-        TrajectoryRecord(
-            seed=seed, strategy=label, omega=float(rows.omega[j, 0]), times=times,
-            x_t=x_t[:, j], x0_cond=x0_cond[:, j], x0_uncond=x0_uncond[:, j],
-            x0_guided=x0_guided[:, j], gamma=gamma[:, j], gamma_omega=gamma_omega[:, j],
-            guided_norm=guided_norm[:, j], final_x0=x[j],
-            cfgpp_residual=residual[:, j] if config.strategy == "cfgpp" else None,
-        )
-        for j, seed in enumerate(rows.seeds)
-    ]
+    out = []
+    for run, rows, sl in zip(runs, groups, slices):
+        strategy = run.config.strategy
+        label = strategy if flow is None else "flow_" + strategy
+        out.append([
+            TrajectoryRecord(
+                seed=seed, strategy=label, omega=float(rows.omega[j, 0]), times=times,
+                x_t=x_t[:, row], x0_cond=x0_cond[:, row], x0_uncond=x0_uncond[:, row],
+                x0_guided=x0_guided[:, row], gamma=gamma[:, row],
+                gamma_omega=gamma_omega[:, row], guided_norm=guided_norm[:, row],
+                final_x0=x[row],
+                cfgpp_residual=residual[:, row] if strategy == "cfgpp" else None,
+            )
+            for j, (row, seed) in enumerate(zip(range(sl.start, sl.stop), rows.seeds))
+        ])
+    return out
 
 
 def _pcg_correct(gmm, x, ab_t, ab_prev, config, rows, i):
@@ -369,6 +423,16 @@ def _pcg_correct(gmm, x, ab_t, ab_prev, config, rows, i):
     return x
 
 
+def sample_runs(gmm: GaussianMixture, grid: TimeGrid, runs, log: bool = True) -> list:
+    """Guided reverse trajectories of several runs, driven as one batch.
+
+    ``runs`` is a list of :class:`Run`.  Returns one entry per run: its
+    records as :func:`sample_batch` returns them, or with ``log=False``
+    its final states as :func:`sample_finals` returns them, bit for bit.
+    """
+    return _drive(gmm, runs, grid=grid, log=log)
+
+
 def sample_batch(
     gmm: GaussianMixture,
     grid: TimeGrid,
@@ -383,7 +447,7 @@ def sample_batch(
     and a deterministic step advances the state ("pcg" adds its
     stochastic corrector).  Each record equals the one-seed run.
     """
-    return _drive(gmm, config, condition, seeds, grid=grid)
+    return _drive(gmm, [Run(config, condition, seeds)], grid=grid)[0]
 
 
 def sample_finals(
@@ -402,7 +466,7 @@ def sample_finals(
     equals the final state of ``sample_batch`` at that row's condition and
     weight, bit for bit, but no per-step log is kept.
     """
-    return _drive(gmm, config, condition, seeds, grid=grid, omega=omega, log=False)
+    return _drive(gmm, [Run(config, condition, seeds, omega)], grid=grid, log=False)[0]
 
 
 def finals_peak_bytes(rows: int, dim: int, components: int, inner_steps: int = 0) -> int:
@@ -439,7 +503,7 @@ def flow_sample_batch(
         raise ValueError("steps must be >= 1")
     path = FlowPath(sigma_min=sigma_min)
     config = GuidanceConfig(strategy="adg", omega=omega, angle_cap=angle_cap)
-    return _drive(gmm, config, condition, seeds, flow=(path.sigma_min, steps))
+    return _drive(gmm, [Run(config, condition, seeds)], flow=(path.sigma_min, steps))[0]
 
 
 def sample_trajectory(

@@ -363,17 +363,19 @@ def norm_sweep(
 ) -> list[SweepRow]:
     """Mean and std of the final-sample norm per (strategy, omega).
 
-    Each strategy runs as one drive over every (omega, seed) row.
+    Every (strategy, omega, seed) row runs in one drive.
     """
     seeds = sorted(int(s) for s in seeds)
     omegas = [float(w) for w in omegas]
+    strategies = list(strategies)
     base = base_config or GuidanceConfig()
+    runs = [
+        sp.Run(replace(base, strategy=strategy), condition, seeds * len(omegas),
+               np.repeat(omegas, len(seeds)))
+        for strategy in strategies
+    ]
     rows = []
-    for strategy in strategies:
-        finals = sp.sample_finals(
-            gmm, grid, replace(base, strategy=strategy), condition,
-            seeds * len(omegas), np.repeat(omegas, len(seeds)),
-        )
+    for strategy, finals in zip(strategies, sp.sample_runs(gmm, grid, runs, log=False)):
         norms = np.linalg.norm(finals, axis=1).reshape(len(omegas), len(seeds))
         for omega, group in zip(omegas, norms):
             rows.append(

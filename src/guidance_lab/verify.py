@@ -278,9 +278,11 @@ def probe_guidance_off(
     ]
     worst = 0.0
     seeds = range(seed_count)
-    refs = sp.sample_batch(gmm, grid, base, condition, seeds)
-    for variant in variants:
-        for rec, ref in zip(sp.sample_batch(gmm, grid, variant, condition, seeds), refs):
+    # one drive: the reference rows, then each variant's
+    refs, *runs = sp.sample_runs(
+        gmm, grid, [sp.Run(c, condition, seeds) for c in (base, *variants)])
+    for records in runs:
+        for rec, ref in zip(records, refs):
             worst = max(worst, float(np.max(np.abs(rec.x_t - ref.x_t))))
             worst = max(worst, float(np.max(np.abs(rec.final_x0 - ref.final_x0))))
     return ProbeReport(

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import guidance_lab
+from guidance_lab import config as config_module
 from guidance_lab.cli import main
 from guidance_lab.config import DEFAULTS, ConfigError, dump_config, load_config, loads_config
 from guidance_lab.reports import format_float, write_csv
@@ -153,6 +154,12 @@ class TestConfig:
                 loads_config(f"run: {{output_dir: {text}}}")
             with pytest.raises(ConfigError, match=r"--set run\.output_dir"):
                 loads_config("", [f"run.output_dir={text}"])
+
+    def test_shipped_configs_parse_as_the_pure_python_loader(self):
+        for path in sorted(os.listdir(os.path.join(REPO, "configs"))):
+            with open(os.path.join(REPO, "configs", path), encoding="utf-8") as fh:
+                text = fh.read()
+            assert config_module._parse_yaml(text, path) == yaml.safe_load(text), path
 
     @settings(max_examples=300, deadline=None)
     @given(path=st.sampled_from(LEAF_PATHS), value=st.one_of(
@@ -303,6 +310,41 @@ class TestCliContracts:
         loads_config(DEFAULT_TEXT, ["sweep.omegas=[2.0]", "sweep.seed_count=300000"])
         with pytest.raises(ConfigError, match="sweep: 5 sweep.omegas x sweep.seed_count=300000"):
             loads_config(DEFAULT_TEXT, ["sweep.seed_count=300000"])
+
+    def test_run_block_is_charged_every_strategy(self, tmp_path, capsys):
+        # one sample drive holds every strategy's trajectory log at once;
+        # every block is checked at load, so a command that samples nothing
+        # exits 2 too
+        fits = ["grid.steps=200", "run.seed_count=20000"]
+        loads_config(DEFAULT_TEXT, fits + ["run.strategies=[cfg]"])
+        out = tmp_path / "o"
+        argv = [a for f in fits + ["run.strategies=[cfg, adg, apg, cfgpp]"] for a in ("--set", f)]
+        assert run_cli("probe-c1", "--config", DEFAULT, "--out", str(out), *argv) == 2
+        assert "run: run.seed_count=20000 x (4 run.strategies x" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_guidance_off_probe_is_charged_its_four_runs(self):
+        with pytest.raises(ConfigError, match=r"probes\.guidance_off: .* x \(4 guidance-off runs"):
+            loads_config(DEFAULT_TEXT, ["grid.steps=200", "probes.guidance_off.seed_count=20000"])
+        loads_config(DEFAULT_TEXT, ["grid.steps=200", "probes.guidance_off.seed_count=5000"])
+
+    @pytest.mark.parametrize("command", ["verify", "probe-c1", "probe-norm"])
+    def test_single_component_mixture_probes_are_na(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        code = run_cli(
+            command, "--config", DEFAULT, "--out", str(out),
+            "--set", "gmm.means=[[1.0, 1.0]]", "--set", "gmm.weights=[1.0]",
+            "--set", "probes.score_oracle.cases=20", "--set", "probes.score_identity.cases=20",
+            "--set", "probes.prop1.trials=2000", "--set", "grid.steps=30",
+        )
+        assert code == 0
+        stdout = capsys.readouterr().out
+        if command == "probe-norm":
+            assert "probe n/a" in stdout
+        else:
+            assert "[N/A ] anomalous_interval" in stdout
+        if command == "verify":
+            assert "[N/A ] norm_amplification" in stdout
 
     def test_recfg_table_and_pcg_steps_within_bounds_load(self):
         config = loads_config(DEFAULT_TEXT, [
@@ -461,6 +503,12 @@ class TestEmission:
         assert b"\r" not in raw
         assert raw.decode().splitlines()[1] == "1.5,x"
         assert format_float(math.pi) == "3.1415926535897931"
+
+    def test_csv_rows_may_stream(self, tmp_path):
+        rows = [[1.5, "x"], [math.pi, "y"]]
+        write_csv(str(tmp_path / "list.csv"), ["a", "b"], rows)
+        write_csv(str(tmp_path / "iter.csv"), ["a", "b"], (row for row in rows))
+        assert (tmp_path / "iter.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
 
     def test_scatter_svg_deterministic_and_sized(self):
         groups = {"one": [(0.0, 0.0), (1.0, 2.0)], "two": [(0.5, -1.0)]}

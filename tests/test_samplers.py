@@ -401,6 +401,15 @@ class TestNoiseStreams:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
+    @pytest.mark.parametrize("shape", [(2,), (3, 7)])
+    @pytest.mark.parametrize("step", [0, 1, 199])
+    def test_rekeyed_draws_equal_fresh_generators(self, shape, step):
+        seeds = [0, 2**63, 2**64 - 1, 7, 2**63, 0]  # repeats draw once
+        draws = sp._stream_draws(seeds, step, shape)
+        assert draws.shape == (len(seeds),) + shape
+        for row, seed in zip(draws, seeds):
+            assert np.array_equal(row, step_rng(seed, step).standard_normal(shape))
+
     def test_population_drivers_deterministic(self):
         grid = make_grid(SCHED, 30)
         for strategy in ("pcg", "adg"):
@@ -449,7 +458,7 @@ class TestMixedRows:
         groups, rows, order = self._rows(gmm)
         omega, cond, seeds = (np.array(col)[order] for col in zip(*rows))
         finals = sample_finals(gmm, grid, config, cond, seeds, omega)
-        records = sp._drive(gmm, config, cond, seeds, grid=grid, omega=omega)
+        records = sp._drive(gmm, [sp.Run(config, cond, seeds, omega)], grid=grid)[0]
         position = {row: k for k, row in enumerate(zip(omega, cond, seeds))}
         for w, c in groups:
             alone = sample_batch(gmm, grid, replace(config, omega=w), c, self.SEEDS)
@@ -462,13 +471,52 @@ class TestMixedRows:
         groups, rows, order = self._rows(gmm)
         omega, cond, seeds = (np.array(col)[order] for col in zip(*rows))
         config = GuidanceConfig(strategy="adg")
-        records = sp._drive(gmm, config, cond, seeds, flow=(0.1, 30), omega=omega)
-        finals = sp._drive(gmm, config, cond, seeds, flow=(0.1, 30), omega=omega, log=False)
+        runs = [sp.Run(config, cond, seeds, omega)]
+        records = sp._drive(gmm, runs, flow=(0.1, 30))[0]
+        finals = sp._drive(gmm, runs, flow=(0.1, 30), log=False)[0]
         position = {row: k for k, row in enumerate(zip(omega, cond, seeds))}
         for w, c in groups:
             for ref in flow_sample_batch(gmm, 0.1, 30, w, config.angle_cap, c, self.SEEDS):
                 k = position[(w, c, ref.seed)]
                 self._check(records[k], finals[k], ref, "flow_adg")
+
+    @pytest.mark.parametrize("gmm", [SQUARE, WIDE], ids=["dim2", "dim32"])
+    def test_grouped_drive_equals_separate_drives(self, gmm):
+        # every strategy in one drive, each run on its own condition, with a
+        # second cfg run that conditions each row on its own component
+        grid = make_grid(SCHED, 30)
+        base = GuidanceConfig(
+            omega=3.0, pcg_inner_steps=2,
+            recfg_lambda={c: 0.5 + 0.25 * c for c in range(gmm.n_components)},
+        )
+        conds = np.arange(len(self.SEEDS)) % gmm.n_components
+        runs = [sp.Run(replace(base, strategy=s, omega=1.5 + 0.5 * k), k % gmm.n_components,
+                       self.SEEDS)
+                for k, s in enumerate(STRATEGIES)]
+        runs.append(sp.Run(replace(base, omega=6.0), conds, self.SEEDS))
+        for run, records in zip(runs, sp.sample_runs(gmm, grid, runs), strict=True):
+            if np.ndim(run.condition):
+                alone = [sample_batch(gmm, grid, run.config, int(c), [s])[0]
+                         for c, s in zip(run.condition, run.seeds)]
+            else:
+                alone = sample_batch(gmm, grid, run.config, run.condition, run.seeds)
+            for mixed, ref in zip(records, alone, strict=True):
+                self._check(mixed, mixed.final_x0, ref, run.config.strategy)
+
+    @pytest.mark.parametrize("gmm", [SQUARE, WIDE], ids=["dim2", "dim32"])
+    def test_grouped_finals_equal_separate_drives(self, gmm):
+        grid = make_grid(SCHED, 30)
+        base = GuidanceConfig(
+            pcg_inner_steps=2, recfg_lambda={c: 0.5 + 0.25 * c for c in range(gmm.n_components)},
+        )
+        groups, rows, order = self._rows(gmm)
+        omega, cond, seeds = (np.array(col)[order] for col in zip(*rows))
+        # each run its own weights, so no run's rows equal another's
+        runs = [sp.Run(replace(base, strategy=s), cond, seeds, omega + k)
+                for k, s in enumerate(STRATEGIES)]
+        for run, finals in zip(runs, sp.sample_runs(gmm, grid, runs, log=False), strict=True):
+            alone = sample_finals(gmm, grid, run.config, cond, seeds, run.omega)
+            assert np.array_equal(finals, alone), run.config.strategy
 
     def test_row_inputs_are_checked(self):
         grid = make_grid(SCHED, 5)
