@@ -204,10 +204,18 @@ def _at(path: str):
 def _validate(data: dict) -> None:
     """The rules a leaf's table entry cannot state: ties to other leaves, strict bounds."""
     run, c1, prop1 = data["run"], data["probes"]["c1"], data["probes"]["prop1"]
-    seeds = run["seeds"] or []
-    if len(set(seeds)) < len(seeds):
-        repeated = next(s for i, s in enumerate(seeds) if s in seeds[:i])
-        raise ConfigError(f"run.seeds: seed {repeated!r} repeated; seeds must be distinct")
+    # a repeated entry would run the same rows twice and write each output over itself
+    for path, values, noun in (
+        ("run.seeds", run["seeds"], "seed"),
+        ("run.strategies", run["strategies"], "strategy"),
+        ("sweep.strategies", data["sweep"]["strategies"], "strategy"),
+        ("sweep.omegas", data["sweep"]["omegas"], "omega"),
+        ("scatter.omegas", data["scatter"]["omegas"], "omega"),
+    ):
+        values = values or []
+        if len(set(values)) < len(values):
+            repeated = next(v for i, v in enumerate(values) if v in values[:i])
+            raise ConfigError(f"{path}: {noun} {repeated!r} repeated; entries must be distinct")
     if not run["condition"] < len(data["gmm"]["means"]):
         raise ConfigError(f"run.condition: {run['condition']} is not a mixture component")
     if not all(w > 1.0 for w in c1["omegas"]):

@@ -109,7 +109,7 @@ class ApgParams:
             raise ValueError("eta must lie in [0, 1]")
         if not self.beta <= 0.0:
             raise ValueError("momentum coefficient beta must be <= 0")
-        if self.r < 0.0:
+        if not self.r >= 0.0:
             raise ValueError("norm clamp r must be nonnegative")
 
 
@@ -340,8 +340,9 @@ def apg_update(
     orthogonal = delta - np.where(ok[..., None], parallel, 0.0)
     mixed = params.eta * np.where(ok[..., None], parallel, 0.0) + orthogonal
     n_mixed = _norm(mixed)
-    with np.errstate(divide="ignore"):
-        clamp = np.minimum(1.0, params.r / np.where(n_mixed > 0.0, n_mixed, np.inf))
+    # only a norm above r is scaled, so r = inf or a zero difference leaves it as is
+    with np.errstate(divide="ignore", invalid="ignore"):
+        clamp = np.where(n_mixed > params.r, params.r / n_mixed, 1.0)
     clamped = clamp[..., None] * mixed
     momentum = clamped - params.beta * state.momentum
     guided = pair.x0_cond + (omega - 1.0) * momentum

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -32,19 +33,30 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    """``rows`` is an iterable of rows: float cells at .17g, others by str."""
+@contextmanager
+def _csv_file(path: str, header: list[str]):
+    """The open CSV file at ``path``, its header row written."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    formats = {}  # one printf format per sequence of cell types
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
+        yield fh
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """``rows`` is an iterable of rows: float cells at .17g, others by str."""
+    formats = {}  # one printf format per sequence of cell types
+    with _csv_file(path, header) as fh:
         for row in rows:
             kinds = tuple(map(type, row))
             fmt = formats.get(kinds)
             if fmt is None:
-                cells = ("%.17g" if issubclass(k, (float, np.floating)) else "%s" for k in kinds)
-                fmt = formats[kinds] = ",".join(cells) + "\n"
+                fmt = formats[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
             fh.write(fmt % tuple(row))
+
+
+def _cell_format(kind: type) -> str:
+    """printf format of a cell of type ``kind``: floats at .17g, others by str."""
+    return "%.17g" if issubclass(kind, (float, np.floating)) else "%s"
 
 
 # _write_columns turns this many rows at a time into Python values, so a
@@ -76,21 +88,35 @@ def _repeat(items, name: str, counts=1) -> np.ndarray:
 
 
 def write_trajectory_csv(records: list[TrajectoryRecord], path: str) -> None:
-    """One row per (trajectory, step), trajectories ordered by seed."""
+    """One row per (trajectory, step), trajectories ordered by seed.
+
+    Each trajectory is one printf call: its seed, strategy and omega and
+    each row's step and time are baked into a template that leaves a .17g
+    slot for each of the row's 4 * dim + 4 logged floats.
+    """
     if not records:
         raise ValueError("no records to write")
     records = sorted(records, key=lambda r: r.seed)
-    steps = [r.steps for r in records]
-    residual = [np.full(r.steps, np.nan) if r.cfgpp_residual is None else r.cfgpp_residual
-                for r in records]
-    _write_columns(path, {
-        **{name: _repeat(records, name, steps) for name in ("seed", "strategy", "omega")},
-        "step": np.concatenate([np.arange(n) for n in steps]),
-        "t": np.concatenate([r.times for r in records]),
-        **{name: np.concatenate([getattr(r, name) for r in records]) for name in (
-            "x_t", "x0_cond", "x0_uncond", "x0_guided", "gamma", "gamma_omega", "guided_norm")},
-        "cfgpp_residual": np.concatenate(residual),
-    })
+    dim = records[0].x_t.shape[1]
+    blocks = ("x_t", "x0_cond", "x0_uncond", "x0_guided")
+    header = ["seed", "strategy", "omega", "step", "t",
+              *(f"{name}_{i}" for name in blocks for i in range(dim)),
+              "gamma", "gamma_omega", "guided_norm", "cfgpp_residual"]
+    slots = ",%.17g" * (4 * dim + 4) + "\n"
+    tails = {}  # each row's step, time and slots, per time grid
+    with _csv_file(path, header) as fh:
+        for r in records:
+            head = ",".join(_cell_format(type(v)) % v for v in (r.seed, r.strategy, r.omega))
+            head = head.replace("%", "%%")
+            key = r.times.tobytes()
+            if key not in tails:
+                tails[key] = [f",{step},{'%.17g' % t}{slots}"
+                              for step, t in enumerate(r.times.tolist())]
+            template = "".join([head + tail for tail in tails[key]])
+            residual = np.full(r.steps, np.nan) if r.cfgpp_residual is None else r.cfgpp_residual
+            block = np.column_stack([*(getattr(r, name) for name in blocks),
+                                     r.gamma, r.gamma_omega, r.guided_norm, residual])
+            fh.write(template % tuple(block.ravel().tolist()))
 
 
 def write_summary_csv(

@@ -42,8 +42,8 @@ class NoiseSchedule:
             raise ValueError(f"unsupported schedule shape {self.shape!r}")
         if not self.beta_min > 0:
             raise ValueError("beta_min must be positive")
-        if self.beta_max < self.beta_min:
-            raise ValueError("beta_max must be >= beta_min")
+        if not self.beta_min <= self.beta_max < math.inf:
+            raise ValueError("beta_max must be finite and >= beta_min")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
 

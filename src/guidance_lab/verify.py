@@ -55,10 +55,16 @@ def random_mixture_cases(n_cases: int, seed: int, max_dim: int = 8, max_componen
 # ---------------------------------------------------------------------------
 # Individual probes
 # ---------------------------------------------------------------------------
+# Deviations fold with np.max, which keeps a NaN that Python's max drops,
+# and a verdict passes only when every folded measurement is finite.
+
+def _verdict(ok: bool, *measured: float) -> str:
+    return "pass" if ok and np.all(np.isfinite(measured)) else "fail"
+
 
 def probe_score_oracle(cases: int, seed: int, tolerance: float = 1e-5, h: float = 1e-4) -> ProbeReport:
     """Closed-form scores against the central-difference oracle."""
-    worst = 0.0
+    errors = [0.0]
     for gmm, x, alpha_bar, condition in random_mixture_cases(cases, seed):
         for cond in (condition, None):
             if cond is None:
@@ -66,11 +72,12 @@ def probe_score_oracle(cases: int, seed: int, tolerance: float = 1e-5, h: float 
             else:
                 closed = mx.score_conditional(gmm, x, alpha_bar, cond)
             numeric = mx.finite_diff_score(gmm, x, alpha_bar, cond, h=h)
-            worst = max(worst, float(np.max(np.abs(closed - numeric))))
+            errors.append(np.max(np.abs(closed - numeric)))
+    worst = float(np.max(errors))
     return ProbeReport(
         name="score_finite_difference",
         parameters={"cases": cases, "seed": seed, "h": h},
-        verdict="pass" if worst < tolerance else "fail",
+        verdict=_verdict(worst < tolerance, worst),
         measured={"max_abs_error": worst},
         tolerance=tolerance,
     )
@@ -78,7 +85,7 @@ def probe_score_oracle(cases: int, seed: int, tolerance: float = 1e-5, h: float 
 
 def probe_score_identity(cases: int, seed: int, tolerance: float = 1e-10) -> ProbeReport:
     """(sqrt(ab) * posterior_mean - x) / beta_bar must equal the score."""
-    worst = 0.0
+    errors = [0.0]
     for gmm, x, alpha_bar, condition in random_mixture_cases(cases, seed):
         beta_bar = 1.0 - alpha_bar
         root = math.sqrt(alpha_bar)
@@ -89,11 +96,12 @@ def probe_score_identity(cases: int, seed: int, tolerance: float = 1e-10) -> Pro
             else:
                 score = mx.score_conditional(gmm, x, alpha_bar, cond)
             implied = (root * x0_hat - x) / beta_bar
-            worst = max(worst, float(np.max(np.abs(implied - score))))
+            errors.append(np.max(np.abs(implied - score)))
+    worst = float(np.max(errors))
     return ProbeReport(
         name="posterior_mean_score_identity",
         parameters={"cases": cases, "seed": seed},
-        verdict="pass" if worst < tolerance else "fail",
+        verdict=_verdict(worst < tolerance, worst),
         measured={"max_abs_error": worst},
         tolerance=tolerance,
     )
@@ -101,13 +109,13 @@ def probe_score_identity(cases: int, seed: int, tolerance: float = 1e-10) -> Pro
 
 def probe_posterior_simplex(cases: int, seed: int, tolerance: float = 1e-12) -> ProbeReport:
     """Responsibilities are a probability vector at every draw."""
-    worst_sum = 0.0
-    worst_neg = 0.0
+    sums, negs = [0.0], [0.0]
     for gmm, x, alpha_bar, _ in random_mixture_cases(cases, seed):
         resp = mx.posterior_weights(gmm, x, alpha_bar)
-        worst_sum = max(worst_sum, abs(float(resp.sum()) - 1.0))
-        worst_neg = max(worst_neg, float(-resp.min()))
-    verdict = "pass" if worst_sum <= tolerance and worst_neg <= 0.0 else "fail"
+        sums.append(abs(resp.sum() - 1.0))
+        negs.append(-resp.min())
+    worst_sum, worst_neg = float(np.max(sums)), float(np.max(negs))
+    verdict = _verdict(worst_sum <= tolerance and worst_neg <= 0.0, worst_sum, worst_neg)
     return ProbeReport(
         name="responsibility_simplex",
         parameters={"cases": cases, "seed": seed},
@@ -127,8 +135,7 @@ def probe_surface_invariants(gmm: GaussianMixture, tolerance: float = 1e-9) -> P
             measured={"note": "single-component mixture has no hull geometry"},
             tolerance=tolerance,
         )
-    worst_touch = 0.0
-    worst_unit = 0.0
+    touches, units = [0.0], [0.0]
     n_surface = 0
     ok = True
     for c in range(gmm.n_components):
@@ -137,8 +144,8 @@ def probe_surface_invariants(gmm: GaussianMixture, tolerance: float = 1e-9) -> P
             continue
         n_surface += 1
         cert = decision.certificate
-        worst_touch = max(worst_touch, abs(float(cert.normal @ gmm.means[c] + cert.offset)))
-        worst_unit = max(worst_unit, abs(float(np.linalg.norm(cert.normal)) - 1.0))
+        touches.append(abs(cert.normal @ gmm.means[c] + cert.offset))
+        units.append(abs(np.linalg.norm(cert.normal) - 1.0))
         margins = [
             -(float(cert.normal @ gmm.means[o]) + cert.offset)
             for o in range(gmm.n_components)
@@ -146,12 +153,12 @@ def probe_surface_invariants(gmm: GaussianMixture, tolerance: float = 1e-9) -> P
         ]
         if min(margins) < cert.min_margin - 1e-12 or cert.min_margin <= 0.0:
             ok = False
-    if worst_touch > tolerance or worst_unit > 1e-12:
-        ok = False
+    worst_touch, worst_unit = float(np.max(touches)), float(np.max(units))
+    ok = ok and worst_touch <= tolerance and worst_unit <= 1e-12
     return ProbeReport(
         name="surface_certificates",
         parameters={"components": gmm.n_components},
-        verdict="pass" if ok else "fail",
+        verdict=_verdict(ok, worst_touch, worst_unit),
         measured={
             "surface_components": n_surface,
             "max_touch_residual": worst_touch,
@@ -249,11 +256,11 @@ def probe_cfgpp_equivalence(steps: int, seed: int, tolerance: float = 1e-8) -> P
             {"step": i, "alpha_bar_t": ab_t, "alpha_bar_prev": ab_prev,
              "lambda": lam, "omega_t": omega_t, "residual": residual}
         )
-    worst = max(residuals)
+    worst = float(np.max(residuals))
     return ProbeReport(
         name="split_update_equivalence",
         parameters={"steps": steps, "seed": seed},
-        verdict="pass" if worst < tolerance else "fail",
+        verdict=_verdict(worst < tolerance, worst),
         measured={"max_residual": worst, "mean_residual": float(np.mean(residuals))},
         tolerance=tolerance,
         details=details,
@@ -276,15 +283,16 @@ def probe_guidance_off(
         replace(base, strategy="adg_simplified"),
         reduction,
     ]
-    worst = 0.0
+    deviations = [0.0]
     seeds = range(seed_count)
     # one drive: the reference rows, then each variant's
     refs, *runs = sp.sample_runs(
         gmm, grid, [sp.Run(c, condition, seeds) for c in (base, *variants)])
     for records in runs:
         for rec, ref in zip(records, refs):
-            worst = max(worst, float(np.max(np.abs(rec.x_t - ref.x_t))))
-            worst = max(worst, float(np.max(np.abs(rec.final_x0 - ref.final_x0))))
+            deviations.append(np.max(np.abs(rec.x_t - ref.x_t)))
+            deviations.append(np.max(np.abs(rec.final_x0 - ref.final_x0)))
+    worst = float(np.max(deviations))
     return ProbeReport(
         name="guidance_off_equivalence",
         parameters={
@@ -292,7 +300,7 @@ def probe_guidance_off(
             "strategies": ["adg", "adg_simplified", "apg(eta=1,beta=0,r=inf)"],
             "grid_steps": grid.steps,
         },
-        verdict="pass" if worst <= tolerance else "fail",
+        verdict=_verdict(worst <= tolerance, worst),
         measured={"max_step_deviation": worst},
         tolerance=tolerance,
     )

@@ -374,6 +374,51 @@ class TestCliContracts:
         assert "run.seeds" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    # a repeat would run the same rows twice and write each output over itself
+    @pytest.mark.parametrize("command, setting", [
+        ("sample", "run.strategies=[cfg, adg, cfg]"),
+        ("sweep", "sweep.strategies=[adg, adg]"),
+        ("sweep", "sweep.omegas=[1.0, 2.0, 1]"),
+        ("scatter", "scatter.omegas=[1.0, 1.0]"),
+    ])
+    def test_repeated_list_entries_exit_2(self, tmp_path, capsys, command, setting):
+        out = tmp_path / "r"
+        assert run_cli(command, "--config", DEFAULT, "--out", str(out), "--set", setting) == 2
+        assert f"{setting.partition('=')[0]}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_apg_infinite_radius_on_one_component_is_finite(self, tmp_path, capsys):
+        # cond and uncond predictions coincide, so APG's mixed difference is
+        # exactly 0 at every step while its clamp radius is inf
+        out = tmp_path / "apg"
+        assert run_cli(
+            "sample", "--config", DEFAULT, "--strategy", "apg", "--seed-count", "4",
+            "--out", str(out), "--set", "grid.steps=30", "--set", "guidance.apg.r=.inf",
+            "--set", "gmm.means=[[1.0, 1.0]]", "--set", "gmm.weights=[1.0]",
+        ) == 0
+        assert "nan" not in (out / "summary_apg.csv").read_text()
+        assert "mean_norm=nan" not in capsys.readouterr().out
+        # a NaN radius would clamp nothing; it is refused instead
+        assert run_cli("sample", "--config", DEFAULT, "--out", str(tmp_path / "n"),
+                       "--set", "guidance.apg.r=.nan") == 2
+        assert "norm clamp r" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+    def test_cli_import_sets_one_blas_thread_by_default(self, given, expected):
+        package_root = os.path.dirname(os.path.dirname(guidance_lab.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = package_root
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        code = ("import os, guidance_lab.cli; print(os.environ['OPENBLAS_NUM_THREADS'], "
+                "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else -1)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        value, threads = out.stdout.split()
+        assert value == expected
+        if given is None and sys.platform.startswith("linux"):
+            assert threads == "1"  # numpy loaded without an OpenBLAS worker pool
+
     def test_cli_import_leaves_scipy_out(self):
         package_root = os.path.dirname(os.path.dirname(guidance_lab.__file__))
         env = dict(os.environ, PYTHONPATH=package_root)

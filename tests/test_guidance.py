@@ -306,6 +306,32 @@ class TestApg:
         np.testing.assert_allclose(state2.momentum, delta + 0.5 * delta, atol=1e-14)
         np.testing.assert_allclose(out2, pair.x0_cond + state2.momentum, atol=1e-14)
 
+    def test_infinite_radius_with_zero_difference(self):
+        params = ApgParams(eta=0.0, beta=-0.5, r=math.inf)
+        pair = pair_of([1.0, -2.0], [1.0, -2.0])
+        out, state = apg_update(pair, 5.0, params, ApgState.zero(2))
+        np.testing.assert_array_equal(out, pair.x0_cond)
+        np.testing.assert_array_equal(state.momentum, [0.0, 0.0])
+
+    def test_finite_radius_clamp_is_min_of_one_and_ratio(self):
+        # bit for bit: min(1, r / |mixed|), and 0 where the mixed difference is 0
+        rng = np.random.default_rng(27)
+        cond = rng.standard_normal((4000, 3))
+        uncond = cond + rng.standard_normal((4000, 3)) * 10.0 ** rng.integers(-4, 3, (4000, 1))
+        uncond[:200] = cond[:200]
+        pair = PredictionPair(x0_cond=cond, x0_uncond=uncond, x_t=np.zeros_like(cond),
+                              alpha_bar_t=0.5)
+        unclamped = ApgParams(eta=0.3, beta=0.0, r=math.inf)
+        _, state = apg_update(pair, 2.0, unclamped, ApgState.zero(cond.shape))
+        mixed = state.momentum
+        norm = np.linalg.norm(mixed, axis=-1)
+        for r in (0.0, 1e-3, 0.5, 2.5, 100.0):
+            params = ApgParams(eta=0.3, beta=0.0, r=r)
+            _, state = apg_update(pair, 2.0, params, ApgState.zero(cond.shape))
+            with np.errstate(divide="ignore"):
+                clamp = np.minimum(1.0, r / np.where(norm > 0.0, norm, np.inf))
+            assert state.momentum.tobytes() == (clamp[:, None] * mixed).tobytes()
+
     def test_param_validation(self):
         with pytest.raises(ValueError, match="eta"):
             ApgParams(eta=1.5)
@@ -313,6 +339,8 @@ class TestApg:
             ApgParams(beta=0.5)
         with pytest.raises(ValueError, match="clamp"):
             ApgParams(r=-1.0)
+        with pytest.raises(ValueError, match="clamp"):
+            ApgParams(r=math.nan)
 
 
 class TestEpsilonStrategies:

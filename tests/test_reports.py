@@ -89,3 +89,57 @@ def test_emission_is_pinned(tmp_path, name):
     _write_all(tmp_path)
     digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest == GOLDEN[name], (tmp_path / name).read_text()
+
+
+def _columns_layout(records, path):
+    """The trajectory CSV as rows of cells for ``write_csv``: the column layout
+    write_trajectory_csv emits."""
+    records = sorted(records, key=lambda r: r.seed)
+    dim = records[0].x_t.shape[1]
+    blocks = ("x_t", "x0_cond", "x0_uncond", "x0_guided")
+    header = ["seed", "strategy", "omega", "step", "t",
+              *(f"{name}_{i}" for name in blocks for i in range(dim)),
+              "gamma", "gamma_omega", "guided_norm", "cfgpp_residual"]
+    rows = []
+    for r in records:
+        residual = np.full(r.steps, np.nan) if r.cfgpp_residual is None else r.cfgpp_residual
+        block = np.column_stack([*(getattr(r, name) for name in blocks),
+                                 r.gamma, r.gamma_omega, r.guided_norm, residual])
+        rows += [[r.seed, r.strategy, r.omega, i, t, *cells]
+                 for i, (t, cells) in enumerate(zip(r.times.tolist(), block.tolist()))]
+    rp.write_csv(path, header, rows)
+
+
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072009e-308,
+                    1e300, 1 / 3])
+
+
+def _odd_record(seed, strategy, omega, dim, residual, steps=5):
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+    def cells(*shape):
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        mask = rng.random(shape) < 0.3
+        values[mask] = rng.choice(SPECIAL, mask.sum())
+        return values
+
+    return TrajectoryRecord(
+        seed=seed, strategy=strategy, omega=omega, times=np.linspace(1.0, 0.0, steps),
+        x_t=cells(steps, dim), x0_cond=cells(steps, dim), x0_uncond=cells(steps, dim),
+        x0_guided=cells(steps, dim), gamma=cells(steps), gamma_omega=cells(steps),
+        guided_norm=cells(steps), final_x0=cells(dim),
+        cfgpp_residual=cells(steps) if residual else None,
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("strategy, omega", [
+    ("cfg", 5.0), ("adg", 2), ("a%sb%%c%", 0.1 + 0.2), ("apg", np.float64(-0.0)),
+])
+def test_trajectory_csv_equals_column_layout(tmp_path, dim, residual, strategy, omega):
+    records = [_odd_record(s, strategy, omega, dim, residual) for s in (11, 2, 2**63 + 5)]
+    records.append(_odd_record(4, strategy, omega, dim, residual, steps=1))
+    rp.write_trajectory_csv(records, str(tmp_path / "template.csv"))
+    _columns_layout(records, str(tmp_path / "columns.csv"))
+    assert (tmp_path / "template.csv").read_bytes() == (tmp_path / "columns.csv").read_bytes()

@@ -68,6 +68,10 @@ class TestAlphaBar:
             NoiseSchedule(beta_min=0.0)
         with pytest.raises(ValueError, match="beta_max"):
             NoiseSchedule(beta_min=2.0, beta_max=1.0)
+        # an infinite rate would make alpha_bar(0) = exp(-inf * 0), a NaN
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="beta_max"):
+                NoiseSchedule(beta_max=bad)
 
 
 class TestTimeGrid:

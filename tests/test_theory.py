@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +12,8 @@ import pytest
 
 import guidance_lab as gl
 import guidance_lab.theory as th
+import guidance_lab.verify as vf
+from guidance_lab.config import loads_config
 from guidance_lab.mixture import GaussianMixture, score_conditional, surface_certificate
 from guidance_lab.schedule import default_schedule, make_grid
 from guidance_lab.theory import (
@@ -272,3 +275,43 @@ class TestSweepAndScatter:
                 / len(samples)
             )
             assert abs(drift[4] - drifts[0][4]) < 3 * se
+
+
+class TestVerifyProbesFailOnNaN:
+    """A NaN deviation fails its probe: Python's max(0.0, nan) would keep 0.0."""
+
+    def test_guidance_off_fails_on_nan_trajectory(self, monkeypatch):
+        drive = gl.samplers.sample_runs
+
+        def nan_in_last_variant(gmm, grid, runs):
+            results = drive(gmm, grid, runs)
+            first = results[-1][0]
+            x_t = first.x_t.copy()
+            x_t[3] = np.nan
+            results[-1][0] = replace(first, x_t=x_t)
+            return results
+
+        monkeypatch.setattr(gl.samplers, "sample_runs", nan_in_last_variant)
+        report = vf.probe_guidance_off(loads_config("grid: {steps: 20}"), seed_count=2)
+        assert report.verdict == "fail"
+        assert math.isnan(report.measured["max_step_deviation"])
+
+    @pytest.mark.parametrize("probe, module, name", [
+        (lambda: vf.probe_score_oracle(6, 1), gl.mixture, "finite_diff_score"),
+        (lambda: vf.probe_score_identity(6, 1), gl.mixture, "posterior_mean_x0"),
+        (lambda: vf.probe_posterior_simplex(6, 1), gl.mixture, "posterior_weights"),
+        (lambda: vf.probe_cfgpp_equivalence(6, 1), gl.samplers, "cfgpp_equivalent_weight"),
+    ])
+    def test_nan_after_the_first_case_fails(self, monkeypatch, probe, module, name):
+        real, calls = getattr(module, name), []
+
+        def nan_on_second_call(*args, **kwargs):
+            calls.append(1)
+            out = real(*args, **kwargs)
+            return out * np.nan if len(calls) == 2 else out
+
+        assert probe().verdict == "pass"
+        monkeypatch.setattr(module, name, nan_on_second_call)
+        report = probe()
+        assert report.verdict == "fail"
+        assert any(isinstance(v, float) and math.isnan(v) for v in report.measured.values())
