@@ -34,7 +34,8 @@ class Leaf(NamedTuple):
     """A table entry the default alone does not type or bound.  ``kind`` is
     int, float, str, ``[kind]`` (a non-empty list) or a function ``(value,
     path) -> value``; None means the default's type.  ``lo`` and ``hi``
-    bound a number or each list entry.  A None default also admits None."""
+    bound a number or each list entry.  A float must be finite unless ``hi``
+    is inf, which admits inf.  A None default also admits None."""
 
     default: Any
     kind: Any = None
@@ -80,7 +81,8 @@ DEFAULTS: dict[str, Any] = {
         "omega": 1.0,
         "angle_cap": math.pi / 3.0,
         "cfgpp_lambda": 0.5,
-        "apg": {"eta": 0.0, "beta": -0.5, "r": 2.5},
+        # r = inf is the documented linear-extrapolation reduction
+        "apg": {"eta": 0.0, "beta": -0.5, "r": Leaf(2.5, hi=math.inf)},
         "recfg_lambda": Leaf(1.0, _recfg_lambda),
         "pcg_inner_steps": Leaf(0, lo=0),
         "pcg_langevin_mode": "paper-literal",
@@ -151,6 +153,9 @@ def _typed(value, leaf: Leaf, path):
             value = float(value)
         except OverflowError:
             raise ConfigError(f"{path}: {value} is beyond the float range") from None
+        # NaN passes every bound comparison below, so it is refused here
+        if not (math.isfinite(value) or value == leaf.hi == math.inf):
+            raise ConfigError(f"{path}: must be finite, got {value!r}")
     if leaf.lo is not None and value < leaf.lo:
         raise ConfigError(f"{path}: must be >= {leaf.lo}, got {value!r}")
     if leaf.hi is not None and value > leaf.hi:
@@ -220,6 +225,9 @@ def _validate(data: dict) -> None:
         raise ConfigError(f"run.condition: {run['condition']} is not a mixture component")
     if not all(w > 1.0 for w in c1["omegas"]):
         raise ConfigError(f"probes.c1.omegas: each must be > 1, got {c1['omegas']!r}")
+    # the probe checks that c1 grows from each omega to the next
+    if not all(a < b for a, b in zip(c1["omegas"], c1["omegas"][1:])):
+        raise ConfigError(f"probes.c1.omegas: must be strictly increasing, got {c1['omegas']!r}")
     if not 0.0 < c1["alpha_bar"] <= 1.0:
         raise ConfigError(f"probes.c1.alpha_bar: must lie in (0, 1], got {c1['alpha_bar']!r}")
     for key in ("k_max", "bisection_tol"):

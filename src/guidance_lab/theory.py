@@ -25,6 +25,7 @@ __all__ = [
     "ProbeReport",
     "MARGIN_FLOOR",
     "mt_membership",
+    "anomalous_equation",
     "estimate_c1",
     "norm_amplification_check",
     "prop1_stress",
@@ -109,58 +110,64 @@ def mt_membership(
     return dot <= 0.0, dot
 
 
+def anomalous_equation(
+    gmm: GaussianMixture, certificate: SurfaceCertificate, alpha_bar: float, omega: float,
+):
+    """(m, h) on the ray x = sqrt(alpha_bar) mu_* + k w: m_c = w . (mu_* - mu_c), and ``h(k)``
+    is (h, h') with h = (omega - 1) sqrt(alpha_bar) E_r[m] - k for r the posterior at x and
+    h' = -1 - (omega - 1) alpha_bar Var_r[m] <= -1.  :func:`mt_membership`'s dot product at x
+    is -k h(k), so the anomalous set on the ray is (0, c1] for c1 the one root of h."""
+    root, gain = math.sqrt(alpha_bar), omega - 1.0
+    gaps = gmm.means[certificate.component_index] - gmm.means
+    margins = gaps @ certificate.normal
+    base = np.log(gmm.weights) - 0.5 * alpha_bar * np.einsum("cd,cd->c", gaps, gaps)
+
+    def h(k: float) -> tuple[float, float]:
+        r = mx._normalized_exp(base - k * root * margins)
+        mean = float(r @ margins)
+        return gain * root * mean - k, -1.0 - gain * alpha_bar * float(r @ (margins - mean) ** 2)
+
+    return margins, h
+
+
 def estimate_c1(
     gmm: GaussianMixture,
     certificate: SurfaceCertificate,
     alpha_bar: float,
     omega: float,
     k_max: float = 10.0,
-    bisection_tol: float = 1e-8,
-    grid_points: int = 64,
 ) -> float:
     """Largest outward displacement along the certified normal that stays
     in the anomalous set.
 
-    Probes ``sqrt(alpha_bar) * mu + k * w`` on a geometric k-grid over
-    (1e-6, k_max]; the first failing point brackets the boundary, which
-    bisection then pins to ``bisection_tol``, or to adjacent doubles when
-    the tolerance is below their spacing.  Returns 0 when even the
-    smallest probe fails and ``k_max`` when no probe fails.
+    The root c1 of :func:`anomalous_equation`'s h, or ``k_max`` if h(k_max)
+    >= 0.  Newton on h, bisecting when a step would leave the bracket
+    [0, min(k_max, (omega - 1) sqrt(alpha_bar) max m)] or not halve the last
+    one, closes it to adjacent doubles and returns the lower end, the largest
+    double with h >= 0.  As |h'| >= 1, the error is one double spacing plus
+    the forward error of h, c1 (2 Delta + (C + 2) eps) for C components, unit
+    roundoff eps and logits rounded by Delta ~ (dim + 3) eps max |logit|
+    (N. J. Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3).
     """
     if not omega > 1.0:
         raise ValueError("estimate_c1 requires omega > 1")
     if not k_max > 0:
         raise ValueError("k_max must be positive")
-    if not bisection_tol > 0:
-        raise ValueError("bisection_tol must be positive")
-    mu_star = gmm.means[certificate.component_index]
-    base = math.sqrt(alpha_bar) * mu_star
-
-    def member(k: float) -> bool:
-        return mt_membership(gmm, certificate, base + k * certificate.normal, alpha_bar, omega)[0]
-
-    ks = np.geomspace(1e-6, k_max, grid_points)
-    if not member(ks[0]):
-        return 0.0
-    lo = ks[0]
-    hi = None
-    for k in ks[1:]:
-        if member(k):
-            lo = k
+    margins, h = anomalous_equation(gmm, certificate, alpha_bar, omega)
+    lo, hi = 0.0, min(k_max, (omega - 1.0) * math.sqrt(alpha_bar) * float(margins.max()))
+    k, step, (value, slope) = hi, math.inf, h(hi)
+    if value >= 0.0:
+        return float(hi)
+    while (above := float(np.nextafter(lo, hi))) < hi:
+        dx = value / slope
+        # a Newton step below one double has converged: it walks one double on
+        if lo <= k - dx <= hi and abs(dx) <= max(0.5 * step, float(np.spacing(k))):
+            step, k = abs(dx), min(max(k - dx, above), float(np.nextafter(hi, lo)))
         else:
-            hi = k
-            break
-    if hi is None:
-        return float(k_max)
-    while hi - lo > bisection_tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # adjacent doubles: a tolerance below their spacing is met
-        if member(mid):
-            lo = mid
-        else:
-            hi = mid
-    return float(lo)
+            step, k = 0.5 * (hi - lo), lo + 0.5 * (hi - lo)
+        value, slope = h(k)
+        lo, hi = (k, hi) if value >= 0.0 else (lo, k)
+    return lo
 
 
 # ---------------------------------------------------------------------------

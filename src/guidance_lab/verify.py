@@ -176,7 +176,7 @@ def probe_c1_monotone(
     k_max: float,
     bisection_tol: float,
 ) -> ProbeReport:
-    """Positive, strictly growing anomalous interval with a sharp boundary."""
+    """Positive, strictly growing anomalous interval with a sharp boundary (h < 0 at 1.01 c1)."""
     params = {
         "condition": condition,
         "alpha_bar": alpha_bar,
@@ -193,21 +193,14 @@ def probe_c1_monotone(
             measured={"note": f"component {condition} is not a surface class"},
             tolerance=bisection_tol,
         )
-    values = [
-        theory.estimate_c1(gmm, cert, alpha_bar, w, k_max=k_max, bisection_tol=bisection_tol)
-        for w in omegas
-    ]
-    ok = all(v > 0.0 for v in values)
+    values = [theory.estimate_c1(gmm, cert, alpha_bar, w, k_max=k_max) for w in omegas]
     gaps = [b - a for a, b in zip(values, values[1:])]
-    ok = ok and all(g > bisection_tol for g in gaps)
     boundary_exits = []
-    base_point = math.sqrt(alpha_bar) * gmm.means[condition]
     for w, v in zip(omegas, values):
         if 0.0 < v < k_max:
-            member, _ = theory.mt_membership(
-                gmm, cert, base_point + 1.01 * v * cert.normal, alpha_bar, w
-            )
-            boundary_exits.append(not member)
+            _, h = theory.anomalous_equation(gmm, cert, alpha_bar, w)
+            boundary_exits.append(h(1.01 * v)[0] < 0.0)
+    ok = all(v > 0.0 for v in values) and all(g > bisection_tol for g in gaps)
     ok = ok and all(boundary_exits)
     return ProbeReport(
         name="anomalous_interval",

@@ -146,7 +146,7 @@ def test_criterion_4_norm_amplification():
 def test_criterion_5_anomalous_interval():
     started = time.monotonic()
     cert = surface_certificate(PAIR_1D, 1)
-    values = {w: estimate_c1(PAIR_1D, cert, 0.5, w, bisection_tol=1e-8) for w in (2.0, 3.0, 5.0)}
+    values = {w: estimate_c1(PAIR_1D, cert, 0.5, w) for w in (2.0, 3.0, 5.0)}
     assert all(v > 0 for v in values.values())
     assert values[5.0] - values[3.0] > 1e-8
     assert values[3.0] - values[2.0] > 1e-8

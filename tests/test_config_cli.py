@@ -55,6 +55,40 @@ YAML_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_SCALARS, inner, max_size=3),
     max_leaves=8,
 )
+
+
+def _with_last_float(value, bad):
+    """``value`` with its last float, nested in lists, replaced by ``bad``."""
+    return value[:-1] + [_with_last_float(value[-1], bad)] if isinstance(value, list) else bad
+
+
+def _float_leaves(node, path=""):
+    """(dotted path, value) of every leaf of a loaded document holding a float."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _float_leaves(value, f"{path}.{key}" if path else key)
+        return
+    last = node
+    while isinstance(last, list) and last:
+        last = last[-1]
+    if isinstance(last, float):
+        yield path, node
+
+
+# a non-finite entry in each float leaf of the default document, and in a
+# recfg_lambda table; guidance.apg.r = inf is the documented reduction
+NONFINITE_SETTINGS = [
+    f"{path}={yaml.safe_dump(value, default_flow_style=True).splitlines()[0]}"
+    for bad in (math.nan, math.inf, -math.inf)
+    for path, value in [
+        *((path, _with_last_float(value, bad))
+          for path, value in _float_leaves(loads_config(DEFAULT_TEXT).data)),
+        ("guidance.recfg_lambda", {0: 0.5, 1: bad}),
+    ]
+    if not (path == "guidance.apg.r" and bad == math.inf)
+]
+
+
 TRICKY_SCALARS = [
     "1e-8", "1.0e9", "1.0e+400", "-1e400", ".inf", "-.inf", ".nan", "~", "[]", "{}", "0x1F",
     "0o17", "010", "1_000", "1:20", "2001-12-14", "2001-13-45", "!!bool 3", "!!int abc",
@@ -169,9 +203,11 @@ class TestConfig:
     ))
     def test_any_leaf_override_loads_or_is_a_config_error(self, path, value):
         try:
-            loads_config(DEFAULT_TEXT, [f"{path}={value}"])
+            config = loads_config(DEFAULT_TEXT, [f"{path}={value}"])
         except ConfigError:
-            pass
+            return
+        for leaf, held in _float_leaves(config.data):
+            assert leaf == "guidance.apg.r" or np.isfinite(np.ravel(held)).all(), (leaf, held)
 
 
 def run_cli(*argv) -> int:
@@ -252,6 +288,8 @@ class TestCliContracts:
         ("sample", "probes.norm.margin_floor=abc"),
         ("sample", "probes.norm.seed_count=0"),
         ("sample", "probes.c1.omegas=[1.0,2.0]"),
+        ("probe-c1", "probes.c1.omegas=[3.0, 2.0, 5.0]"),
+        ("probe-c1", "probes.c1.omegas=[2.0, 2.0, 5.0]"),
         ("sample", "probes.c1.k_max=0"),
         ("sample", "probes.c1.alpha_bar=1.5"),
         ("sample", "probes.c1.bisection_tol=0"),
@@ -283,6 +321,13 @@ class TestCliContracts:
     def test_invalid_input_exits_2_naming_its_path(self, tmp_path, capsys, command, setting):
         out = tmp_path / "o"
         assert run_cli(command, "--config", DEFAULT, "--out", str(out), "--set", setting) == 2
+        assert setting.partition("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", NONFINITE_SETTINGS)
+    def test_nonfinite_float_exits_2_naming_its_path(self, tmp_path, capsys, setting):
+        out = tmp_path / "o"
+        assert run_cli("sample", "--config", DEFAULT, "--out", str(out), "--set", setting) == 2
         assert setting.partition("=")[0] in capsys.readouterr().err
         assert not out.exists()
 
@@ -401,7 +446,7 @@ class TestCliContracts:
         # a NaN radius would clamp nothing; it is refused instead
         assert run_cli("sample", "--config", DEFAULT, "--out", str(tmp_path / "n"),
                        "--set", "guidance.apg.r=.nan") == 2
-        assert "norm clamp r" in capsys.readouterr().err
+        assert "guidance.apg.r: must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
     def test_cli_import_sets_one_blas_thread_by_default(self, given, expected):

@@ -1,12 +1,10 @@
 """Certifier behavior: membership sets, outward-drift checks, stress tests."""
 
 import math
-import os
 from dataclasses import replace
-import subprocess
-import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -89,31 +87,79 @@ class TestC1Estimation:
         with pytest.raises(ValueError, match="omega"):
             estimate_c1(PAIR_1D, CERT_1D, 0.5, 1.0)
 
-    def test_rejects_nonpositive_bisection_tol(self):
-        with pytest.raises(ValueError, match="bisection_tol"):
-            estimate_c1(PAIR_1D, CERT_1D, 0.5, 3.0, bisection_tol=0.0)
-
-    def test_tolerance_below_double_spacing_terminates(self):
-        # near c1 ~ 0.46 adjacent doubles are 5.6e-17 apart, so a 1e-17
-        # tolerance cannot be met; the bisection must stop at adjacent doubles
-        code = (
-            "from guidance_lab.mixture import GaussianMixture, surface_certificate\n"
-            "from guidance_lab.theory import estimate_c1\n"
-            "gmm = GaussianMixture(dim=1, means=[[-1.0], [1.0]], weights=[0.5, 0.5])\n"
-            "cert = surface_certificate(gmm, 1)\n"
-            "print(repr(estimate_c1(gmm, cert, 0.5, 3.0, bisection_tol=1e-17)))\n"
-        )
-        package_root = os.path.dirname(os.path.dirname(gl.__file__))
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=package_root),
-            capture_output=True, text=True, check=True, timeout=60,
-        )
-        coarse = estimate_c1(PAIR_1D, CERT_1D, 0.5, 3.0, bisection_tol=1e-15)
-        assert float(out.stdout) == pytest.approx(coarse, abs=1e-15)
-
     def test_saturates_at_k_max(self):
         value = estimate_c1(PAIR_1D, CERT_1D, 0.5, 3.0, k_max=0.1)
         assert value == 0.1
+
+
+def _c1_cases():
+    """(gmm, certificate, alpha_bar) for each random mixture whose drawn
+    condition is a surface class."""
+    for gmm, _, alpha_bar, condition in vf.random_mixture_cases(
+            200, 5, max_dim=6, max_components=8):
+        cert = surface_certificate(gmm, condition)
+        if cert is not None:
+            yield gmm, cert, alpha_bar
+
+
+C1_OMEGAS = (1.5, 3.0, 8.0)
+
+
+@pytest.fixture(scope="module")
+def c1_cases():
+    cases = [(gmm, cert, ab, [estimate_c1(gmm, cert, ab, w) for w in C1_OMEGAS])
+             for gmm, cert, ab in _c1_cases()]
+    assert len(cases) * len(C1_OMEGAS) == 456
+    return cases
+
+
+def _mp_guided_h(gmm, cert, alpha_bar, omega):
+    """k -> -dot(k) / k in 50 digits, with dot the guided dot product of
+    mt_membership at x = sqrt(alpha_bar) * mu_* + k * w: h(k), formed
+    without the reduction."""
+    means = [[mpmath.mpf(v) for v in row] for row in gmm.means.tolist()]
+    normal = [mpmath.mpf(v) for v in cert.normal.tolist()]
+    logw = [mpmath.log(w) for w in gmm.weights.tolist()]
+    root, omega = mpmath.sqrt(alpha_bar), mpmath.mpf(omega)
+    mu = means[cert.component_index]
+
+    def g(k):
+        x = [root * m + k * n for m, n in zip(mu, normal)]
+        logits = [lw - mpmath.fsum((xi - root * mi) ** 2 for xi, mi in zip(x, m)) / 2
+                  for lw, m in zip(logw, means)]
+        top = max(logits)
+        resp = [mpmath.exp(v - top) for v in logits]
+        total = mpmath.fsum(resp)
+        s_cond = [root * m - xi for m, xi in zip(mu, x)]
+        s_uncond = [root * mpmath.fsum(r * m[d] for r, m in zip(resp, means)) / total - x[d]
+                    for d in range(gmm.dim)]
+        return -mpmath.fsum((omega * c + (1 - omega) * u) * c
+                            for c, u in zip(s_cond, s_uncond)) / k
+
+    return g
+
+
+class TestC1Theorem:
+    """h' <= -1 makes c1 the one root of h, below (omega - 1) sqrt(ab) max m
+    and growing with omega: checked on 456 random (mixture, omega) cases."""
+
+    def test_c1_is_the_last_double_where_h_holds(self, c1_cases):
+        for gmm, cert, ab, values in c1_cases:
+            assert all(b > a for a, b in zip(values, values[1:]))
+            for omega, c1 in zip(C1_OMEGAS, values):
+                margins, h = th.anomalous_equation(gmm, cert, ab, omega)
+                assert 0.0 < c1 < (omega - 1.0) * math.sqrt(ab) * margins.max()
+                assert h(c1)[0] >= 0.0 > h(float(np.nextafter(c1, math.inf)))[0]
+
+    def test_c1_is_within_1e_13_of_the_50_digit_root(self, c1_cases):
+        # h decreases, so a sign change across c1 * (1 -+ 1e-13) puts the
+        # exact root strictly inside
+        with mpmath.workdps(50):
+            rel = mpmath.mpf("1e-13")
+            for gmm, cert, ab, values in c1_cases:
+                for omega, c1 in zip(C1_OMEGAS, values):
+                    g = _mp_guided_h(gmm, cert, ab, omega)
+                    assert g(c1 * (1 - rel)) > 0 > g(c1 * (1 + rel)), (omega, c1)
 
 
 class TestNormAmplification:
