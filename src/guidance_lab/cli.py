@@ -2,23 +2,23 @@
 
 Exit codes are a stable contract: 0 success, 1 probe/verdict failure,
 2 input error (unreadable or invalid configuration, malformed CSV).
+
+A command imports ``verify``, ``svgplot`` and ``csv`` only when it runs
+them, so the other commands' processes skip compiling and loading them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
 from . import reports as rp
 from . import samplers as sp
-from . import svgplot
 from . import theory
 from .config import ConfigError, ExperimentConfig, load_config
 from .mixture import surface_certificate
-from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_PROBE_FAILURE = 1
@@ -178,6 +178,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     config = _load(args)
     code = _emit_reports(config, run_suite(config), "verify_report.json", "probe_{name}.csv")
     if code == EXIT_OK:
@@ -227,6 +229,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scatter(args) -> int:
+    from . import svgplot
+
     config = _load(args)
     block = config.data["scatter"]
     sets = theory.scatter_experiment(
@@ -266,15 +270,20 @@ def cmd_flow_sample(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    import csv
+
+    from . import svgplot
+
     out = args.out or os.path.splitext(args.csv_path)[0] + ".svg"
     try:
         # inside the handler: a file that is not UTF-8 raises UnicodeDecodeError
         with open(args.csv_path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         if args.kind == "scatter":
-            doc = _plot_scatter(rows, args.omega)
+            doc = svgplot.render_scatter(*_scatter_groups(rows, args.omega))
         else:
-            doc = _plot_sweep(rows)
+            doc = svgplot.render_sweep(
+                _sweep_series(rows), title="mean final norm vs guidance weight")
     except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row's None cell
         print(f"malformed CSV for kind={args.kind}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -283,7 +292,8 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
-def _plot_scatter(rows, omega_filter):
+def _scatter_groups(rows, omega_filter):
+    """The scatter CSV's points grouped by (omega and) component, and a title."""
     groups: dict[str, list[tuple[float, float]]] = {}
     omegas = sorted({row["omega"] for row in rows}) if rows else []
     multi = len(omegas) > 1 and omega_filter is None
@@ -299,17 +309,17 @@ def _plot_scatter(rows, omega_filter):
         groups.setdefault(label, []).append((float(row["x0_0"]), y))
     groups = {k: groups[k] for k in sorted(groups)}
     title = "samples" if omega_filter is None else f"samples at omega={omega_filter:g}"
-    return svgplot.render_scatter(groups, title=title)
+    return groups, title
 
 
-def _plot_sweep(rows):
+def _sweep_series(rows):
+    """The sweep CSV's (omega, mean_norm) points per strategy."""
     series: dict[str, list[tuple[float, float]]] = {}
     for row in rows:
         series.setdefault(row["strategy"], []).append(
             (float(row["omega"]), float(row["mean_norm"]))
         )
-    series = {k: series[k] for k in sorted(series)}
-    return svgplot.render_sweep(series, title="mean final norm vs guidance weight")
+    return {k: series[k] for k in sorted(series)}
 
 
 if __name__ == "__main__":

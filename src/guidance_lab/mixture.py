@@ -17,7 +17,7 @@ vector ``(dim,)`` or a batch ``(..., dim)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,11 +44,17 @@ HULL_DISTANCE_FLOOR = 1e-7
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """Unit-covariance Gaussian mixture: C means with mixing weights."""
+    """Unit-covariance Gaussian mixture: C means with mixing weights.
+
+    ``log_weights`` (log pi_c) and ``half_sq_norms`` (|mu_c|^2 / 2) are
+    derived once, read-only, for the responsibility kernel.
+    """
 
     dim: int
     means: np.ndarray    # (C, dim)
     weights: np.ndarray  # (C,)
+    log_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    half_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         means = np.atleast_2d(np.asarray(self.means, dtype=float))
@@ -65,10 +71,15 @@ class GaussianMixture:
             raise ValueError("all mixing weights must be positive")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise ValueError(f"mixing weights must sum to 1, got {weights.sum()!r}")
-        means.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "weights", weights)
+        derived = {
+            "means": means,
+            "weights": weights,
+            "log_weights": np.log(weights),
+            "half_sq_norms": 0.5 * np.einsum("cd,cd->c", means, means),
+        }
+        for name, value in derived.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n_components(self) -> int:
@@ -109,7 +120,12 @@ def _condition_means(gmm: GaussianMixture, condition) -> np.ndarray:
 
 
 def _component_log_densities(gmm: GaussianMixture, x: np.ndarray, alpha_bar: float) -> np.ndarray:
-    """log N(x; sqrt(alpha_bar)*mu_c, I) for every component; shape (..., C)."""
+    """log N(x; sqrt(alpha_bar)*mu_c, I) for every component; shape (..., C).
+
+    The full form, |x|^2 term included, for :func:`log_density_t`, whose
+    absolute value the score oracle differentiates; responsibilities go
+    through :func:`_responsibilities`.
+    """
     diff = x[..., None, :] - math.sqrt(alpha_bar) * gmm.means  # (..., C, dim)
     # squared in place: a second (..., C, dim) array costs far more than the
     # arithmetic once the batch outgrows about 256 KiB
@@ -134,7 +150,7 @@ def log_density_t(
     if condition is not None:
         out = log_comp[..., _check_condition(gmm, condition)]
     else:
-        logits = log_comp + np.log(gmm.weights)
+        logits = log_comp + gmm.log_weights
         top = logits.max(axis=-1)
         out = top + np.log(np.sum(np.exp(logits - top[..., None]), axis=-1))
     return float(out) if out.ndim == 0 else out
@@ -154,7 +170,24 @@ def posterior_weights(gmm: GaussianMixture, x: np.ndarray, alpha_bar: float) -> 
     """Component responsibilities at x; shape (..., C), rows sum to 1."""
     alpha_bar = _check_alpha_bar(alpha_bar, allow_one=True)
     x = _as_points(gmm, x)
-    return _normalized_exp(_component_log_densities(gmm, x, alpha_bar) + np.log(gmm.weights))
+    return _responsibilities(gmm, x, math.sqrt(alpha_bar), alpha_bar)
+
+
+def _responsibilities(gmm: GaussianMixture, x: np.ndarray, root: float, scale: float) -> np.ndarray:
+    """softmax_c(root * x.mu_c - scale * |mu_c|^2 / 2 + log pi_c); shape (..., C).
+
+    The responsibilities when component c puts x at N(a * mu_c, v * I),
+    with root = a / v and scale = a^2 / v (sqrt(alpha_bar) and alpha_bar
+    for the noised mixture).  In this Gram form the |x|^2 term, common to
+    every component, has cancelled: no (..., C, dim) difference array is
+    built and nothing is lost to cancellation far from the means.  einsum
+    rather than a BLAS matmul: its per-row sums do not depend on how many
+    rows the batch holds.
+    """
+    logits = np.einsum("...d,cd->...c", x, gmm.means)
+    logits *= root
+    logits += gmm.log_weights - scale * gmm.half_sq_norms
+    return _normalized_exp(logits)
 
 
 def _normalized_exp(logits: np.ndarray) -> np.ndarray:

@@ -472,16 +472,16 @@ def sample_finals(
 def finals_peak_bytes(rows: int, dim: int, components: int, inner_steps: int = 0) -> int:
     """Upper bound on the bytes one :func:`sample_finals` drive holds at once.
 
-    Per row: its ``(components, dim)`` posterior difference array, about
-    sixteen ``(dim,)`` state, prediction, geometry and step vectors, six
-    ``(components,)`` responsibility temporaries and, for pcg, the
-    corrector's ``(inner_steps, dim)`` draws, held twice while they are
-    stacked; 48 floats more cover each row's seed and weight.  The scaled
-    means are charged twice and 256 KiB covers the reduction buffers and
-    fixed objects.  tracemalloc measures at most 85% of this over dims
-    1-128, 1-64 components, 1-1000 rows and every strategy.
+    Per row: about sixteen ``(dim,)`` state, prediction, geometry and step
+    vectors, six ``(components,)`` logit and responsibility temporaries
+    (the Gram-form kernel builds no ``(components, dim)`` array) and, for
+    pcg, the corrector's ``(inner_steps, dim)`` draws, held twice while
+    they are stacked; 48 floats more cover each row's seed and weight.
+    Twice the means and 256 KiB cover the reduction buffers and fixed
+    objects.  tracemalloc measures at most 85% of this over dims 1-128,
+    1-64 components, 1-1000 rows and every strategy.
     """
-    per_row = components * dim + 16 * dim + 6 * components + 2 * inner_steps * dim + 48
+    per_row = 16 * dim + 6 * components + 2 * inner_steps * dim + 48
     return 8 * (rows * per_row + 2 * components * dim) + 2**18
 
 
@@ -592,12 +592,11 @@ def flow_posterior_mean_x1(
     precision = 1.0 + t * t / var
     if condition is not None:
         return (mx._condition_means(gmm, condition) + (t / var) * x_t) / precision
-    # responsibilities under x_t | c ~ N(t * mu_c, (var + t^2) I)
+    # responsibilities under x_t | c ~ N(t * mu_c, (var + t^2) I): the noised
+    # mixture's at alpha_bar = t^2 / (var + t^2) and x = x_t / sqrt(var + t^2)
     obs_var = var + t * t
-    diff = x_t[..., None, :] - t * gmm.means
-    resp = mx._normalized_exp(-0.5 * np.sum(diff * diff, axis=-1) / obs_var + np.log(gmm.weights))
-    comp_means = (gmm.means + (t / var) * x_t[..., None, :]) / precision
-    return np.sum(resp[..., None] * comp_means, axis=-2)
+    resp = mx._responsibilities(gmm, x_t, t / obs_var, t * t / obs_var)
+    return (np.einsum("...c,cd->...d", resp, gmm.means) + (t / var) * x_t) / precision
 
 
 def flow_sample_adg(

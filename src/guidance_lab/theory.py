@@ -120,7 +120,7 @@ def anomalous_equation(
     root, gain = math.sqrt(alpha_bar), omega - 1.0
     gaps = gmm.means[certificate.component_index] - gmm.means
     margins = gaps @ certificate.normal
-    base = np.log(gmm.weights) - 0.5 * alpha_bar * np.einsum("cd,cd->c", gaps, gaps)
+    base = gmm.log_weights - 0.5 * alpha_bar * np.einsum("cd,cd->c", gaps, gaps)
 
     def h(k: float) -> tuple[float, float]:
         r = mx._normalized_exp(base - k * root * margins)

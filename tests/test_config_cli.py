@@ -473,6 +473,18 @@ class TestCliContracts:
         )
         assert out.stdout.strip() == "False"
 
+    def test_sweep_leaves_verify_and_svgplot_unloaded(self, tmp_path):
+        package_root = os.path.dirname(os.path.dirname(guidance_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        argv = ["sweep", "--config", DEFAULT, "--out", str(tmp_path), "--set", "grid.steps=10",
+                "--set", "sweep.seed_count=2"]
+        code = (f"import sys, guidance_lab.cli as cli; code = cli.main({argv!r}); "
+                "print(code, *(f'guidance_lab.{m}' in sys.modules for m in ('verify', 'svgplot')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.split()[-3:] == ["0", "False", "False"]
+        assert (tmp_path / "sweep.csv").is_file()
+
     def test_missing_config_is_input_error(self, tmp_path):
         assert run_cli("sample", "--config", str(tmp_path / "nope.yaml")) == 2
 

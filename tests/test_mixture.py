@@ -21,6 +21,7 @@ from guidance_lab.mixture import (
     score_unconditional,
     surface_certificate,
 )
+from guidance_lab.samplers import flow_posterior_mean_x1
 from guidance_lab.verify import random_mixture_cases
 
 PAIR_1D = GaussianMixture(dim=1, means=[[-1.0], [1.0]], weights=[0.5, 0.5])
@@ -203,6 +204,79 @@ class TestPosteriorWeights:
         shifted = np.exp(logits - logits.max())
         shifted /= shifted.sum()
         np.testing.assert_allclose(base, shifted, atol=1e-14)
+
+
+# means on the first axis: far out along the second, every component sees the
+# same huge |x|^2, and only x . mu_c tells them apart
+FAR_LINE = GaussianMixture(dim=2, means=[[1.0, 0.0], [2.0, 0.0], [4.0, 0.0]],
+                           weights=[0.2, 0.3, 0.5])
+FAR_OFFSETS = (1e-3, 0.3, 2.0)
+
+
+def mp_responsibilities(gmm, x, a, v):
+    """50-digit softmax_c(log pi_c - |x - a mu_c|^2 / (2 v)) of float inputs."""
+    with mp.workdps(50):
+        logits = [
+            mp.log(w) - mp.fsum((mp.mpf(xi) - a * mi) ** 2 for xi, mi in zip(x, m)) / (2 * v)
+            for w, m in zip(gmm.weights.tolist(), gmm.means.tolist())
+        ]
+        top = max(logits)
+        e = [mp.exp(value - top) for value in logits]
+        total = mp.fsum(e)
+        return [value / total for value in e]
+
+
+def assert_rel_close(got, ref, rel=1e-13):
+    with mp.workdps(50):
+        for g, r in zip(np.asarray(got).tolist(), ref):
+            assert abs(mp.mpf(g) - r) <= rel * abs(r), (g, r)
+
+
+class TestResponsibilityKernel:
+    """The Gram-form kernel behind posterior_weights and the flow posterior."""
+
+    def test_derived_vectors_are_stored_read_only(self):
+        np.testing.assert_array_equal(SQUARE.log_weights, np.log(SQUARE.weights))
+        np.testing.assert_array_equal(SQUARE.half_sq_norms, [1.0] * 4)
+        for arr in (SQUARE.log_weights, SQUARE.half_sq_norms):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("radius", [1e2, 1e4, 1e6, 1e8])
+    def test_far_field_weights_match_mpmath(self, radius):
+        for delta in FAR_OFFSETS:
+            x = np.array([delta, -radius])
+            with mp.workdps(50):
+                ref = mp_responsibilities(FAR_LINE, x.tolist(), mp.sqrt(mp.mpf(0.5)), 1)
+            assert_rel_close(posterior_weights(FAR_LINE, x, 0.5), ref)
+
+    @pytest.mark.parametrize("radius", [1e2, 1e4, 1e6, 1e8])
+    def test_far_field_flow_posterior_matches_mpmath(self, radius):
+        means = FAR_LINE.means.tolist()
+        for delta in FAR_OFFSETS:
+            x = np.array([delta, -radius])
+            for t in (0.0, 0.5, 0.9):
+                with mp.workdps(50):
+                    t_mp = mp.mpf(t)
+                    var = (1 - (1 - mp.mpf(0.1)) * t_mp) ** 2
+                    resp = mp_responsibilities(FAR_LINE, x.tolist(), t_mp, var + t_mp**2)
+                    ref = [(mp.fsum(r * m[k] for r, m in zip(resp, means)) + t_mp / var * x[k])
+                           / (1 + t_mp**2 / var) for k in range(2)]
+                assert_rel_close(flow_posterior_mean_x1(FAR_LINE, x, t, 0.1), ref)
+
+    @pytest.mark.parametrize("dim, n_comp", [(2, 4), (32, 16)])
+    def test_rows_equal_one_row_calls(self, dim, n_comp):
+        # einsum row sums do not depend on the batch size; a BLAS matmul's may
+        rng = np.random.default_rng(dim)
+        weights = rng.dirichlet(np.ones(n_comp))
+        gmm = GaussianMixture(dim=dim, means=2 * rng.standard_normal((n_comp, dim)),
+                              weights=weights / weights.sum())
+        x = 3 * rng.standard_normal((3000, dim))
+        for fn in (lambda p: posterior_weights(gmm, p, 0.4),
+                   lambda p: posterior_mean_x0(gmm, p, 0.4),
+                   lambda p: flow_posterior_mean_x1(gmm, p, 0.6, 0.1)):
+            single = np.concatenate([fn(x[i:i + 1]) for i in range(len(x))])
+            for n in (1, 2, 7, 192, 3000):
+                np.testing.assert_array_equal(fn(x[:n]), single[:n])
 
 
 class TestPosteriorMean:
