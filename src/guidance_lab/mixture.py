@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -200,7 +201,8 @@ def score_unconditional(gmm: GaussianMixture, x: np.ndarray, alpha_bar: float) -
     """Gradient of the mixture log density: -x + sqrt(alpha_bar) * E_resp[mu]."""
     resp = posterior_weights(gmm, x, alpha_bar)
     x = _as_points(gmm, x)
-    return -x + math.sqrt(alpha_bar) * (resp @ gmm.means)
+    # einsum, as in posterior_mean_x0: a row's value does not depend on its batch
+    return -x + math.sqrt(alpha_bar) * np.einsum("...c,cd->...d", resp, gmm.means)
 
 
 def posterior_mean_x0(
@@ -285,7 +287,8 @@ class SurfaceCertificate:
 
     ``normal`` is unit length, touches the certified mean
     (``w^T mu + b = 0``) and every other mean sits strictly on the
-    negative side by at least ``min_margin``.
+    negative side.  ``min_margin`` is the smallest ``w^T (mu - mu_o)``
+    over the other means, computed exactly and rounded to a double.
     """
 
     component_index: int
@@ -308,47 +311,57 @@ class ComponentClassification:
     certificate: SurfaceCertificate | None
 
 
-def project_onto_hull(
-    points: np.ndarray,
-    target: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean projection of target onto conv(points) by projected gradient.
+def project_onto_hull(points: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean projection of target onto conv(points): (projection, simplex coefficients).
 
-    Minimizes ``|points^T lam - target|^2`` over the probability simplex.
-    Returns (projection, simplex coefficients).
+    P. Wolfe's minimum-norm-point method (Math. Programming 11, 1976) on p = points - target,
+    over a corral of active points.  Finite and untuned: it returns once x.x - min_j p_j.x
+    <= 1e-15 * max_j |p_j|^2 for the shifted projection x, and raises ArithmeticError if
+    rounding stalls it first.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     target = np.asarray(target, dtype=float)
-    n = points.shape[0]
-    if n == 1:
-        return points[0].copy(), np.array([1.0])
-    lam = np.full(n, 1.0 / n)
-    gram = points @ points.T
-    lin = points @ target
-    # Lipschitz constant of the gradient of |A^T lam - y|^2 is 2*||A||_2^2.
-    lip = 2.0 * np.linalg.norm(points, 2) ** 2
-    step = 1.0 / max(lip, 1e-30)
-    for _ in range(max_iter):
-        grad = 2.0 * (gram @ lam - lin)
-        new = _project_simplex(lam - step * grad)
-        if np.max(np.abs(new - lam)) < tol:
-            lam = new
-            break
-        lam = new
-    return points.T @ lam, lam
+    p = np.atleast_2d(np.asarray(points, dtype=float)) - target
+    sq = np.einsum("nd,nd->n", p, p)
+    active, lam = [int(np.argmin(sq))], np.ones(1)
+    while True:
+        x = lam @ p[active]
+        dots = p @ x
+        j = int(np.argmin(dots))
+        if x @ x - dots[j] <= 1e-15 * sq.max():
+            return x + target, np.bincount(active, lam, len(p))
+        if j in active:
+            raise ArithmeticError("hull projection stalled: its next point is already active")
+        active, lam = active + [j], np.append(lam, 0.0)
+        while True:
+            # the corral's affine minimiser, square-root-free Gram-Schmidt on d_i = q_i - q_0
+            v = np.vstack([p[active[1:]] - p[active[0]], p[active[:1]]])
+            tri = np.eye(len(v))
+            for i in range(len(v) - 1):
+                tri[i, i + 1:] = v[i + 1:] @ v[i] / (v[i] @ v[i])
+                v[i + 1:] -= np.outer(tri[i, i + 1:], v[i])
+            c = np.linalg.solve(tri[:-1, :-1], -tri[:-1, -1])
+            mu = np.append(1.0 - c.sum(), c)
+            out = mu < 0
+            if out.any():  # step toward mu until a coefficient reaches 0
+                ratios = lam[out] / (lam[out] - mu[out])
+                mu = lam + ratios.min() * (mu - lam)
+                mu[np.flatnonzero(out)[np.argmin(ratios)]] = 0.0
+            active, lam = [i for i, w in zip(active, mu) if w > 0], mu[mu > 0]
+            if not out.any():
+                break
+        if active[-1] != j:
+            raise ArithmeticError("hull projection stalled: its new point left at once")
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of v onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+def _as_integers(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Doubles as exact Python integers over one power-of-two denominator.
+
+    Every finite double is an integer over a power of two, so scaling to
+    the largest denominator is exact; returns (object array, denominator).
+    """
+    ratios = [v.as_integer_ratio() for v in values.ravel().tolist()]
+    den = max(d for _, d in ratios)
+    return np.array([n * (den // d) for n, d in ratios], dtype=object).reshape(values.shape), den
 
 
 def classify_component(gmm: GaussianMixture, component_index: int) -> ComponentClassification:
@@ -358,8 +371,8 @@ def classify_component(gmm: GaussianMixture, component_index: int) -> ComponentC
     means.  A positive hull distance yields a candidate normal pointing
     from the projection toward the candidate; the component is "surface"
     only when every other mean then sits below the hyperplane by more
-    than ``HULL_DISTANCE_FLOOR``.  Smaller hull distances or margins
-    (an unconverged projection can leave a negative one) are classified
+    than ``HULL_DISTANCE_FLOOR``, a margin computed exactly from the float
+    normal and means.  Smaller hull distances or margins are classified
     non-surface, as is the all-means-coincide degenerate case.
     """
     component_index = _check_condition(gmm, component_index)
@@ -377,14 +390,17 @@ def classify_component(gmm: GaussianMixture, component_index: int) -> ComponentC
         return ComponentClassification(component_index, "interior", distance, None)
     normal = gap / distance
     offset = -float(normal @ mu_star)
-    min_margin = float((-(others @ normal + offset)).min())
+    # every margin w.mu* - w.mu_o exactly, in integers over a common denominator
+    w, w_den = _as_integers(normal)
+    means, means_den = _as_integers(np.vstack([mu_star, others]))
+    min_margin = Fraction(int(((means[0] - means[1:]) @ w).min()), w_den * means_den)
     if min_margin <= HULL_DISTANCE_FLOOR:
         return ComponentClassification(component_index, "interior", distance, None)
     cert = SurfaceCertificate(
         component_index=component_index,
         normal=normal,
         offset=offset,
-        min_margin=min_margin,
+        min_margin=float(min_margin),
     )
     return ComponentClassification(component_index, "surface", distance, cert)
 

@@ -2,10 +2,12 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import guidance_lab.mixture as mx
 from guidance_lab.mixture import (
@@ -273,6 +275,7 @@ class TestResponsibilityKernel:
         x = 3 * rng.standard_normal((3000, dim))
         for fn in (lambda p: posterior_weights(gmm, p, 0.4),
                    lambda p: posterior_mean_x0(gmm, p, 0.4),
+                   lambda p: score_unconditional(gmm, p, 0.4),
                    lambda p: flow_posterior_mean_x1(gmm, p, 0.6, 0.1)):
             single = np.concatenate([fn(x[i:i + 1]) for i in range(len(x))])
             for n in (1, 2, 7, 192, 3000):
@@ -417,6 +420,83 @@ def brute_force_hull_projection(points, target, refinements=60):
     return best_lam @ points, best
 
 
+def hull_projection_family():
+    """Every component's mean against the hull of the other means, over
+    random_mixture_cases(300, 3, max_dim=8, max_components=12), then 150
+    points inside a random simplex by construction: 2031 projections."""
+    for gmm, *_ in random_mixture_cases(300, 3, max_dim=8, max_components=12):
+        for c in range(gmm.n_components if gmm.n_components > 1 else 0):
+            yield np.delete(gmm.means, c, axis=0), gmm.means[c]
+    rng = np.random.default_rng(1)
+    for _ in range(150):
+        dim = int(rng.integers(2, 6))
+        vertices = rng.uniform(-5.0, 5.0, (dim + 1, dim))
+        yield vertices, rng.dirichlet(np.ones(dim + 1)) @ vertices
+
+
+def in_hull_by_linprog(points, target):
+    """Oracle: target lies in conv(points) iff lam >= 0, sum(lam) = 1,
+    points^T lam = target is feasible."""
+    n = len(points)
+    result = linprog(np.zeros(n), A_eq=np.vstack([points.T, np.ones(n)]),
+                     b_eq=np.append(target, 1.0), bounds=(0, None), method="highs")
+    assert result.status in (0, 2), result.message  # feasible or infeasible
+    return result.status == 0
+
+
+def assert_exact_projection(points, target, kkt=1e-12):
+    """Simplex coefficients that describe the projection, and first-order
+    optimality x.(p_j - x) >= 0 for p = points - target, x = projection - target,
+    relative to max_j |p_j|^2."""
+    projection, lam = project_onto_hull(points, target)
+    p, x = points - target, projection - target
+    scale = np.max(np.einsum("nd,nd->n", p, p))
+    assert lam.min() >= 0.0 and abs(lam.sum() - 1.0) <= 1e-12
+    assert np.max(np.abs(lam @ p - x)) <= 1e-12 * math.sqrt(scale)
+    assert x @ x - np.min(p @ x) <= kkt * scale
+    return projection
+
+
+class TestHullProjection:
+    """Wolfe's minimum-norm-point method against independent references."""
+
+    def test_classification_agrees_with_linprog_oracle(self):
+        cases = list(hull_projection_family())
+        assert len(cases) == 2031
+        for points, target in cases:
+            projection = assert_exact_projection(points, target)
+            outside = np.linalg.norm(projection - target) > HULL_DISTANCE_FLOOR
+            assert outside != in_hull_by_linprog(points, target), (points, target)
+
+    def test_degenerate_inputs(self):
+        # repeated points, collinear sets, a target on a vertex, and hulls
+        # flat to a relative 1e-5..1e-14 (which the normal equations D D^T,
+        # squaring the conditioning, cannot resolve), at scales 1e-8..1e8
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            dim = int(rng.integers(2, 9))
+            base = rng.standard_normal((int(rng.integers(2, 8)), dim))
+            line = base[0] + rng.uniform(-2, 2, (5, 1)) * base[1]
+            flat = rng.standard_normal((2 * dim, dim - 1)) @ rng.standard_normal((dim - 1, dim))
+            for scale in (1e-8, 1.0, 1e8):
+                assert_exact_projection(scale * base[rng.integers(0, len(base), 9)],
+                                        scale * rng.standard_normal(dim))
+                assert_exact_projection(scale * line, scale * rng.standard_normal(dim))
+                np.testing.assert_array_equal(
+                    assert_exact_projection(scale * base, scale * base[0]), scale * base[0])
+                for eps in (1e-5, 1e-8, 1e-11, 1e-14):
+                    thin = flat + eps * rng.standard_normal(flat.shape)
+                    assert_exact_projection(scale * thin, scale * rng.standard_normal(dim))
+
+    def test_square_projection_is_exact(self):
+        # exact data stays exact: the surface normals of the square are the diagonals
+        for c in range(4):
+            projection, lam = project_onto_hull(np.delete(SQUARE.means, c, axis=0),
+                                                SQUARE.means[c])
+            np.testing.assert_array_equal(projection, [0.0, 0.0])
+            assert sorted(lam) == [0.0, 0.5, 0.5]
+
+
 class TestSurfaceCertificates:
     def test_square_every_vertex_is_surface(self):
         for c in range(4):
@@ -434,9 +514,9 @@ class TestSurfaceCertificates:
         assert surface_certificate(g, 0) is not None
 
     def test_interior_by_construction_is_interior(self):
-        # a Dirichlet-weighted point inside a random simplex; the projected
-        # gradient can stop short of the hull and hand out a normal that
-        # leaves other means above the hyperplane
+        # a Dirichlet-weighted point inside a random simplex; a projection
+        # that stops short of the hull hands out a normal that leaves other
+        # means above the hyperplane
         rng = np.random.default_rng(1)
         for _ in range(50):
             dim = int(rng.integers(2, 6))
@@ -485,6 +565,26 @@ class TestSurfaceCertificates:
                 for o in range(n_comp):
                     if o != c:
                         assert cert.normal @ means[o] + cert.offset <= -cert.min_margin + 1e-12
+
+    def test_min_margin_is_the_exact_margin_rounded(self):
+        # the certificate's margins are exact statements about its float normal
+        # and the float means; a float dot product misses the last bit about
+        # half the time
+        certified = 0
+        for gmm, *_ in random_mixture_cases(100, 3, max_dim=8, max_components=12):
+            means = gmm.means.tolist()
+            for c in range(gmm.n_components if gmm.n_components > 1 else 0):
+                cert = surface_certificate(gmm, c)
+                if cert is None:
+                    continue
+                certified += 1
+                w = [Fraction(v) for v in cert.normal.tolist()]
+                exact = min(
+                    sum(wd * (Fraction(a) - Fraction(b)) for wd, a, b in zip(w, means[c], row))
+                    for o, row in enumerate(means) if o != c)
+                assert exact > HULL_DISTANCE_FLOOR
+                assert cert.min_margin == float(exact)
+        assert certified > 300
 
     def test_projection_matches_brute_force(self):
         rng = np.random.default_rng(53)
