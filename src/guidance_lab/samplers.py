@@ -15,14 +15,15 @@ same whichever batch of seeds, or group of runs, it runs in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from . import guidance as gd
 from . import mixture as mx
-from .guidance import ApgState, GuidanceConfig, PredictionPair
+from .guidance import ApgState, GuidanceConfig
 from .mixture import GaussianMixture
 from .schedule import FlowPath, TimeGrid
 
@@ -180,8 +181,11 @@ class TrajectoryRecord:
 # None, APG state, log columns); the rows carry each row's guidance weight
 # as an (n, 1) column and, for recfg, its lambda.  Only cfgpp returns the next state itself: its
 # renoising noise is not the one a DDIM step would derive from the guided
-# prediction.  On the flow path the pair and alpha_bar_prev are None; only
-# "adg" runs there.
+# prediction.  At alpha_bar = 0, the flow path's start, the eps-space rules
+# (recfg, cfgpp) and the pcg corrector are undefined and abort the drive; so
+# the pair is a _Pair, PredictionPair's fields without its checks.
+_Pair = namedtuple("_Pair", "x0_cond x0_uncond x_t alpha_bar_t")
+
 
 class Run(NamedTuple):
     """One group of rows in a drive: a config, its condition (one
@@ -307,19 +311,18 @@ def _stream_draws(seeds, step: int, shape: tuple) -> np.ndarray:
     return np.array([drawn[s] for s in seeds]).reshape((len(seeds),) + shape)
 
 
-def _drive(gmm, runs, grid=None, flow=None, log=True):
+def _drive(gmm, runs, times, alpha_bars, log=True):
     """Advance every row of every run together as one (n, dim) array.
 
     The runs' rows are stacked in order; row j of a run follows seed
-    ``seeds[j]`` under its condition and weight.  Once per step, for all
-    rows, the VP path (``grid``) predicts x0 by the exact posterior means,
-    measures the pair geometry and takes a DDIM step; the flow path
-    (``flow = (sigma_min, steps)``) predicts x1 and takes an Euler step.
-    Each run applies its own strategy rule (with its APG momentum, or
-    cfgpp's own next state) and pcg corrector to its slice of rows, so a
-    row is the same in any drive.  Returns one entry per run: its records,
-    or with ``log=False`` its ``(n, dim)`` final states alone, with no
-    per-step log allocated.
+    ``seeds[j]`` under its condition and weight.  Step i runs once for all
+    rows: it predicts x0 by the exact posterior means at ``alpha_bars[i]``
+    (logged at ``times[i]``), measures the pair geometry and takes a DDIM
+    step to ``alpha_bars[i + 1]``.  Each run applies its own strategy rule
+    (with its APG momentum, or cfgpp's own next state) and pcg corrector
+    to its slice of rows, so a row is the same in any drive.  Returns one
+    entry per run: its records, or with ``log=False`` its ``(n, dim)``
+    final states alone, with no per-step log allocated.
     """
     groups = [_rows(run) for run in runs]
     ends = np.cumsum([len(rows.seeds) for rows in groups]).tolist()
@@ -332,12 +335,6 @@ def _drive(gmm, runs, grid=None, flow=None, log=True):
         condition = np.concatenate([np.broadcast_to(c, (len(rows.seeds),))
                                     for c, rows in zip(conditions, groups)])
     x = _stream_draws(seeds, 0, (gmm.dim,))
-    if flow is None:
-        times = grid.times[:-1]
-    else:
-        sigma_min, steps = flow
-        dt = 1.0 / steps
-        times = np.arange(steps) * dt
     if log:
         shape = (len(times),) + x.shape
         x_t, x0_cond, x0_uncond, x0_guided = (np.empty(shape) for _ in range(4))
@@ -345,21 +342,18 @@ def _drive(gmm, runs, grid=None, flow=None, log=True):
     states = [ApgState.zero((len(rows.seeds), gmm.dim)) for rows in groups]
     for i, t in enumerate(times):
         try:
-            if flow is None:
-                ab_t, ab_prev = float(grid.alpha_bars[i]), float(grid.alpha_bars[i + 1])
+            ab_t, ab_prev = float(alpha_bars[i]), float(alpha_bars[i + 1])
+            if ab_t > 0.0:
                 cond = mx.posterior_mean_x0(gmm, x, ab_t, condition)
                 uncond = mx.posterior_mean_x0(gmm, x, ab_t, None)
-            else:
-                cond = flow_posterior_mean_x1(gmm, x, t, sigma_min, condition)
-                uncond = flow_posterior_mean_x1(gmm, x, t, sigma_min, None)
-                pair = ab_prev = None
+            else:  # pure noise, the flow's start: the prior means, exactly
+                cond = np.broadcast_to(mx._condition_means(gmm, condition), x.shape)
+                uncond = np.broadcast_to(gmm.weights @ gmm.means, x.shape)
             geo = gd._pair_geometry(cond, uncond)
             guided = np.empty_like(x)
             own_next = []
             for k, (run, rows, sl) in enumerate(zip(runs, groups, slices)):
-                if flow is None:
-                    pair = PredictionPair(x0_cond=cond[sl], x0_uncond=uncond[sl], x_t=x[sl],
-                                          alpha_bar_t=ab_t)
+                pair = _Pair(cond[sl], uncond[sl], x[sl], ab_t)
                 geo_k = gd._PairGeometry._make(a[sl] for a in geo)
                 guided[sl], x_next, states[k], columns = _STEP_RULES[run.config.strategy](
                     pair, geo_k, run.config, rows, ab_prev, states[k])
@@ -369,8 +363,8 @@ def _drive(gmm, runs, grid=None, flow=None, log=True):
                     gamma_omega[i, sl] = np.where(geo_k.safe, columns["gamma_omega"], math.nan)
                 if log and "cfgpp_residual" in columns:
                     residual[i, sl] = columns["cfgpp_residual"]
-            x_next = (ddim_step(x, guided, ab_t, ab_prev) if flow is None
-                      else flow_euler_step(x, guided, t, dt, sigma_min))
+            x_next = (ddim_step(x, guided, ab_t, ab_prev) if ab_t > 0.0
+                      else math.sqrt(ab_prev) * guided + math.sqrt(1.0 - ab_prev) * x)
             for sl, own in own_next:
                 x_next[sl] = own
             for run, rows, sl in zip(runs, groups, slices):
@@ -390,10 +384,9 @@ def _drive(gmm, runs, grid=None, flow=None, log=True):
     out = []
     for run, rows, sl in zip(runs, groups, slices):
         strategy = run.config.strategy
-        label = strategy if flow is None else "flow_" + strategy
         out.append([
             TrajectoryRecord(
-                seed=seed, strategy=label, omega=float(rows.omega[j, 0]), times=times,
+                seed=seed, strategy=strategy, omega=float(rows.omega[j, 0]), times=times,
                 x_t=x_t[:, row], x0_cond=x0_cond[:, row], x0_uncond=x0_uncond[:, row],
                 x0_guided=x0_guided[:, row], gamma=gamma[:, row],
                 gamma_omega=gamma_omega[:, row], guided_norm=guided_norm[:, row],
@@ -430,7 +423,7 @@ def sample_runs(gmm: GaussianMixture, grid: TimeGrid, runs, log: bool = True) ->
     records as :func:`sample_batch` returns them, or with ``log=False``
     its final states as :func:`sample_finals` returns them, bit for bit.
     """
-    return _drive(gmm, runs, grid=grid, log=log)
+    return _drive(gmm, runs, grid.times[:-1], grid.alpha_bars, log)
 
 
 def sample_batch(
@@ -447,7 +440,7 @@ def sample_batch(
     and a deterministic step advances the state ("pcg" adds its
     stochastic corrector).  Each record equals the one-seed run.
     """
-    return _drive(gmm, [Run(config, condition, seeds)], grid=grid)[0]
+    return sample_runs(gmm, grid, [Run(config, condition, seeds)])[0]
 
 
 def sample_finals(
@@ -466,7 +459,7 @@ def sample_finals(
     equals the final state of ``sample_batch`` at that row's condition and
     weight, bit for bit, but no per-step log is kept.
     """
-    return _drive(gmm, [Run(config, condition, seeds, omega)], grid=grid, log=False)[0]
+    return sample_runs(gmm, grid, [Run(config, condition, seeds, omega)], log=False)[0]
 
 
 def finals_peak_bytes(rows: int, dim: int, components: int, inner_steps: int = 0) -> int:
@@ -496,14 +489,21 @@ def flow_sample_batch(
 ) -> list[TrajectoryRecord]:
     """Integrate the guided flow from noise (t=0) to data (t=1) for every seed.
 
-    Per step the exact conditional/unconditional clean-target posteriors
-    are rotated by the capped-angle rule before re-deriving the velocity.
+    On x_t = t * x1 + sigma_t * eps, y = x_t / s with s = hypot(t, sigma_t) is
+    the VP noising of x1 at alpha_bar = (t / s)^2 and the Euler step is y's
+    DDIM step, so the capped-angle rule drives y; the log holds t and s * y.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     path = FlowPath(sigma_min=sigma_min)
+    t = np.arange(steps + 1) * (1.0 / steps)
+    s = np.hypot(t, 1.0 - (1.0 - path.sigma_min) * t)
     config = GuidanceConfig(strategy="adg", omega=omega, angle_cap=angle_cap)
-    return _drive(gmm, [Run(config, condition, seeds)], flow=(path.sigma_min, steps))[0]
+    records = _drive(gmm, [Run(config, condition, seeds)], t[:-1], (t / s) ** 2)[0]
+    for rec in records:  # views of one log: each scales its own rows, no copy
+        np.multiply(rec.x_t, s[:-1, None], out=rec.x_t)
+        np.multiply(rec.final_x0, s[-1], out=rec.final_x0)
+    return [replace(rec, strategy="flow_adg") for rec in records]
 
 
 def sample_trajectory(

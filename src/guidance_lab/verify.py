@@ -138,6 +138,8 @@ def probe_surface_invariants(gmm: GaussianMixture, tolerance: float = 1e-9) -> P
     touches, units = [0.0], [0.0]
     n_surface = 0
     ok = True
+    # a float margin w.mu_o + b is off the exact one by about 3e-16 * max|mu|
+    slack = 1e-12 * max(1.0, float(np.max(np.abs(gmm.means))))
     for c in range(gmm.n_components):
         decision = mx.classify_component(gmm, c)
         if decision.certificate is None:
@@ -151,7 +153,7 @@ def probe_surface_invariants(gmm: GaussianMixture, tolerance: float = 1e-9) -> P
             for o in range(gmm.n_components)
             if o != c
         ]
-        if min(margins) < cert.min_margin - 1e-12 or cert.min_margin <= 0.0:
+        if min(margins) < cert.min_margin - slack or cert.min_margin <= 0.0:
             ok = False
     worst_touch, worst_unit = float(np.max(touches)), float(np.max(units))
     ok = ok and worst_touch <= tolerance and worst_unit <= 1e-12

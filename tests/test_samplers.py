@@ -3,12 +3,14 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from guidance_lab import samplers as sp
-from guidance_lab.guidance import STRATEGIES, GuidanceConfig
+from guidance_lab import guidance as gd
+from guidance_lab.guidance import STRATEGIES, ApgState, GuidanceConfig
 from guidance_lab.mixture import GaussianMixture, posterior_mean_x0, score_conditional
 from guidance_lab.samplers import (
     EquivalenceUndefined,
@@ -46,6 +48,29 @@ def _wide_mixture():
 
 
 WIDE = _wide_mixture()
+
+
+def flow_levels(sigma_min, steps):
+    """Flow times t_i, the VP levels (t_i / s_i)^2 of y = x / s and the scales
+    s_i = hypot(t_i, sigma_t), as flow_sample_batch builds them."""
+    t = np.arange(steps + 1) * (1.0 / steps)
+    s = np.hypot(t, 1.0 - (1.0 - sigma_min) * t)
+    return t[:-1], (t / s) ** 2, s
+
+
+def flow_euler_reference(gmm, sigma_min, steps, condition, seeds, guide):
+    """Hand-written flow loop: exact x1 posteriors, ``guide(cond, uncond)``
+    and an Euler step; returns the states at each step and the finals."""
+    x = np.array([step_rng(s, 0).standard_normal(gmm.dim) for s in seeds])
+    dt = 1.0 / steps
+    states = []
+    for i in range(steps):
+        t = i * dt
+        states.append(x)
+        x1_hat = guide(flow_posterior_mean_x1(gmm, x, t, sigma_min, condition),
+                       flow_posterior_mean_x1(gmm, x, t, sigma_min, None))
+        x = flow_euler_step(x, x1_hat, t, dt, sigma_min)
+    return np.stack(states, axis=1), x
 
 
 def ddim_population(gmm, grid, condition, n, seed):
@@ -390,6 +415,60 @@ class TestFlow:
             x = flow_euler_step(x, flow_posterior_mean_x1(g, x, t, 0.1, 0), t, dt, 0.1)
         np.testing.assert_allclose(rec.final_x0, x, atol=1e-12)
 
+    @pytest.mark.parametrize("sigma_min", [0.0, 0.1])
+    @pytest.mark.parametrize("steps", [1, 50])
+    def test_guided_flow_matches_euler_reference(self, sigma_min, steps):
+        seeds = range(8)
+        records = flow_sample_batch(SQUARE, sigma_min, steps, 4.0, math.pi / 3, 0, seeds)
+        states, finals = flow_euler_reference(
+            SQUARE, sigma_min, steps, 0, seeds,
+            lambda c, u: gd.rotate_raw(c, u, 4.0, math.pi / 3))
+        for rec, x_t, final in zip(records, states, finals, strict=True):
+            assert rec.strategy == "flow_adg"
+            assert np.array_equal(rec.times, np.arange(steps) * (1.0 / steps))
+            np.testing.assert_allclose(rec.x_t, x_t, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rec.final_x0, final, rtol=0, atol=1e-12)
+
+
+def _apg_guide(params, omega):
+    """APG on raw prediction pairs, carrying its momentum across calls."""
+    state = None
+
+    def guide(cond, uncond):
+        nonlocal state
+        pair = SimpleNamespace(x0_cond=cond, x0_uncond=uncond)
+        state = ApgState.zero(cond.shape) if state is None else state
+        guided, state = gd.apg_update(pair, omega, params, state)
+        return guided
+    return guide
+
+
+class TestFlowStrategies:
+    """Strategy rules besides adg, driven on the flow path's VP levels."""
+
+    @pytest.mark.parametrize("gmm, condition", [(SQUARE, 0), (WIDE, 5)], ids=["dim2", "dim32"])
+    @pytest.mark.parametrize("sigma_min", [0.0, 0.05])
+    @pytest.mark.parametrize("strategy", ["cfg", "apg"])
+    def test_drive_matches_euler_loop(self, gmm, condition, sigma_min, strategy):
+        omega, steps, seeds = 3.0, 40, [3, 11, 4]
+        config = GuidanceConfig(strategy=strategy, omega=omega)
+        times, alpha_bars, scale = flow_levels(sigma_min, steps)
+        guide = (_apg_guide(config.apg_params, omega) if strategy == "apg" else
+                 lambda c, u: gd.cfg_combine(SimpleNamespace(x0_cond=c, x0_uncond=u), omega))
+        states, finals = flow_euler_reference(gmm, sigma_min, steps, condition, seeds, guide)
+        records = sp._drive(gmm, [sp.Run(config, condition, seeds)], times, alpha_bars)[0]
+        for rec, x_t, final in zip(records, states, finals, strict=True):
+            np.testing.assert_allclose(rec.x_t * scale[:-1, None], x_t, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rec.final_x0 * scale[-1], final, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("strategy", ["recfg", "cfgpp"])
+    def test_eps_space_rules_stop_at_the_flow_start(self, strategy):
+        # alpha_bar = 0 at flow time 0: no noise prediction maps back to x0 there
+        config = GuidanceConfig(strategy=strategy, recfg_lambda=0.5)
+        times, alpha_bars, _ = flow_levels(0.1, 10)
+        with pytest.raises(RuntimeError, match="trajectory aborted at step 0"):
+            sp._drive(SQUARE, [sp.Run(config, 0, [1, 2])], times, alpha_bars)
+
 
 class TestNoiseStreams:
     def test_keyed_streams_are_independent_and_stable(self):
@@ -458,7 +537,7 @@ class TestMixedRows:
         groups, rows, order = self._rows(gmm)
         omega, cond, seeds = (np.array(col)[order] for col in zip(*rows))
         finals = sample_finals(gmm, grid, config, cond, seeds, omega)
-        records = sp._drive(gmm, [sp.Run(config, cond, seeds, omega)], grid=grid)[0]
+        records = sp.sample_runs(gmm, grid, [sp.Run(config, cond, seeds, omega)])[0]
         position = {row: k for k, row in enumerate(zip(omega, cond, seeds))}
         for w, c in groups:
             alone = sample_batch(gmm, grid, replace(config, omega=w), c, self.SEEDS)
@@ -472,13 +551,18 @@ class TestMixedRows:
         omega, cond, seeds = (np.array(col)[order] for col in zip(*rows))
         config = GuidanceConfig(strategy="adg")
         runs = [sp.Run(config, cond, seeds, omega)]
-        records = sp._drive(gmm, runs, flow=(0.1, 30))[0]
-        finals = sp._drive(gmm, runs, flow=(0.1, 30), log=False)[0]
+        times, alpha_bars, scale = flow_levels(0.1, 30)
+        records = sp._drive(gmm, runs, times, alpha_bars)[0]
+        finals = sp._drive(gmm, runs, times, alpha_bars, log=False)[0] * scale[-1]
         position = {row: k for k, row in enumerate(zip(omega, cond, seeds))}
         for w, c in groups:
             for ref in flow_sample_batch(gmm, 0.1, 30, w, config.angle_cap, c, self.SEEDS):
                 k = position[(w, c, ref.seed)]
-                self._check(records[k], finals[k], ref, "flow_adg")
+                # the drive logs y = x / s; flow_sample_batch maps it back the same way
+                mixed = replace(records[k], strategy="flow_adg",
+                                x_t=records[k].x_t * scale[:-1, None],
+                                final_x0=records[k].final_x0 * scale[-1])
+                self._check(mixed, finals[k], ref, "flow_adg")
 
     @pytest.mark.parametrize("gmm", [SQUARE, WIDE], ids=["dim2", "dim32"])
     def test_grouped_drive_equals_separate_drives(self, gmm):

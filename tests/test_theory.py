@@ -276,6 +276,38 @@ class TestProp1Stress:
         assert peak <= th.prop1_peak_bytes(trials, dims)
 
 
+def _random_hulls(scale, count=50):
+    """6-component dim-3 mixtures with standard normal means times ``scale``."""
+    for k in range(count):
+        means = np.random.default_rng(k).standard_normal((6, 3)) * scale
+        yield GaussianMixture(dim=3, means=means, weights=[1 / 6] * 6)
+
+
+class TestSurfaceProbe:
+    # a float margin is off the exact one by up to about 3e-16 * max|mu|, so an
+    # absolute 1e-12 slack failed correct certificates once the means grew
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6])
+    def test_exact_certificates_pass_at_every_scale(self, scale):
+        verdicts = [vf.probe_surface_invariants(g).verdict for g in _random_hulls(scale)]
+        assert verdicts == ["pass"] * len(verdicts)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_an_overstated_margin_fails(self, monkeypatch, scale):
+        real = gl.mixture.classify_component
+
+        def overstated(gmm, c):
+            decision = real(gmm, c)
+            if decision.certificate is None:
+                return decision
+            cert = replace(decision.certificate,
+                           min_margin=decision.certificate.min_margin * (1 + 1e-9))
+            return replace(decision, certificate=cert)
+
+        monkeypatch.setattr(gl.mixture, "classify_component", overstated)
+        verdicts = [vf.probe_surface_invariants(g).verdict for g in _random_hulls(scale, 5)]
+        assert verdicts == ["fail"] * 5
+
+
 class TestSweepAndScatter:
     def test_sweep_unguided_rows_agree_across_strategies(self):
         grid = make_grid(SCHED, 80)
