@@ -199,15 +199,11 @@ def cmd_probe_c1(args) -> int:
 
 def cmd_probe_norm(args) -> int:
     config = _load(args)
-    gmm = config.gmm()
     nm = config.data["probes"]["norm"]
-    cert = surface_certificate(gmm, config.condition())
-    if cert is None:
-        print(f"component {config.condition()} is not a surface class; probe n/a")
-        return EXIT_OK
     omega = nm["omega"] if args.omega is None else args.omega
     report = theory.norm_amplification_check(
-        gmm, cert, config.time_grid(), omega, range(nm["seed_count"]), nm["margin_floor"],
+        config.gmm(), config.condition(), config.time_grid(), omega, range(nm["seed_count"]),
+        nm["margin_floor"],
     )
     return _emit_reports(config, [report], "norm_report.json", "norm_margins.csv")
 

@@ -19,7 +19,7 @@ import yaml
 
 from .guidance import ApgParams, GuidanceConfig
 from .mixture import GaussianMixture
-from .samplers import finals_peak_bytes
+from .samplers import drive_peak_bytes
 from .schedule import FlowPath, NoiseSchedule, TimeGrid, make_grid
 from .theory import prop1_peak_bytes
 
@@ -125,12 +125,9 @@ DEFAULTS: dict[str, Any] = {
     },
 }
 
-# Largest float64 working set one block may allocate: a sampling drive's
-# trajectory logs, over every run in it (per step and seed, x_t and the
-# three predictions, dim each, and three scalar columns) with one
-# transition's pcg corrector draws, the working set of a finals-only drive
-# (samplers.finals_peak_bytes),
-# or the draw arrays and one pair block of the prop1 stress test.
+# Largest working set one block may hold: its command's drive, as
+# samplers.drive_peak_bytes charges it, or the prop1 stress test's draws
+# and pair block (theory.prop1_peak_bytes).
 LOG_BUDGET_BYTES = 2**30
 
 
@@ -252,72 +249,62 @@ def _validate(data: dict) -> None:
 
 
 def _check_log_budget(data: dict) -> None:
-    """Refuse a block whose float64 arrays would exceed LOG_BUDGET_BYTES."""
+    """Refuse a block whose drive, or prop1 test, would hold more than LOG_BUDGET_BYTES."""
     guidance, run, probes = data["guidance"], data["run"], data["probes"]
     sweep, scatter, means = data["sweep"], data["scatter"], data["gmm"]["means"]
     dim = len(means[0]) if isinstance(means[0], list) else 1
     components = len(means)
-    row_bytes = 8 * (4 * dim + 3)
-    # pcg draws each seed's (inner_steps, dim) block, then stacks them
-    inner, draw_bytes = guidance["pcg_inner_steps"], 16 * dim
     if run["seeds"] is None:
-        run_seeds = ("run.seed_count", run["seed_count"])
+        seeds_path, n_seeds = "run.seed_count", run["seed_count"]
     else:
-        run_seeds = ("run.seeds", len(run["seeds"]))
-    grid_steps = ("grid.steps", data["grid"]["steps"])
+        seeds_path, n_seeds = "run.seeds", len(run["seeds"])
     strategies = run["strategies"] or [guidance["strategy"]]
-    runs = (f"{len(strategies)} run.strategies" if run["strategies"] else "1 guidance.strategy",
-            len(strategies))
-    # sample and flow-sample write every step's log, one drive for all
-    # their runs; the guidance-off probe compares its 4 runs' logs
-    for block, (steps_path, steps), (seeds_path, n_seeds), (runs_text, n_runs), n_pcg in (
-        ("run", grid_steps, run_seeds, runs, strategies.count("pcg")),
-        ("flow", ("flow.steps", data["flow"]["steps"]), run_seeds, ("1 run", 1), 0),
-        ("probes.guidance_off", grid_steps,
-         ("probes.guidance_off.seed_count", probes["guidance_off"]["seed_count"]),
-         ("4 guidance-off runs", 4), 0),
-    ):
-        if n_seeds * (n_runs * steps * row_bytes + n_pcg * inner * draw_bytes) > LOG_BUDGET_BYTES:
-            terms = f"{runs_text} x {steps_path}={steps} x {row_bytes} bytes of trajectory log"
-            if n_pcg:
-                terms += (f" + {n_pcg} pcg x guidance.pcg_inner_steps={inner} x {draw_bytes}"
-                          " bytes of pcg draws")
-            raise ConfigError(
-                f"{block}: {seeds_path}={n_seeds} x ({terms}) "
-                f"exceeds the {LOG_BUDGET_BYTES}-byte budget"
-            )
-    # sweep, scatter and the norm probe each run one finals-only drive over
-    # all their rows; a drive with pcg is charged its draws on every row
-    n_strat, n_sweep = len(sweep["strategies"]), len(sweep["omegas"])
+    runs = f"{len(strategies)} run.strategies" if run["strategies"] else "1 guidance.strategy"
+    grid_steps, flow_steps = data["grid"]["steps"], data["flow"]["steps"]
+    n_off, n_norm = probes["guidance_off"]["seed_count"], probes["norm"]["seed_count"]
+    n_omegas, n_strat = len(sweep["omegas"]), len(sweep["strategies"])
     n_scatter = len(scatter["omegas"])
-    for block, rows, terms, pcg in (
-        ("sweep", n_strat * n_sweep * sweep["seed_count"],
-         f"{n_sweep} sweep.omegas x sweep.seed_count={sweep['seed_count']} x "
-         f"{n_strat} sweep.strategies",
-         "pcg" in sweep["strategies"]),
-        ("scatter", n_scatter * components * scatter["seeds_per_class"],
-         f"{n_scatter} scatter.omegas x {components} components x "
-         f"scatter.seeds_per_class={scatter['seeds_per_class']}",
-         scatter["strategy"] == "pcg"),
-        ("probes.norm", 2 * probes["norm"]["seed_count"],
-         f"2 x probes.norm.seed_count={probes['norm']['seed_count']}", False),
-    ):
-        need = finals_peak_bytes(rows, dim, components, inner if pcg else 0)
-        if need > LOG_BUDGET_BYTES:
-            draws = f" with guidance.pcg_inner_steps={inner}" if pcg else ""
-            raise ConfigError(
-                f"{block}: {terms} = {rows} rows of dim {dim} over {components} components"
-                f"{draws} need {need} bytes, over the {LOG_BUDGET_BYTES}-byte budget"
-            )
-    # prop1_stress holds its draw arrays whole and builds the pairs block by block
     prop1 = probes["prop1"]
-    need = prop1_peak_bytes(prop1["trials"], prop1["dims"])
-    if need > LOG_BUDGET_BYTES:
-        raise ConfigError(
-            f"probes.prop1: probes.prop1.trials={prop1['trials']} over {len(prop1['dims'])} dims "
-            f"up to probes.prop1.dims entry {max(prop1['dims'])} needs {need} bytes, "
-            f"over the {LOG_BUDGET_BYTES}-byte budget"
-        )
+
+    def drive(entries, rows, steps=0, pcg=False):
+        """A drive's sizing entries and its charge; with pcg, every row is
+        charged guidance.pcg_inner_steps of draws."""
+        inner = guidance["pcg_inner_steps"] if pcg else 0
+        draws = f" with guidance.pcg_inner_steps={inner}" if pcg else ""
+        return (f"{entries}{draws} at dim {dim} over {components} components",
+                drive_peak_bytes(rows, dim, components, inner, steps))
+
+    # one drive per command: sample and flow-sample log every step of all
+    # their runs' rows, the guidance-off probe its 4 runs'; sweep, scatter
+    # and the norm probe keep finals only
+    for block, (entries, need) in (
+        ("run", drive(
+            f"{seeds_path}={n_seeds} x ({runs} x grid.steps={grid_steps} logged steps)",
+            n_seeds * len(strategies), grid_steps, "pcg" in strategies)),
+        ("flow", drive(
+            f"{seeds_path}={n_seeds} x (1 run x flow.steps={flow_steps} logged steps)",
+            n_seeds, flow_steps)),
+        ("probes.guidance_off", drive(
+            f"probes.guidance_off.seed_count={n_off} x (4 guidance-off runs x "
+            f"grid.steps={grid_steps} logged steps)", 4 * n_off, grid_steps)),
+        ("sweep", drive(
+            f"{n_omegas} sweep.omegas x sweep.seed_count={sweep['seed_count']} x "
+            f"{n_strat} sweep.strategies", n_omegas * sweep["seed_count"] * n_strat,
+            pcg="pcg" in sweep["strategies"])),
+        ("scatter", drive(
+            f"{n_scatter} scatter.omegas x {components} components x "
+            f"scatter.seeds_per_class={scatter['seeds_per_class']}",
+            n_scatter * components * scatter["seeds_per_class"],
+            pcg=scatter["strategy"] == "pcg")),
+        ("probes.norm", drive(f"2 x probes.norm.seed_count={n_norm}", 2 * n_norm)),
+        # prop1_stress holds its draw arrays whole and builds the pairs block by block
+        ("probes.prop1", (f"probes.prop1.trials={prop1['trials']} over {len(prop1['dims'])} "
+                          f"dims up to probes.prop1.dims entry {max(prop1['dims'])}",
+                          prop1_peak_bytes(prop1["trials"], prop1["dims"]))),
+    ):
+        if need > LOG_BUDGET_BYTES:
+            raise ConfigError(
+                f"{block}: {entries} need {need} bytes, over the {LOG_BUDGET_BYTES}-byte budget")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -390,17 +389,20 @@ def classify_component(gmm: GaussianMixture, component_index: int) -> ComponentC
         return ComponentClassification(component_index, "interior", distance, None)
     normal = gap / distance
     offset = -float(normal @ mu_star)
-    # every margin w.mu* - w.mu_o exactly, in integers over a common denominator
+    # every margin w.mu* - w.mu_o exactly, in integers over a common
+    # denominator; the least is compared with the floor in integers and
+    # rounded to a double by int true division, which rounds correctly
     w, w_den = _as_integers(normal)
     means, means_den = _as_integers(np.vstack([mu_star, others]))
-    min_margin = Fraction(int(((means[0] - means[1:]) @ w).min()), w_den * means_den)
-    if min_margin <= HULL_DISTANCE_FLOOR:
+    num, den = int(((means[0] - means[1:]) @ w).min()), w_den * means_den
+    floor_num, floor_den = HULL_DISTANCE_FLOOR.as_integer_ratio()
+    if num * floor_den <= floor_num * den:
         return ComponentClassification(component_index, "interior", distance, None)
     cert = SurfaceCertificate(
         component_index=component_index,
         normal=normal,
         offset=offset,
-        min_margin=float(min_margin),
+        min_margin=num / den,
     )
     return ComponentClassification(component_index, "surface", distance, cert)
 

@@ -38,7 +38,7 @@ __all__ = [
     "sample_runs",
     "sample_batch",
     "sample_finals",
-    "finals_peak_bytes",
+    "drive_peak_bytes",
     "flow_sample_batch",
     "sample_trajectory",
     "pcg_sample",
@@ -80,20 +80,16 @@ def ddim_step(
     x0_hat: np.ndarray,
     alpha_bar_t: float,
     alpha_bar_prev: float,
-    literal_renoise: bool = False,
 ) -> np.ndarray:
     """Deterministic reverse step toward alpha_bar_prev.
 
-    Renoises with ``(x_t - sqrt(alpha_bar_t) * x0_hat) / sqrt(beta_bar_t)``.
-    ``literal_renoise`` swaps the square root for a bare ``alpha_bar_t``
-    factor, kept only for discrepancy studies; the square-root form is
-    the one consistent with the epsilon parameterization.
+    Renoises with ``(x_t - sqrt(alpha_bar_t) * x0_hat) / sqrt(beta_bar_t)``,
+    the noise the epsilon parameterization implies.
     """
     alpha_bar_t, alpha_bar_prev = _check_ordering(alpha_bar_t, alpha_bar_prev)
     x_t = np.asarray(x_t, dtype=float)
     x0_hat = np.asarray(x0_hat, dtype=float)
-    factor = alpha_bar_t if literal_renoise else math.sqrt(alpha_bar_t)
-    eps = (x_t - factor * x0_hat) / math.sqrt(1.0 - alpha_bar_t)
+    eps = (x_t - math.sqrt(alpha_bar_t) * x0_hat) / math.sqrt(1.0 - alpha_bar_t)
     return math.sqrt(alpha_bar_prev) * x0_hat + math.sqrt(1.0 - alpha_bar_prev) * eps
 
 
@@ -339,6 +335,7 @@ def _drive(gmm, runs, times, alpha_bars, log=True):
         shape = (len(times),) + x.shape
         x_t, x0_cond, x0_uncond, x0_guided = (np.empty(shape) for _ in range(4))
         gamma, gamma_omega, residual = (np.full(shape[:2], math.nan) for _ in range(3))
+        guided_norm = np.empty(shape[:2])
     states = [ApgState.zero((len(rows.seeds), gmm.dim)) for rows in groups]
     for i, t in enumerate(times):
         try:
@@ -377,10 +374,10 @@ def _drive(gmm, runs, times, alpha_bars, log=True):
         if log:
             x_t[i], x0_cond[i], x0_uncond[i], x0_guided[i] = x, cond, uncond, guided
             gamma[i] = np.where(geo.safe, geo.gamma, math.nan)
+            guided_norm[i] = np.linalg.norm(guided, axis=-1)
         x = x_next
     if not log:
         return [x[sl] for sl in slices]
-    guided_norm = np.linalg.norm(x0_guided, axis=-1)
     out = []
     for run, rows, sl in zip(runs, groups, slices):
         strategy = run.config.strategy
@@ -462,19 +459,33 @@ def sample_finals(
     return sample_runs(gmm, grid, [Run(config, condition, seeds, omega)], log=False)[0]
 
 
-def finals_peak_bytes(rows: int, dim: int, components: int, inner_steps: int = 0) -> int:
-    """Upper bound on the bytes one :func:`sample_finals` drive holds at once.
+def drive_peak_bytes(
+    rows: int, dim: int, components: int, inner_steps: int = 0, steps: int = 0,
+) -> int:
+    """Upper bound on the bytes one drive of ``rows`` rows holds at once: a
+    :func:`sample_runs` drive over all its runs' rows, logged over ``steps``
+    steps or finals-only (``steps=0``), or a :func:`flow_sample_batch` drive.
 
-    Per row: about sixteen ``(dim,)`` state, prediction, geometry and step
-    vectors, six ``(components,)`` logit and responsibility temporaries
-    (the Gram-form kernel builds no ``(components, dim)`` array) and, for
-    pcg, the corrector's ``(inner_steps, dim)`` draws, held twice while
-    they are stacked; 48 floats more cover each row's seed and weight.
-    Twice the means and 256 KiB cover the reduction buffers and fixed
-    objects.  tracemalloc measures at most 85% of this over dims 1-128,
-    1-64 components, 1-1000 rows and every strategy.
+    Per row, either kind holds its working set: about sixteen ``(dim,)``
+    state, prediction, geometry and step vectors and six ``(components,)``
+    logit and responsibility temporaries (the Gram-form kernel builds no
+    ``(components, dim)`` array), and for pcg the corrector's
+    ``(inner_steps, dim)`` draws, held twice while they are stacked and
+    charged on every row; and its objects, 48 floats for its seed and its
+    step-0 draw.  A logged row adds 256 floats for its
+    :class:`TrajectoryRecord` (the object and its dict, about 350 bytes,
+    and up to eleven array views of about 140 bytes each) and, per step,
+    ``4 * dim + 4`` floats of log: x_t, the three predictions, gamma,
+    gamma_omega, the cfgpp residual and the guided norm, all allocated
+    before the loop and filled step by step.  Twice the means and 256 KiB
+    cover the reduction buffers and fixed objects.  tracemalloc measures
+    at most 80% of this finals-only and 98% logged, where the exact log
+    dominates, over dims 1-128, 1-64 components, 1-2000 rows, 1-200 steps,
+    every strategy alone, all nine in one drive, and the flow drive.
     """
     per_row = 16 * dim + 6 * components + 2 * inner_steps * dim + 48
+    if steps:
+        per_row += 256 + (4 * dim + 4) * steps
     return 8 * (rows * per_row + 2 * components * dim) + 2**18
 
 
@@ -500,10 +511,11 @@ def flow_sample_batch(
     s = np.hypot(t, 1.0 - (1.0 - path.sigma_min) * t)
     config = GuidanceConfig(strategy="adg", omega=omega, angle_cap=angle_cap)
     records = _drive(gmm, [Run(config, condition, seeds)], t[:-1], (t / s) ** 2)[0]
-    for rec in records:  # views of one log: each scales its own rows, no copy
+    for j, rec in enumerate(records):  # views of one log: each scales its own rows, no copy
         np.multiply(rec.x_t, s[:-1, None], out=rec.x_t)
         np.multiply(rec.final_x0, s[-1], out=rec.final_x0)
-    return [replace(rec, strategy="flow_adg") for rec in records]
+        records[j] = replace(rec, strategy="flow_adg")  # in place: one record per row
+    return records
 
 
 def sample_trajectory(

@@ -176,7 +176,7 @@ def estimate_c1(
 
 def norm_amplification_check(
     gmm: GaussianMixture,
-    certificate: SurfaceCertificate,
+    condition: int,
     grid: TimeGrid,
     omega: float,
     seeds,
@@ -184,14 +184,23 @@ def norm_amplification_check(
 ) -> ProbeReport:
     """Integrate the guided and plain conditional reverse trajectories from
     shared initial states and compare their projections on the certified
-    normal.
+    normal of ``condition``.
 
     Passes when every seed ends with the guided projection strictly above
-    the conditional one by at least ``margin_floor``.  With omega = 1 the
-    trajectories coincide and the verdict is "n/a".
+    the conditional one by at least ``margin_floor``.  The verdict is "n/a"
+    when the condition has no surface certificate, and with omega = 1,
+    where the trajectories coincide.
     """
+    certificate = mx.surface_certificate(gmm, condition)
+    if certificate is None:
+        return ProbeReport(
+            name="norm_amplification",
+            parameters={"condition": condition},
+            verdict="n/a",
+            measured={"note": f"component {condition} is not a surface class"},
+            tolerance=margin_floor,
+        )
     seeds = sorted(int(s) for s in seeds)
-    condition = certificate.component_index
     params = {
         "omega": omega,
         "seeds": seeds,
@@ -425,18 +434,16 @@ def scatter_experiment(
     seeds_per_class: int,
     strategy: str = "cfg",
     base_config: GuidanceConfig | None = None,
-    seed_offset: int = 0,
 ) -> list[ScatterSet]:
     """Sample every component at each guidance weight.
 
-    Seeds are ``seed_offset + class_index * seeds_per_class + i`` so the
-    same initial noise set serves each omega, making drift comparisons
-    across weights paired.  Every (omega, class, seed) row runs in one
-    drive.
+    Seeds are ``class_index * seeds_per_class + i`` so the same initial
+    noise set serves each omega, making drift comparisons across weights
+    paired.  Every (omega, class, seed) row runs in one drive.
     """
     omegas = [float(w) for w in omegas]
     comps = np.repeat(np.arange(gmm.n_components), seeds_per_class)
-    seeds = seed_offset + np.arange(len(comps))
+    seeds = np.arange(len(comps))
     finals = sp.sample_finals(
         gmm, grid, replace(base_config or GuidanceConfig(), strategy=strategy),
         np.tile(comps, len(omegas)), np.tile(seeds, len(omegas)), np.repeat(omegas, len(comps)),

@@ -344,23 +344,8 @@ def run_suite(config: ExperimentConfig) -> list[ProbeReport]:
     reports.append(probe_c1_monotone(gmm, condition, **probes_cfg["c1"]))
 
     nm = probes_cfg["norm"]
-    cert = mx.surface_certificate(gmm, condition)
-    if cert is None:
-        reports.append(
-            ProbeReport(
-                name="norm_amplification",
-                parameters={"condition": condition},
-                verdict="n/a",
-                measured={"note": f"component {condition} is not a surface class"},
-                tolerance=nm["margin_floor"],
-            )
-        )
-    else:
-        reports.append(
-            theory.norm_amplification_check(
-                gmm, cert, grid, nm["omega"], range(nm["seed_count"]), nm["margin_floor"],
-            )
-        )
+    reports.append(theory.norm_amplification_check(
+        gmm, condition, grid, nm["omega"], range(nm["seed_count"]), nm["margin_floor"]))
 
     reports.append(probe_cfgpp_equivalence(**probes_cfg["cfgpp"]))
     reports.append(probe_guidance_off(config, **probes_cfg["guidance_off"]))

@@ -368,6 +368,17 @@ class TestCliContracts:
         assert "run: run.seed_count=20000 x (4 run.strategies x" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_logged_rows_are_charged_their_records(self, tmp_path, capsys):
+        # one step of log is 12 floats a row at dim 2, but each row also holds
+        # its working set and its TrajectoryRecord: about 30 GB at 10M rows
+        out = tmp_path / "o"
+        argv = ["--set", "run.seed_count=10000000", "--set", "grid.steps=1",
+                "--set", "flow.steps=1"]
+        assert run_cli("sample", "--config", DEFAULT, "--out", str(out), *argv) == 2
+        assert "run: run.seed_count=10000000 x (1 guidance.strategy x grid.steps=1" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_guidance_off_probe_is_charged_its_four_runs(self):
         with pytest.raises(ConfigError, match=r"probes\.guidance_off: .* x \(4 guidance-off runs"):
             loads_config(DEFAULT_TEXT, ["grid.steps=200", "probes.guidance_off.seed_count=20000"])
@@ -385,11 +396,34 @@ class TestCliContracts:
         assert code == 0
         stdout = capsys.readouterr().out
         if command == "probe-norm":
-            assert "probe n/a" in stdout
+            assert "[N/A ] norm_amplification" in stdout
+            report = json.loads((out / "norm_report.json").read_text())
+            assert [p["verdict"] for p in report["probes"]] == ["n/a"]
+            assert (out / "norm_margins.csv").exists()
         else:
             assert "[N/A ] anomalous_interval" in stdout
         if command == "verify":
             assert "[N/A ] norm_amplification" in stdout
+
+    @pytest.mark.parametrize("command, report, probes", [
+        ("verify", "verify_report.json", ["anomalous_interval", "norm_amplification"]),
+        ("probe-c1", "c1_report.json", ["anomalous_interval"]),
+        ("probe-norm", "norm_report.json", ["norm_amplification"]),
+    ])
+    def test_interior_condition_probes_are_na(self, tmp_path, command, report, probes):
+        # the square's centre lies inside the hull of its corners: no certificate
+        out = tmp_path / "o"
+        code = run_cli(
+            command, "--config", DEFAULT, "--out", str(out),
+            "--set", "gmm.means=[[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0], [0.0, 0.0]]",
+            "--set", "gmm.weights=[0.2, 0.2, 0.2, 0.2, 0.2]", "--set", "run.condition=4",
+            "--set", "probes.score_oracle.cases=20", "--set", "probes.score_identity.cases=20",
+            "--set", "probes.prop1.trials=2000", "--set", "grid.steps=30",
+        )
+        assert code == 0
+        payload = json.loads((out / report).read_text())
+        verdicts = {p["name"]: p["verdict"] for p in payload["probes"]}
+        assert all(verdicts[name] == "n/a" for name in probes)
 
     def test_recfg_table_and_pcg_steps_within_bounds_load(self):
         config = loads_config(DEFAULT_TEXT, [

@@ -18,7 +18,7 @@ from guidance_lab.samplers import (
     ddim_step,
     ddpm_beta,
     ddpm_step,
-    finals_peak_bytes,
+    drive_peak_bytes,
     flow_euler_step,
     flow_posterior_mean_x1,
     flow_sample_adg,
@@ -48,6 +48,7 @@ def _wide_mixture():
 
 
 WIDE = _wide_mixture()
+EYE64 = GaussianMixture(dim=64, means=np.eye(64)[:48] * 3, weights=[1 / 48] * 48)
 
 
 def flow_levels(sigma_min, steps):
@@ -96,6 +97,16 @@ def ddpm_population(gmm, grid, condition, n, seed):
     return x
 
 
+def _traced_peak(drive, warm):
+    warm()  # lazy imports and first-call caches
+    tracemalloc.start()
+    try:
+        drive()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestDdimStep:
     def test_terminal_jump_to_prediction(self):
         x0 = np.array([2.0, -1.0])
@@ -119,15 +130,6 @@ class TestDdimStep:
             ddim_step(np.zeros(1), np.zeros(1), 0.5, 0.25)
         with pytest.raises(ValueError, match="alpha_bar"):
             ddim_step(np.zeros(1), np.zeros(1), 0.5, 0.5)
-
-    def test_literal_renoise_mode(self):
-        x_t, x0 = np.array([1.0]), np.array([0.7])
-        ab_t, ab_prev = 0.3, 0.6
-        literal = ddim_step(x_t, x0, ab_t, ab_prev, literal_renoise=True)
-        eps = (x_t - ab_t * x0) / math.sqrt(1 - ab_t)
-        expected = math.sqrt(ab_prev) * x0 + math.sqrt(1 - ab_prev) * eps
-        np.testing.assert_allclose(literal, expected, atol=1e-15)
-        assert not np.allclose(literal, ddim_step(x_t, x0, ab_t, ab_prev))
 
 
 class TestDdpmStep:
@@ -619,18 +621,39 @@ class TestMixedRows:
         (SQUARE, 320, "apg", 0),
         (WIDE, 128, "adg", 0),
         (WIDE, 96, "pcg", 4),
-        (GaussianMixture(dim=64, means=np.eye(64)[:48] * 3, weights=[1 / 48] * 48), 64, "cfgpp", 0),
+        (EYE64, 64, "cfgpp", 0),
     ])
     def test_traced_peak_within_the_config_charge(self, gmm, rows, strategy, inner):
         grid = make_grid(SCHED, 5)
         config = GuidanceConfig(strategy=strategy, pcg_inner_steps=inner)
         cond = np.arange(rows) % gmm.n_components
         omega = np.linspace(1.0, 6.0, rows)
-        sample_finals(gmm, grid, config, cond[:2], range(2), omega[:2])  # lazy imports
-        tracemalloc.start()
-        try:
-            sample_finals(gmm, grid, config, cond, range(rows), omega)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= finals_peak_bytes(rows, gmm.dim, gmm.n_components, inner)
+        peak = _traced_peak(lambda: sample_finals(gmm, grid, config, cond, range(rows), omega),
+                            lambda: sample_finals(gmm, grid, config, cond[:2], range(2), omega[:2]))
+        assert peak <= drive_peak_bytes(rows, gmm.dim, gmm.n_components, inner)
+
+
+class TestDrivePeak:
+    """A logged drive holds its records and its per-step log, and no array
+    the size of the log besides; the config charges drive_peak_bytes."""
+
+    @pytest.mark.parametrize("steps", [1, 5, 200])
+    @pytest.mark.parametrize("gmm", [PAIR_1D, SQUARE, WIDE, EYE64],
+                             ids=["dim1", "dim2", "dim32", "dim64"])
+    def test_logged_peak_within_the_charge(self, gmm, steps):
+        # up to 2000 rows, and at most 1M floats of log
+        rows = min(2000, 2**20 // (steps * (4 * gmm.dim + 4)))
+        grid, half = make_grid(SCHED, steps), rows // 2
+        cond = np.arange(rows) % gmm.n_components
+        omega = np.linspace(1.0, 6.0, rows)
+        runs = [sp.Run(GuidanceConfig(strategy="cfgpp"), cond[:half], range(half), omega[:half]),
+                sp.Run(GuidanceConfig(strategy="pcg", pcg_inner_steps=3), cond[half:],
+                       range(half, rows), omega[half:])]
+        peak = _traced_peak(lambda: sp.sample_runs(gmm, grid, runs),
+                            lambda: sp.sample_runs(gmm, grid, [
+                                sp.Run(r.config, r.condition[:1], r.seeds[:1], r.omega[:1])
+                                for r in runs]))
+        assert peak <= drive_peak_bytes(rows, gmm.dim, gmm.n_components, 3, steps)
+        peak = _traced_peak(lambda: flow_sample_batch(gmm, 0.1, steps, 3.0, 1.0, 0, range(rows)),
+                            lambda: flow_sample_batch(gmm, 0.1, steps, 3.0, 1.0, 0, [0]))
+        assert peak <= drive_peak_bytes(rows, gmm.dim, gmm.n_components, steps=steps)

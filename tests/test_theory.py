@@ -28,7 +28,6 @@ SQUARE = GaussianMixture(
     dim=2, means=[[1, 1], [1, -1], [-1, 1], [-1, -1]], weights=[0.25] * 4
 )
 CERT_1D = surface_certificate(PAIR_1D, 1)
-CERT_SQ = surface_certificate(SQUARE, 0)
 SCHED = default_schedule()
 
 
@@ -165,32 +164,36 @@ class TestC1Theorem:
 class TestNormAmplification:
     def test_strict_ordering_and_monotone_mean(self):
         grid = make_grid(SCHED, 150)
-        r3 = norm_amplification_check(SQUARE, CERT_SQ, grid, 3.0, range(12))
-        r5 = norm_amplification_check(SQUARE, CERT_SQ, grid, 5.0, range(12))
+        r3 = norm_amplification_check(SQUARE, 0, grid, 3.0, range(12))
+        r5 = norm_amplification_check(SQUARE, 0, grid, 5.0, range(12))
         assert r3.verdict == "pass" and r5.verdict == "pass"
         assert r3.measured["min_margin"] > 1e-9
         assert r5.measured["mean_margin"] > r3.measured["mean_margin"]
 
     def test_omega_one_is_not_applicable(self):
         grid = make_grid(SCHED, 50)
-        report = norm_amplification_check(SQUARE, CERT_SQ, grid, 1.0, range(4))
+        report = norm_amplification_check(SQUARE, 0, grid, 1.0, range(4))
         assert report.verdict == "n/a"
         assert report.passed
 
     def test_margins_stable_under_grid_refinement(self):
-        coarse = norm_amplification_check(
-            SQUARE, CERT_SQ, make_grid(SCHED, 150), 5.0, range(8)
-        )
-        fine = norm_amplification_check(
-            SQUARE, CERT_SQ, make_grid(SCHED, 300), 5.0, range(8)
-        )
+        coarse = norm_amplification_check(SQUARE, 0, make_grid(SCHED, 150), 5.0, range(8))
+        fine = norm_amplification_check(SQUARE, 0, make_grid(SCHED, 300), 5.0, range(8))
         for a, b in zip(coarse.details, fine.details):
             assert abs(b["margin"] - a["margin"]) / abs(a["margin"]) < 0.05
 
+    def test_condition_without_certificate_is_not_applicable(self):
+        # the square's centre lies inside the hull of its corners
+        centred = GaussianMixture(dim=2, means=np.vstack([SQUARE.means, [0.0, 0.0]]),
+                                  weights=[0.2] * 5)
+        report = norm_amplification_check(centred, 4, make_grid(SCHED, 20), 5.0, range(4))
+        assert report.verdict == "n/a" and report.passed
+        assert report.to_dict()["parameters"] == {"condition": 4}
+
     def test_report_is_reproducible(self):
         grid = make_grid(SCHED, 60)
-        a = norm_amplification_check(SQUARE, CERT_SQ, grid, 4.0, range(6))
-        b = norm_amplification_check(SQUARE, CERT_SQ, grid, 4.0, range(6))
+        a = norm_amplification_check(SQUARE, 0, grid, 4.0, range(6))
+        b = norm_amplification_check(SQUARE, 0, grid, 4.0, range(6))
         assert a.to_dict() == b.to_dict()
 
 
