@@ -16,7 +16,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .guidance import (
     ApgParams,
-    ApgState,
     GuidanceConfig,
     PredictionPair,
     adg_no_cap,
@@ -25,7 +24,6 @@ from .guidance import (
     adg_simplified,
     angle_between,
     apg_update,
-    cap_angle,
     cfg_combine,
     cfgpp_predictions,
     eps_from_x0,
@@ -60,13 +58,9 @@ from .samplers import (
     sample_trajectory,
 )
 from .schedule import (
-    FlowPath,
     NoiseSchedule,
     TimeGrid,
     alpha_bar,
-    constant_beta_schedule,
-    default_schedule,
-    flow_stats,
     make_grid,
 )
 from .theory import (

@@ -45,7 +45,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name, handler, help_text in (
+        ("sample", cmd_sample, "run guided trajectories, write CSVs"),
+        ("verify", cmd_verify, "run the full certifier suite"),
+        ("probe-c1", cmd_probe_c1, "anomalous-interval estimate across omegas"),
+        ("probe-norm", cmd_probe_norm, "norm amplification along the outward normal"),
+        ("sweep", cmd_sweep, "final-norm sweep over strategies and omegas"),
+        ("scatter", cmd_scatter, "per-component sample scatter across omegas"),
+        ("flow-sample", cmd_flow_sample, "guided flow-matching trajectories"),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML configuration document")
         p.add_argument(
             "--set", dest="overrides", action="append", default=[], metavar="K=V",
@@ -55,34 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override run.output_dir")
         p.add_argument("--strategy", default=None, help="override the guidance strategy")
         p.add_argument("--omega", type=float, default=None, help="override guidance.omega")
-
-    p_sample = sub.add_parser("sample", help="run guided trajectories, write CSVs")
-    add_common(p_sample)
-    p_sample.set_defaults(handler=cmd_sample)
-
-    p_verify = sub.add_parser("verify", help="run the full certifier suite")
-    add_common(p_verify)
-    p_verify.set_defaults(handler=cmd_verify)
-
-    p_c1 = sub.add_parser("probe-c1", help="anomalous-interval estimate across omegas")
-    add_common(p_c1)
-    p_c1.set_defaults(handler=cmd_probe_c1)
-
-    p_norm = sub.add_parser("probe-norm", help="norm amplification along the outward normal")
-    add_common(p_norm)
-    p_norm.set_defaults(handler=cmd_probe_norm)
-
-    p_sweep = sub.add_parser("sweep", help="final-norm sweep over strategies and omegas")
-    add_common(p_sweep)
-    p_sweep.set_defaults(handler=cmd_sweep)
-
-    p_scatter = sub.add_parser("scatter", help="per-component sample scatter across omegas")
-    add_common(p_scatter)
-    p_scatter.set_defaults(handler=cmd_scatter)
-
-    p_flow = sub.add_parser("flow-sample", help="guided flow-matching trajectories")
-    add_common(p_flow)
-    p_flow.set_defaults(handler=cmd_flow_sample)
+        p.set_defaults(handler=handler)
 
     p_plot = sub.add_parser("plot", help="render a CSV produced by this tool as SVG")
     p_plot.add_argument("csv_path", help="input CSV (scatter or sweep layout)")

@@ -20,7 +20,7 @@ import yaml
 from .guidance import ApgParams, GuidanceConfig
 from .mixture import GaussianMixture
 from .samplers import drive_peak_bytes
-from .schedule import FlowPath, NoiseSchedule, TimeGrid, make_grid
+from .schedule import NoiseSchedule, TimeGrid, make_grid
 from .theory import prop1_peak_bytes
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "loads_config", "dump_config"]
@@ -358,16 +358,13 @@ class ExperimentConfig:
             for value in values:
                 with _at(path):
                     replace(guidance, **{key: value})
-        with _at("flow.sigma_min"):
-            FlowPath(sigma_min=data["flow"]["sigma_min"])
-        built = {"gmm": gmm, "schedule": schedule, "grid": grid, "guidance": guidance}
+        if not 0.0 <= data["flow"]["sigma_min"] < 1.0:
+            raise ConfigError("flow.sigma_min: sigma_min must lie in [0, 1)")
+        built = {"gmm": gmm, "grid": grid, "guidance": guidance}
         object.__setattr__(self, "_built", built)
 
     def gmm(self) -> GaussianMixture:
         return self._built["gmm"]
-
-    def noise_schedule(self) -> NoiseSchedule:
-        return self._built["schedule"]
 
     def time_grid(self) -> TimeGrid:
         return self._built["grid"]

@@ -31,13 +31,11 @@ __all__ = [
     "DegenerateGeometryError",
     "PredictionPair",
     "ApgParams",
-    "ApgState",
     "GuidanceConfig",
     "STRATEGIES",
     "x0_from_eps",
     "eps_from_x0",
     "angle_between",
-    "cap_angle",
     "rotate_raw",
     "adg_rotate",
     "adg_no_cap",
@@ -111,17 +109,6 @@ class ApgParams:
             raise ValueError("momentum coefficient beta must be <= 0")
         if not self.r >= 0.0:
             raise ValueError("norm clamp r must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ApgState:
-    """Running prediction-difference momentum; reset per trajectory."""
-
-    momentum: np.ndarray
-
-    @staticmethod
-    def zero(shape) -> "ApgState":
-        return ApgState(momentum=np.zeros(shape, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -201,15 +188,6 @@ def angle_between(u: np.ndarray, v: np.ndarray) -> float:
     if not geometry.safe:
         raise DegenerateGeometryError("vector norm below floor; angle undefined")
     return float(geometry.gamma)
-
-
-def cap_angle(raw: float, cap: float = DEFAULT_ANGLE_CAP) -> float:
-    """Clip a rotation angle at the cap."""
-    if raw < 0.0:
-        raise ValueError("rotation angle must be nonnegative")
-    if not cap > 0.0:
-        raise ValueError("cap must be positive")
-    return min(raw, cap)
 
 
 class _PairGeometry(NamedTuple):
@@ -322,15 +300,16 @@ def apg_update(
     pair: PredictionPair,
     omega: float,
     params: ApgParams,
-    state: ApgState,
-) -> tuple[np.ndarray, ApgState]:
+    momentum: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Projected-difference guidance with norm clamp and negative momentum.
 
     The prediction difference is split into components parallel and
     orthogonal to the conditional prediction; the parallel part is scaled
     by eta, the recombined difference clamped to norm r and folded into
-    the running momentum (``momentum' = delta - beta * momentum``).
-    Returns the guided prediction and the updated state.
+    the running momentum (``momentum' = delta - beta * momentum``; zeros
+    at a trajectory's first step).  Returns the guided prediction and the
+    updated momentum.
     """
     delta = pair.x0_cond - pair.x0_uncond
     ref_sq = np.sum(pair.x0_cond * pair.x0_cond, axis=-1)
@@ -344,9 +323,8 @@ def apg_update(
     with np.errstate(divide="ignore", invalid="ignore"):
         clamp = np.where(n_mixed > params.r, params.r / n_mixed, 1.0)
     clamped = clamp[..., None] * mixed
-    momentum = clamped - params.beta * state.momentum
-    guided = pair.x0_cond + (omega - 1.0) * momentum
-    return guided, ApgState(momentum=momentum)
+    momentum = clamped - params.beta * momentum
+    return pair.x0_cond + (omega - 1.0) * momentum, momentum
 
 
 def recfg_combine(

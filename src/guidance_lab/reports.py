@@ -18,7 +18,6 @@ from .samplers import TrajectoryRecord
 from .theory import ProbeReport, ScatterSet, SweepRow
 
 __all__ = [
-    "format_float",
     "write_csv",
     "write_trajectory_csv",
     "write_summary_csv",
@@ -27,10 +26,6 @@ __all__ = [
     "write_probe_csv",
     "write_report_json",
 ]
-
-
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @contextmanager

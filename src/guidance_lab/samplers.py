@@ -23,9 +23,9 @@ import numpy as np
 
 from . import guidance as gd
 from . import mixture as mx
-from .guidance import ApgState, GuidanceConfig
+from .guidance import GuidanceConfig
 from .mixture import GaussianMixture
-from .schedule import FlowPath, TimeGrid
+from .schedule import TimeGrid
 
 __all__ = [
     "EquivalenceUndefined",
@@ -173,8 +173,8 @@ class TrajectoryRecord:
 # Strategy table
 # ---------------------------------------------------------------------------
 # Each rule maps one run's slice of (pair, geometry), its config, its rows,
-# alpha_bar_prev and its APG state to (guided prediction, next state or
-# None, APG state, log columns); the rows carry each row's guidance weight
+# alpha_bar_prev and its APG momentum to (guided prediction, next state or
+# None, APG momentum, log columns); the rows carry each row's guidance weight
 # as an (n, 1) column and, for recfg, its lambda.  Only cfgpp returns the next state itself: its
 # renoising noise is not the one a DDIM step would derive from the guided
 # prediction.  At alpha_bar = 0, the flow path's start, the eps-space rules
@@ -222,11 +222,6 @@ def _rows(run: Run) -> _Rows:
     return _Rows(seeds, condition, column, lam)
 
 
-def _linear(combine):
-    return lambda pair, geo, cfg, rows, ab_prev, state: (
-        combine(pair, rows.omega), None, state, {})
-
-
 def _rotation(capped, normalized=False):
     def rule(pair, geo, cfg, rows, ab_prev, state):
         guided, turn = gd._rotate(geo, rows.omega[:, 0], cfg.angle_cap if capped else None)
@@ -272,11 +267,13 @@ def _cfgpp_residual(pair, lam, ab_prev, x_next):
 
 
 _STEP_RULES = {
-    "cfg": _linear(gd.cfg_combine),
+    "cfg": lambda pair, geo, cfg, rows, ab_prev, state: (
+        gd.cfg_combine(pair, rows.omega), None, state, {}),
     "adg": _rotation(capped=True),
     "adg_no_cap": _rotation(capped=False),
     "adg_normalized": _rotation(capped=True, normalized=True),
-    "adg_simplified": _linear(gd.adg_simplified),
+    "adg_simplified": lambda pair, geo, cfg, rows, ab_prev, state: (
+        gd.adg_simplified(pair, rows.omega), None, state, {}),
     "apg": _apg,
     "recfg": _recfg,
     "cfgpp": _cfgpp,
@@ -324,19 +321,15 @@ def _drive(gmm, runs, times, alpha_bars, log=True):
     ends = np.cumsum([len(rows.seeds) for rows in groups]).tolist()
     slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
     seeds = [s for rows in groups for s in rows.seeds]
-    conditions = [rows.condition for rows in groups]
-    if all(np.ndim(c) == 0 and c == conditions[0] for c in conditions):
-        condition = conditions[0] if conditions else 0
-    else:
-        condition = np.concatenate([np.broadcast_to(c, (len(rows.seeds),))
-                                    for c, rows in zip(conditions, groups)])
+    condition = np.concatenate([np.broadcast_to(rows.condition, (len(rows.seeds),))
+                                for rows in groups])
     x = _stream_draws(seeds, 0, (gmm.dim,))
     if log:
         shape = (len(times),) + x.shape
         x_t, x0_cond, x0_uncond, x0_guided = (np.empty(shape) for _ in range(4))
         gamma, gamma_omega, residual = (np.full(shape[:2], math.nan) for _ in range(3))
         guided_norm = np.empty(shape[:2])
-    states = [ApgState.zero((len(rows.seeds), gmm.dim)) for rows in groups]
+    states = [np.zeros((len(rows.seeds), gmm.dim)) for rows in groups]
     for i, t in enumerate(times):
         try:
             ab_t, ab_prev = float(alpha_bars[i]), float(alpha_bars[i + 1])
@@ -506,9 +499,10 @@ def flow_sample_batch(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    path = FlowPath(sigma_min=sigma_min)
+    if not 0.0 <= sigma_min < 1.0:
+        raise ValueError("sigma_min must lie in [0, 1)")
     t = np.arange(steps + 1) * (1.0 / steps)
-    s = np.hypot(t, 1.0 - (1.0 - path.sigma_min) * t)
+    s = np.hypot(t, 1.0 - (1.0 - sigma_min) * t)
     config = GuidanceConfig(strategy="adg", omega=omega, angle_cap=angle_cap)
     records = _drive(gmm, [Run(config, condition, seeds)], t[:-1], (t / s) ** 2)[0]
     for j, rec in enumerate(records):  # views of one log: each scales its own rows, no copy

@@ -3,9 +3,10 @@
 The forward process runs with a linear beta ramp ``beta(t) = beta_min +
 (beta_max - beta_min) * t / horizon``.  The signal coefficient
 ``alpha_bar(t) = exp(-int_0^t beta)`` then has the closed form used
-throughout; the noise variance is ``beta_bar = 1 - alpha_bar``.  A flow
-path with linear mean ``t * x1`` and std ``1 - (1 - sigma_min) * t`` is
-also defined here so samplers share one time-parameterization module.
+throughout; the noise variance is ``beta_bar = 1 - alpha_bar``, and
+``beta_min == beta_max`` gives the constant-beta form ``exp(-beta * t)``.
+The flow sampler's linear path is parameterized where it is driven, in
+:func:`guidance_lab.samplers.flow_sample_batch`.
 """
 
 from __future__ import annotations
@@ -18,13 +19,9 @@ import numpy as np
 __all__ = [
     "NoiseSchedule",
     "TimeGrid",
-    "FlowPath",
-    "default_schedule",
-    "constant_beta_schedule",
     "alpha_bar",
     "beta",
     "make_grid",
-    "flow_stats",
 ]
 
 
@@ -46,20 +43,6 @@ class NoiseSchedule:
             raise ValueError("beta_max must be finite and >= beta_min")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
-
-
-def default_schedule() -> NoiseSchedule:
-    """Standard VP parameterization: beta 0.1 -> 20 over horizon 1."""
-    return NoiseSchedule()
-
-
-def constant_beta_schedule(beta_value: float = 2.0, horizon: float = 1.0) -> NoiseSchedule:
-    """Constant-beta preset, giving alpha_bar(t) = exp(-beta * t).
-
-    With the default beta of 2 this mirrors the closed-form setting the
-    certifiers use (alpha_bar = exp(-2t)).
-    """
-    return NoiseSchedule(beta_min=beta_value, beta_max=beta_value, horizon=horizon)
 
 
 def beta(schedule: NoiseSchedule, t: float) -> float:
@@ -134,20 +117,3 @@ def make_grid(
     abars = np.array([alpha_bar(schedule, t) for t in times])
     return TimeGrid(steps=steps, times=times, alpha_bars=abars)
 
-
-@dataclass(frozen=True)
-class FlowPath:
-    """Linear-interpolant probability path: mean t*x1, std 1-(1-sigma_min)*t."""
-
-    sigma_min: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma_min < 1.0:
-            raise ValueError("sigma_min must lie in [0, 1)")
-
-
-def flow_stats(path: FlowPath, t: float) -> tuple[float, float]:
-    """Mean coefficient and std of the conditional path at time t in [0, 1]."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"flow time {t} outside [0, 1]")
-    return t, 1.0 - (1.0 - path.sigma_min) * t

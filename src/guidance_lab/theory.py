@@ -191,15 +191,6 @@ def norm_amplification_check(
     when the condition has no surface certificate, and with omega = 1,
     where the trajectories coincide.
     """
-    certificate = mx.surface_certificate(gmm, condition)
-    if certificate is None:
-        return ProbeReport(
-            name="norm_amplification",
-            parameters={"condition": condition},
-            verdict="n/a",
-            measured={"note": f"component {condition} is not a surface class"},
-            tolerance=margin_floor,
-        )
     seeds = sorted(int(s) for s in seeds)
     params = {
         "omega": omega,
@@ -208,6 +199,15 @@ def norm_amplification_check(
         "condition": condition,
         "margin_floor": margin_floor,
     }
+    certificate = mx.surface_certificate(gmm, condition)
+    if certificate is None:
+        return ProbeReport(
+            name="norm_amplification",
+            parameters=params,
+            verdict="n/a",
+            measured={"note": f"component {condition} is not a surface class"},
+            tolerance=margin_floor,
+        )
     if omega == 1.0:
         return ProbeReport(
             name="norm_amplification",

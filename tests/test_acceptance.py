@@ -39,7 +39,7 @@ from guidance_lab.samplers import (
     sample_trajectory,
     step_rng,
 )
-from guidance_lab.schedule import default_schedule, make_grid
+from guidance_lab.schedule import NoiseSchedule, make_grid
 from guidance_lab.theory import estimate_c1, mt_membership, norm_amplification_check, norm_sweep
 from guidance_lab.verify import random_mixture_cases
 
@@ -50,7 +50,7 @@ SQUARE = GaussianMixture(
     dim=2, means=[[1, 1], [1, -1], [-1, 1], [-1, -1]], weights=[0.25] * 4
 )
 PAIR_1D = GaussianMixture(dim=1, means=[[-1.0], [1.0]], weights=[0.5, 0.5])
-SCHED = default_schedule()
+SCHED = NoiseSchedule()
 
 ORACLE_SEED = 20240817  # shared by criteria 1 and 2
 

@@ -17,7 +17,8 @@ import guidance_lab
 from guidance_lab import config as config_module
 from guidance_lab.cli import main
 from guidance_lab.config import DEFAULTS, ConfigError, dump_config, load_config, loads_config
-from guidance_lab.reports import format_float, write_csv
+from guidance_lab.reports import write_csv
+from guidance_lab.schedule import NoiseSchedule, alpha_bar
 from guidance_lab.svgplot import render_scatter, render_sweep
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -101,7 +102,7 @@ class TestConfig:
     def test_minimal_document_fills_defaults(self):
         config = loads_config(MINIMAL_1D)
         assert config.gmm().n_components == 2
-        assert config.noise_schedule().beta_max == 20.0
+        assert config.time_grid().alpha_bars[0] == alpha_bar(NoiseSchedule(), 1.0)
         assert config.guidance().strategy == "cfg"
         assert config.seeds() == list(range(10))
         assert config.condition() == 1
@@ -300,6 +301,8 @@ class TestCliContracts:
         ("sample", "probes.guidance_off.seed_count=0"),
         ("flow-sample", "flow.steps=0"),
         ("flow-sample", "flow.sigma_min=1.5"),
+        ("flow-sample", "flow.sigma_min=1.0"),
+        ("flow-sample", "flow.sigma_min=-0.1"),
         ("sweep", "sweep.omegas=[0.5]"),
         ("sweep", "sweep.strategies=[warp]"),
         ("sweep", "sweep.seed_count=100000000"),
@@ -627,18 +630,19 @@ class TestCliContracts:
 
 
 class TestEmission:
-    def test_float_formatting_round_trips(self):
+    def test_float_formatting_round_trips(self, tmp_path):
         rng = np.random.default_rng(0)
-        for x in rng.standard_normal(200) * 10.0 ** rng.integers(-8, 8, 200):
-            assert float(format_float(float(x))) == float(x)
+        xs = (rng.standard_normal(200) * 10.0 ** rng.integers(-8, 8, 200)).tolist()
+        path = tmp_path / "floats.csv"
+        write_csv(str(path), ["x"], [[x] for x in xs])
+        assert [float(cell) for cell in path.read_text().splitlines()[1:]] == xs
 
     def test_csv_dialect(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(str(path), ["a", "b"], [[1.5, "x"], [math.pi, "y"]])
         raw = path.read_bytes()
         assert b"\r" not in raw
-        assert raw.decode().splitlines()[1] == "1.5,x"
-        assert format_float(math.pi) == "3.1415926535897931"
+        assert raw.decode().splitlines()[1:] == ["1.5,x", "3.1415926535897931,y"]
 
     def test_csv_rows_may_stream(self, tmp_path):
         rows = [[1.5, "x"], [math.pi, "y"]]

@@ -9,7 +9,6 @@ from guidance_lab.guidance import (
     ANGLE_FLOOR,
     DEFAULT_ANGLE_CAP,
     ApgParams,
-    ApgState,
     DegenerateGeometryError,
     GuidanceConfig,
     PredictionPair,
@@ -19,7 +18,6 @@ from guidance_lab.guidance import (
     adg_simplified,
     angle_between,
     apg_update,
-    cap_angle,
     cfg_combine,
     cfgpp_predictions,
     eps_from_x0,
@@ -113,12 +111,6 @@ class TestAngles:
             for gamma in (angle_between(u, v), angle_between(v, u)):
                 assert abs(gamma - theta) <= 1e-12 * theta
 
-    def test_cap_angle(self):
-        assert cap_angle(2.0, math.pi / 3) == pytest.approx(1.0471975511965976, abs=1e-12)
-        assert cap_angle(0.5, math.pi / 3) == 0.5
-        assert cap_angle(0.0, math.pi / 3) == 0.0
-        with pytest.raises(ValueError):
-            cap_angle(-0.1, 1.0)
 
 
 class TestRotation:
@@ -272,46 +264,45 @@ class TestApg:
         pair = PredictionPair(
             x0_cond=cond, x0_uncond=uncond, x_t=np.zeros_like(cond), alpha_bar_t=0.5
         )
-        out, _ = apg_update(pair, 3.0, params, ApgState.zero(cond.shape))
+        out, _ = apg_update(pair, 3.0, params, np.zeros(cond.shape))
         assert np.max(np.abs(out - cfg_combine(pair, 3.0))) < 1e-12
 
     def test_eta_zero_keeps_only_orthogonal_component(self):
         params = ApgParams(eta=0.0, beta=0.0, r=math.inf)
         for pair in random_pairs(50, seed=26):
-            out, state = apg_update(pair, 2.0, params, ApgState.zero(pair.x0_cond.shape))
-            kept = state.momentum
+            out, kept = apg_update(pair, 2.0, params, np.zeros(pair.x0_cond.shape))
             assert abs(kept @ pair.x0_cond) < 1e-10 * np.linalg.norm(pair.x0_cond)
             np.testing.assert_allclose(out, pair.x0_cond + kept, atol=1e-14)
 
     def test_zero_radius_clamps_to_conditional(self):
         params = ApgParams(eta=0.5, beta=0.0, r=0.0)
         pair = pair_of([1.0, 2.0], [0.5, -1.0])
-        out, _ = apg_update(pair, 5.0, params, ApgState.zero(2))
+        out, _ = apg_update(pair, 5.0, params, np.zeros(2))
         np.testing.assert_allclose(out, pair.x0_cond, atol=1e-15)
 
     def test_norm_clamp(self):
         params = ApgParams(eta=1.0, beta=0.0, r=0.1)
         pair = pair_of([5.0, 0.0], [0.0, 5.0])
-        _, state = apg_update(pair, 2.0, params, ApgState.zero(2))
-        assert np.linalg.norm(state.momentum) <= 0.1 + 1e-12
+        _, momentum = apg_update(pair, 2.0, params, np.zeros(2))
+        assert np.linalg.norm(momentum) <= 0.1 + 1e-12
 
     def test_negative_momentum_accumulates(self):
         # second step folds the previous history with coefficient -beta
         params = ApgParams(eta=1.0, beta=-0.5, r=math.inf)
         pair = pair_of([1.0, 0.0], [0.0, 1.0])
-        out1, state1 = apg_update(pair, 2.0, params, ApgState.zero(2))
+        out1, momentum1 = apg_update(pair, 2.0, params, np.zeros(2))
         delta = pair.x0_cond - pair.x0_uncond
-        np.testing.assert_allclose(state1.momentum, delta, atol=1e-14)
-        out2, state2 = apg_update(pair, 2.0, params, state1)
-        np.testing.assert_allclose(state2.momentum, delta + 0.5 * delta, atol=1e-14)
-        np.testing.assert_allclose(out2, pair.x0_cond + state2.momentum, atol=1e-14)
+        np.testing.assert_allclose(momentum1, delta, atol=1e-14)
+        out2, momentum2 = apg_update(pair, 2.0, params, momentum1)
+        np.testing.assert_allclose(momentum2, delta + 0.5 * delta, atol=1e-14)
+        np.testing.assert_allclose(out2, pair.x0_cond + momentum2, atol=1e-14)
 
     def test_infinite_radius_with_zero_difference(self):
         params = ApgParams(eta=0.0, beta=-0.5, r=math.inf)
         pair = pair_of([1.0, -2.0], [1.0, -2.0])
-        out, state = apg_update(pair, 5.0, params, ApgState.zero(2))
+        out, momentum = apg_update(pair, 5.0, params, np.zeros(2))
         np.testing.assert_array_equal(out, pair.x0_cond)
-        np.testing.assert_array_equal(state.momentum, [0.0, 0.0])
+        np.testing.assert_array_equal(momentum, [0.0, 0.0])
 
     def test_finite_radius_clamp_is_min_of_one_and_ratio(self):
         # bit for bit: min(1, r / |mixed|), and 0 where the mixed difference is 0
@@ -322,15 +313,14 @@ class TestApg:
         pair = PredictionPair(x0_cond=cond, x0_uncond=uncond, x_t=np.zeros_like(cond),
                               alpha_bar_t=0.5)
         unclamped = ApgParams(eta=0.3, beta=0.0, r=math.inf)
-        _, state = apg_update(pair, 2.0, unclamped, ApgState.zero(cond.shape))
-        mixed = state.momentum
+        _, mixed = apg_update(pair, 2.0, unclamped, np.zeros(cond.shape))
         norm = np.linalg.norm(mixed, axis=-1)
         for r in (0.0, 1e-3, 0.5, 2.5, 100.0):
             params = ApgParams(eta=0.3, beta=0.0, r=r)
-            _, state = apg_update(pair, 2.0, params, ApgState.zero(cond.shape))
+            _, momentum = apg_update(pair, 2.0, params, np.zeros(cond.shape))
             with np.errstate(divide="ignore"):
                 clamp = np.minimum(1.0, r / np.where(norm > 0.0, norm, np.inf))
-            assert state.momentum.tobytes() == (clamp[:, None] * mixed).tobytes()
+            assert momentum.tobytes() == (clamp[:, None] * mixed).tobytes()
 
     def test_param_validation(self):
         with pytest.raises(ValueError, match="eta"):

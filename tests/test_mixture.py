@@ -305,6 +305,18 @@ class TestPosteriorMean:
         with pytest.raises(ValueError, match="alpha_bar"):
             posterior_mean_x0(PAIR_1D, np.array([0.0]), 1.0)
 
+    def test_index_array_rows_equal_one_component_calls(self):
+        # the sampler's drive conditions every row through an (n,) index
+        # array, so each row must equal the one-component call bit for bit
+        rng = np.random.default_rng(18)
+        for gmm, _, alpha_bar, _ in random_cases(100, seed=18):
+            x = rng.standard_normal((12, gmm.dim)) * 10.0 ** rng.integers(-3, 4, (12, 1))
+            cond = rng.integers(0, gmm.n_components, 12)
+            rows = posterior_mean_x0(gmm, x, alpha_bar, cond)
+            for c in range(gmm.n_components):
+                alone = posterior_mean_x0(gmm, x[cond == c], alpha_bar, c)
+                assert rows[cond == c].tobytes() == alone.tobytes()
+
     def test_score_identity_randomized(self):
         # denoising-mean/score identity at 1e-10
         for gmm, x, alpha_bar, condition in random_cases(300, seed=17):

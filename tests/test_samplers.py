@@ -10,7 +10,7 @@ import pytest
 
 from guidance_lab import samplers as sp
 from guidance_lab import guidance as gd
-from guidance_lab.guidance import STRATEGIES, ApgState, GuidanceConfig
+from guidance_lab.guidance import STRATEGIES, GuidanceConfig
 from guidance_lab.mixture import GaussianMixture, posterior_mean_x0, score_conditional
 from guidance_lab.samplers import (
     EquivalenceUndefined,
@@ -29,13 +29,13 @@ from guidance_lab.samplers import (
     sample_trajectory,
     step_rng,
 )
-from guidance_lab.schedule import default_schedule, make_grid
+from guidance_lab.schedule import NoiseSchedule, make_grid
 
 PAIR_1D = GaussianMixture(dim=1, means=[[-1.0], [1.0]], weights=[0.5, 0.5])
 SQUARE = GaussianMixture(
     dim=2, means=[[1, 1], [1, -1], [-1, 1], [-1, -1]], weights=[0.25] * 4
 )
-SCHED = default_schedule()
+SCHED = NoiseSchedule()
 
 
 def _wide_mixture():
@@ -417,6 +417,11 @@ class TestFlow:
             x = flow_euler_step(x, flow_posterior_mean_x1(g, x, t, 0.1, 0), t, dt, 0.1)
         np.testing.assert_allclose(rec.final_x0, x, atol=1e-12)
 
+    @pytest.mark.parametrize("sigma_min", [1.0, -0.1])
+    def test_sigma_min_range(self, sigma_min):
+        with pytest.raises(ValueError, match="sigma_min"):
+            flow_sample_batch(SQUARE, sigma_min, 10, 3.0, math.pi / 3, 0, [0])
+
     @pytest.mark.parametrize("sigma_min", [0.0, 0.1])
     @pytest.mark.parametrize("steps", [1, 50])
     def test_guided_flow_matches_euler_reference(self, sigma_min, steps):
@@ -439,7 +444,7 @@ def _apg_guide(params, omega):
     def guide(cond, uncond):
         nonlocal state
         pair = SimpleNamespace(x0_cond=cond, x0_uncond=uncond)
-        state = ApgState.zero(cond.shape) if state is None else state
+        state = np.zeros(cond.shape) if state is None else state
         guided, state = gd.apg_update(pair, omega, params, state)
         return guided
     return guide

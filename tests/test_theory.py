@@ -13,7 +13,7 @@ import guidance_lab.theory as th
 import guidance_lab.verify as vf
 from guidance_lab.config import loads_config
 from guidance_lab.mixture import GaussianMixture, score_conditional, surface_certificate
-from guidance_lab.schedule import default_schedule, make_grid
+from guidance_lab.schedule import NoiseSchedule, make_grid
 from guidance_lab.theory import (
     estimate_c1,
     mt_membership,
@@ -28,7 +28,7 @@ SQUARE = GaussianMixture(
     dim=2, means=[[1, 1], [1, -1], [-1, 1], [-1, -1]], weights=[0.25] * 4
 )
 CERT_1D = surface_certificate(PAIR_1D, 1)
-SCHED = default_schedule()
+SCHED = NoiseSchedule()
 
 
 class TestMembership:
@@ -188,7 +188,9 @@ class TestNormAmplification:
                                   weights=[0.2] * 5)
         report = norm_amplification_check(centred, 4, make_grid(SCHED, 20), 5.0, range(4))
         assert report.verdict == "n/a" and report.passed
-        assert report.to_dict()["parameters"] == {"condition": 4}
+        assert report.to_dict()["parameters"] == {
+            "omega": 5.0, "seeds": [0, 1, 2, 3], "grid_steps": 20, "condition": 4,
+            "margin_floor": 1e-9}
 
     def test_report_is_reproducible(self):
         grid = make_grid(SCHED, 60)
