@@ -215,16 +215,13 @@ def cmd_scatter(args) -> int:
         config.gmm(), config.time_grid(), block["omegas"], block["seeds_per_class"],
         strategy=block["strategy"], base_config=config.guidance(),
     )
-    rp.write_scatter_csv(sets, _outpath(config, "scatter.csv"))
+    path = _outpath(config, "scatter.csv")
+    rp.write_scatter_csv(sets, path)
+    # each figure is drawn from the CSV, as `plot --kind scatter --omega w` draws it
+    rows = _read_csv(path)
     gmm = config.gmm()
     for s in sets:
-        # a 1-D mixture's samples lie on the x axis
-        groups = {
-            f"component {c}": [(p[0], p[1] if gmm.dim > 1 else 0.0)
-                               for p in s.samples[s.components == c]]
-            for c in range(gmm.n_components)
-        }
-        doc = svgplot.render_scatter(groups, title=f"samples at omega={s.omega:g}")
+        doc = svgplot.render_scatter(*_scatter_groups(rows, s.omega))
         svgplot.write_svg(doc, _outpath(config, f"scatter_omega_{s.omega:g}.svg"))
         drift = s.centroid_drift(gmm)
         drift_text = " ".join(f"c{c}={d:.4f}" for c, d in sorted(drift.items()))
@@ -248,15 +245,12 @@ def cmd_flow_sample(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    import csv
-
     from . import svgplot
 
     out = args.out or os.path.splitext(args.csv_path)[0] + ".svg"
     try:
         # inside the handler: a file that is not UTF-8 raises UnicodeDecodeError
-        with open(args.csv_path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = _read_csv(args.csv_path)
         if args.kind == "scatter":
             doc = svgplot.render_scatter(*_scatter_groups(rows, args.omega))
         else:
@@ -270,22 +264,29 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+def _read_csv(path):
+    """The CSV's rows as dicts keyed by its header."""
+    import csv
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
 def _scatter_groups(rows, omega_filter):
-    """The scatter CSV's points grouped by (omega and) component, and a title."""
-    groups: dict[str, list[tuple[float, float]]] = {}
-    omegas = sorted({row["omega"] for row in rows}) if rows else []
-    multi = len(omegas) > 1 and omega_filter is None
+    """The scatter CSV's points grouped by (omega and) component in numeric order, and a title."""
+    points: dict[tuple[float, int], list[tuple[float, float]]] = {}
     for row in rows:
         omega = float(row["omega"])
         if omega_filter is not None and omega != omega_filter:
             continue
-        label = f"component {row['component']}"
-        if multi:
-            label = f"omega={omega:g} " + label
         # a 1-D mixture's samples have no x0_1: they lie on the x axis
         y = float(row["x0_1"]) if "x0_1" in row else 0.0
-        groups.setdefault(label, []).append((float(row["x0_0"]), y))
-    groups = {k: groups[k] for k in sorted(groups)}
+        points.setdefault((omega, int(row["component"])), []).append((float(row["x0_0"]), y))
+    multi = len({omega for omega, _ in points}) > 1
+    groups = {
+        (f"omega={omega:g} " if multi else "") + f"component {c}": points[omega, c]
+        for omega, c in sorted(points)
+    }
     title = "samples" if omega_filter is None else f"samples at omega={omega_filter:g}"
     return groups, title
 

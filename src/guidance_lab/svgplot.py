@@ -137,8 +137,9 @@ def _data_range(values, pad_fraction=0.05):
     return lo - pad, hi + pad
 
 
-def render_scatter(groups: dict[str, list[tuple[float, float]]], title: str = "samples") -> str:
-    """2D scatter, one palette color per group; empty input gives bare axes."""
+def _render(groups: dict[str, list[tuple[float, float]]], title: str, lines: bool) -> str:
+    """Circles in one palette color per group, with ``lines`` a polyline
+    through each group's sorted points under them; empty input gives bare axes."""
     xs = [p[0] for pts in groups.values() for p in pts]
     ys = [p[1] for pts in groups.values() for p in pts]
     canvas = _Canvas(_data_range(xs), _data_range(ys), title)
@@ -147,30 +148,24 @@ def render_scatter(groups: dict[str, list[tuple[float, float]]], title: str = "s
     for i, (label, pts) in enumerate(groups.items()):
         color = PALETTE[i % len(PALETTE)]
         labels.append((label, color))
+        if lines:
+            pts = sorted(pts)
+            canvas.polyline(pts, color)
         for x, y in pts:
             canvas.circle(x, y, color)
     if labels:
         canvas.legend(labels)
     return canvas.document()
+
+
+def render_scatter(groups: dict[str, list[tuple[float, float]]], title: str = "samples") -> str:
+    """2D scatter, one palette color per group; empty input gives bare axes."""
+    return _render(groups, title, lines=False)
 
 
 def render_sweep(series: dict[str, list[tuple[float, float]]], title: str = "norm sweep") -> str:
     """One polyline per strategy over (omega, mean norm) pairs."""
-    xs = [p[0] for pts in series.values() for p in pts]
-    ys = [p[1] for pts in series.values() for p in pts]
-    canvas = _Canvas(_data_range(xs), _data_range(ys), title)
-    canvas.axes()
-    labels = []
-    for i, (label, pts) in enumerate(series.items()):
-        color = PALETTE[i % len(PALETTE)]
-        labels.append((label, color))
-        pts = sorted(pts)
-        canvas.polyline(pts, color)
-        for x, y in pts:
-            canvas.circle(x, y, color)
-    if labels:
-        canvas.legend(labels)
-    return canvas.document()
+    return _render(series, title, lines=True)
 
 
 def write_svg(document: str, path: str) -> None:

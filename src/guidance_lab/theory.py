@@ -56,6 +56,12 @@ class ProbeReport:
     tolerance: float
     details: list = field(default_factory=list)
 
+    @classmethod
+    def not_applicable(cls, name: str, parameters: dict, note: str, tolerance: float) -> ProbeReport:
+        """The report of a probe whose claim does not apply, saying why in ``note``."""
+        return cls(name=name, parameters=parameters, verdict="n/a", measured={"note": note},
+                   tolerance=tolerance)
+
     @property
     def passed(self) -> bool:
         return self.verdict in ("pass", "n/a")
@@ -200,22 +206,10 @@ def norm_amplification_check(
         "margin_floor": margin_floor,
     }
     certificate = mx.surface_certificate(gmm, condition)
-    if certificate is None:
-        return ProbeReport(
-            name="norm_amplification",
-            parameters=params,
-            verdict="n/a",
-            measured={"note": f"component {condition} is not a surface class"},
-            tolerance=margin_floor,
-        )
-    if omega == 1.0:
-        return ProbeReport(
-            name="norm_amplification",
-            parameters=params,
-            verdict="n/a",
-            measured={"note": "guided and conditional trajectories coincide at omega=1"},
-            tolerance=margin_floor,
-        )
+    if certificate is None or omega == 1.0:
+        note = (f"component {condition} is not a surface class" if certificate is None
+                else "guided and conditional trajectories coincide at omega=1")
+        return ProbeReport.not_applicable("norm_amplification", params, note, margin_floor)
 
     # one drive: the guided rows, then the plain conditional ones (omega = 1)
     n = len(seeds)

@@ -128,13 +128,9 @@ def probe_posterior_simplex(cases: int, seed: int, tolerance: float = 1e-12) -> 
 def probe_surface_invariants(gmm: GaussianMixture, tolerance: float = 1e-9) -> ProbeReport:
     """Certificate geometry checks across all components of the mixture."""
     if gmm.n_components < 2:
-        return ProbeReport(
-            name="surface_certificates",
-            parameters={"components": gmm.n_components},
-            verdict="n/a",
-            measured={"note": "single-component mixture has no hull geometry"},
-            tolerance=tolerance,
-        )
+        return ProbeReport.not_applicable(
+            "surface_certificates", {"components": gmm.n_components},
+            "single-component mixture has no hull geometry", tolerance)
     touches, units = [0.0], [0.0]
     n_surface = 0
     ok = True
@@ -188,13 +184,9 @@ def probe_c1_monotone(
     }
     cert = mx.surface_certificate(gmm, condition)
     if cert is None:
-        return ProbeReport(
-            name="anomalous_interval",
-            parameters=params,
-            verdict="n/a",
-            measured={"note": f"component {condition} is not a surface class"},
-            tolerance=bisection_tol,
-        )
+        return ProbeReport.not_applicable(
+            "anomalous_interval", params, f"component {condition} is not a surface class",
+            bisection_tol)
     values = [theory.estimate_c1(gmm, cert, alpha_bar, w, k_max=k_max) for w in omegas]
     gaps = [b - a for a, b in zip(values, values[1:])]
     boundary_exits = []

@@ -36,6 +36,17 @@ run:
   condition: 1
 """
 
+# twelve classes on a circle: class labels 10 and 11 sort before 2 as strings
+TWELVE_2D = f"""
+gmm:
+  means: {[[round(3.0 * math.cos(k * math.pi / 6), 6), round(3.0 * math.sin(k * math.pi / 6), 6)]
+           for k in range(12)]}
+grid:
+  steps: 8
+scatter:
+  seeds_per_class: 2
+"""
+
 
 def _leaf_paths(table, prefix=""):
     for key, entry in table.items():
@@ -605,6 +616,33 @@ class TestCliContracts:
             svg = (out / f"scatter_omega_{omega}.svg").read_text()
             assert svg.count("<circle") == 2 * 3  # classes x seeds
             assert len(set(re.findall(r'<circle cx="[^"]*" cy="([^"]*)"', svg))) == 1
+
+    def _scatter_twelve(self, tmp_path, omegas):
+        cfg = tmp_path / "twelve.yaml"
+        cfg.write_text(TWELVE_2D)
+        out = tmp_path / "twelve"
+        assert run_cli(
+            "scatter", "--config", str(cfg), "--out", str(out),
+            "--set", f"scatter.omegas={omegas}",
+        ) == 0
+        return out
+
+    def test_plot_scatter_redraws_each_omega_svg(self, tmp_path):
+        out = self._scatter_twelve(tmp_path, "[1.0, 5.0]")
+        for omega in ("1", "5"):
+            replot = out / f"replot_{omega}.svg"
+            assert run_cli(
+                "plot", str(out / "scatter.csv"), "--kind", "scatter", "--omega", omega,
+                "--out", str(replot),
+            ) == 0
+            assert replot.read_bytes() == (out / f"scatter_omega_{omega}.svg").read_bytes()
+
+    def test_plot_scatter_orders_groups_by_omega_then_class_number(self, tmp_path):
+        out = self._scatter_twelve(tmp_path, "[2.0, 10.0]")
+        assert run_cli("plot", str(out / "scatter.csv"), "--kind", "scatter") == 0
+        svg = (out / "scatter.svg").read_text()
+        legend = re.findall(r'font-size="12">([^<]*)</text>', svg)
+        assert legend == [f"omega={w} component {c}" for w in (2, 10) for c in range(12)]
 
     def test_flow_sample(self, tmp_path):
         out = tmp_path / "fl"
