@@ -39,11 +39,11 @@ from .mixture import (
     log_density_t,
     posterior_mean_x0,
     posterior_weights,
-    score_conditional,
-    score_unconditional,
+    score,
     surface_certificate,
 )
 from .samplers import (
+    Run,
     TrajectoryRecord,
     cfgpp_equivalent_weight,
     ddim_step,
@@ -53,8 +53,7 @@ from .samplers import (
     flow_sample_adg,
     flow_sample_batch,
     pcg_sample,
-    sample_batch,
-    sample_finals,
+    sample_runs,
     sample_trajectory,
 )
 from .schedule import (

@@ -1,7 +1,7 @@
 """Sequential order-preserving map.
 
 Nothing in the package calls it any more: trajectories run as one batch
-(see ``samplers.sample_batch``).  It stays because the benchmark's tracer
+(see ``samplers.sample_runs``).  It stays because the benchmark's tracer
 (``perfbench/tracer.py``) imports it.
 """
 

@@ -26,8 +26,7 @@ __all__ = [
     "SurfaceCertificate",
     "ComponentClassification",
     "log_density_t",
-    "score_conditional",
-    "score_unconditional",
+    "score",
     "posterior_weights",
     "posterior_mean_x0",
     "finite_diff_score",
@@ -70,12 +69,18 @@ class GaussianMixture:
         if np.any(weights <= 0):
             raise ValueError("all mixing weights must be positive")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"mixing weights must sum to 1, got {weights.sum()!r}")
+            raise ValueError(f"mixing weights must sum to 1, got {float(weights.sum())!r}")
+        with np.errstate(all="ignore"):
+            sq_norms = np.einsum("cd,cd->c", means, means)
+            reach = 4.0 * sq_norms.max()  # bounds every squared distance between two means
+        if not np.isfinite(reach):
+            raise ValueError("4 * max |mu_c|^2, which bounds the squared distances between "
+                             f"means, must be finite, got {reach}")
         derived = {
             "means": means,
             "weights": weights,
             "log_weights": np.log(weights),
-            "half_sq_norms": 0.5 * np.einsum("cd,cd->c", means, means),
+            "half_sq_norms": 0.5 * sq_norms,
         }
         for name, value in derived.items():
             value.setflags(write=False)
@@ -156,16 +161,6 @@ def log_density_t(
     return float(out) if out.ndim == 0 else out
 
 
-def score_conditional(
-    gmm: GaussianMixture, x: np.ndarray, alpha_bar: float, condition: int
-) -> np.ndarray:
-    """Gradient of the conditional log density: sqrt(alpha_bar)*mu_c - x."""
-    alpha_bar = _check_alpha_bar(alpha_bar, allow_one=True)
-    x = _as_points(gmm, x)
-    mu = gmm.means[_check_condition(gmm, condition)]
-    return math.sqrt(alpha_bar) * mu - x
-
-
 def posterior_weights(gmm: GaussianMixture, x: np.ndarray, alpha_bar: float) -> np.ndarray:
     """Component responsibilities at x; shape (..., C), rows sum to 1."""
     alpha_bar = _check_alpha_bar(alpha_bar, allow_one=True)
@@ -196,8 +191,19 @@ def _normalized_exp(logits: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def score_unconditional(gmm: GaussianMixture, x: np.ndarray, alpha_bar: float) -> np.ndarray:
-    """Gradient of the mixture log density: -x + sqrt(alpha_bar) * E_resp[mu]."""
+def score(
+    gmm: GaussianMixture,
+    x: np.ndarray,
+    alpha_bar: float,
+    condition: int | None = None,
+) -> np.ndarray:
+    """Gradient of the noised log density at x: of the mixture,
+    ``-x + sqrt(alpha_bar) * E_resp[mu]``, or with ``condition`` of that
+    component, ``sqrt(alpha_bar) * mu_c - x``."""
+    if condition is not None:
+        alpha_bar = _check_alpha_bar(alpha_bar, allow_one=True)
+        x = _as_points(gmm, x)
+        return math.sqrt(alpha_bar) * gmm.means[_check_condition(gmm, condition)] - x
     resp = posterior_weights(gmm, x, alpha_bar)
     x = _as_points(gmm, x)
     # einsum, as in posterior_mean_x0: a row's value does not depend on its batch

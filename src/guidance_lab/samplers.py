@@ -36,8 +36,6 @@ __all__ = [
     "ddpm_beta",
     "ddpm_step",
     "sample_runs",
-    "sample_batch",
-    "sample_finals",
     "drive_peak_bytes",
     "flow_sample_batch",
     "sample_trajectory",
@@ -185,8 +183,10 @@ _Pair = namedtuple("_Pair", "x0_cond x0_uncond x_t alpha_bar_t")
 
 class Run(NamedTuple):
     """One group of rows in a drive: a config, its condition (one
-    component, or an ``(n,)`` index array), its seeds and optional per-row
-    weights (``config.omega`` when None)."""
+    component, or an ``(n,)`` index array, one component per row), its
+    seeds (a seed may repeat) and its weights (None for ``config.omega``,
+    or one weight per row), so rows of several (omega, condition) pairs can
+    share one run."""
 
     config: GuidanceConfig
     condition: int | np.ndarray
@@ -409,47 +409,15 @@ def _pcg_correct(gmm, x, ab_t, ab_prev, config, rows, i):
 def sample_runs(gmm: GaussianMixture, grid: TimeGrid, runs, log: bool = True) -> list:
     """Guided reverse trajectories of several runs, driven as one batch.
 
-    ``runs`` is a list of :class:`Run`.  Returns one entry per run: its
-    records as :func:`sample_batch` returns them, or with ``log=False``
-    its final states as :func:`sample_finals` returns them, bit for bit.
+    ``runs`` is a list of :class:`Run`.  The conditional and unconditional
+    clean predictions come from the exact mixture posterior means; each
+    run's strategy combines them and a deterministic step advances the
+    state ("pcg" adds its stochastic corrector).  Returns one entry per
+    run: its records, one per seed, or with ``log=False`` its ``(n, dim)``
+    final states alone, with no per-step log kept.  Every row, logged or
+    not, equals its one-seed run at its condition and weight, bit for bit.
     """
     return _drive(gmm, runs, grid.times[:-1], grid.alpha_bars, log)
-
-
-def sample_batch(
-    gmm: GaussianMixture,
-    grid: TimeGrid,
-    config: GuidanceConfig,
-    condition: int,
-    seeds,
-) -> list[TrajectoryRecord]:
-    """Guided reverse trajectories of every seed on the grid, run as one batch.
-
-    The conditional and unconditional clean predictions come from the
-    exact mixture posterior means; the configured strategy combines them
-    and a deterministic step advances the state ("pcg" adds its
-    stochastic corrector).  Each record equals the one-seed run.
-    """
-    return sample_runs(gmm, grid, [Run(config, condition, seeds)])[0]
-
-
-def sample_finals(
-    gmm: GaussianMixture,
-    grid: TimeGrid,
-    config: GuidanceConfig,
-    condition,
-    seeds,
-    omega=None,
-) -> np.ndarray:
-    """Final states ``(n, dim)`` of guided reverse trajectories, one per seed.
-
-    ``condition`` is one component or an ``(n,)`` index array, ``omega``
-    None (``config.omega``) or one weight per row, so rows of several
-    (omega, condition) runs share one batch; a seed may repeat.  Row j
-    equals the final state of ``sample_batch`` at that row's condition and
-    weight, bit for bit, but no per-step log is kept.
-    """
-    return sample_runs(gmm, grid, [Run(config, condition, seeds, omega)], log=False)[0]
 
 
 def drive_peak_bytes(
@@ -519,8 +487,8 @@ def sample_trajectory(
     condition: int,
     seed: int,
 ) -> TrajectoryRecord:
-    """Run one guided reverse trajectory on the grid (see :func:`sample_batch`)."""
-    return sample_batch(gmm, grid, config, condition, [seed])[0]
+    """Run one guided reverse trajectory on the grid (see :func:`sample_runs`)."""
+    return sample_runs(gmm, grid, [Run(config, condition, [seed])])[0][0]
 
 
 def pcg_sample(
@@ -545,7 +513,7 @@ def pcg_sample(
     config = GuidanceConfig(
         strategy="pcg", omega=omega, pcg_inner_steps=inner_steps, pcg_langevin_mode=langevin_mode
     )
-    return sample_batch(gmm, grid, config, condition, [seed])[0]
+    return sample_runs(gmm, grid, [Run(config, condition, [seed])])[0][0]
 
 
 # ---------------------------------------------------------------------------

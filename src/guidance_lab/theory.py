@@ -109,8 +109,8 @@ def mt_membership(
     moves toward lower conditional density.
     """
     c_star = certificate.component_index
-    s_cond = mx.score_conditional(gmm, x, alpha_bar, c_star)
-    s_uncond = mx.score_unconditional(gmm, x, alpha_bar)
+    s_cond = mx.score(gmm, x, alpha_bar, c_star)
+    s_uncond = mx.score(gmm, x, alpha_bar)
     s_guided = omega * s_cond + (1.0 - omega) * s_uncond
     dot = float(np.dot(s_guided, s_cond))
     return dot <= 0.0, dot
@@ -213,9 +213,8 @@ def norm_amplification_check(
 
     # one drive: the guided rows, then the plain conditional ones (omega = 1)
     n = len(seeds)
-    finals = sp.sample_finals(
-        gmm, grid, GuidanceConfig(strategy="cfg"), condition, seeds * 2, [omega] * n + [1.0] * n,
-    )
+    run = sp.Run(GuidanceConfig(strategy="cfg"), condition, seeds * 2, [omega] * n + [1.0] * n)
+    finals = sp.sample_runs(gmm, grid, [run], log=False)[0]
     margins = finals[:n] @ certificate.normal - finals[n:] @ certificate.normal
     failures = [s for s, m in zip(seeds, margins) if not m > margin_floor]
     return ProbeReport(
@@ -438,10 +437,11 @@ def scatter_experiment(
     omegas = [float(w) for w in omegas]
     comps = np.repeat(np.arange(gmm.n_components), seeds_per_class)
     seeds = np.arange(len(comps))
-    finals = sp.sample_finals(
-        gmm, grid, replace(base_config or GuidanceConfig(), strategy=strategy),
+    run = sp.Run(
+        replace(base_config or GuidanceConfig(), strategy=strategy),
         np.tile(comps, len(omegas)), np.tile(seeds, len(omegas)), np.repeat(omegas, len(comps)),
     )
+    finals = sp.sample_runs(gmm, grid, [run], log=False)[0]
     return [
         ScatterSet(omega=omega, strategy=strategy, components=comps, seeds=seeds, samples=block)
         for omega, block in zip(omegas, finals.reshape(len(omegas), len(comps), gmm.dim))

@@ -67,10 +67,7 @@ def probe_score_oracle(cases: int, seed: int, tolerance: float = 1e-5, h: float 
     errors = [0.0]
     for gmm, x, alpha_bar, condition in random_mixture_cases(cases, seed):
         for cond in (condition, None):
-            if cond is None:
-                closed = mx.score_unconditional(gmm, x, alpha_bar)
-            else:
-                closed = mx.score_conditional(gmm, x, alpha_bar, cond)
+            closed = mx.score(gmm, x, alpha_bar, cond)
             numeric = mx.finite_diff_score(gmm, x, alpha_bar, cond, h=h)
             errors.append(np.max(np.abs(closed - numeric)))
     worst = float(np.max(errors))
@@ -91,12 +88,8 @@ def probe_score_identity(cases: int, seed: int, tolerance: float = 1e-10) -> Pro
         root = math.sqrt(alpha_bar)
         for cond in (condition, None):
             x0_hat = mx.posterior_mean_x0(gmm, x, alpha_bar, cond)
-            if cond is None:
-                score = mx.score_unconditional(gmm, x, alpha_bar)
-            else:
-                score = mx.score_conditional(gmm, x, alpha_bar, cond)
             implied = (root * x0_hat - x) / beta_bar
-            errors.append(np.max(np.abs(implied - score)))
+            errors.append(np.max(np.abs(implied - mx.score(gmm, x, alpha_bar, cond))))
     worst = float(np.max(errors))
     return ProbeReport(
         name="posterior_mean_score_identity",

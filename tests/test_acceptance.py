@@ -27,8 +27,7 @@ from guidance_lab.mixture import (
     GaussianMixture,
     finite_diff_score,
     posterior_mean_x0,
-    score_conditional,
-    score_unconditional,
+    score,
     surface_certificate,
 )
 from guidance_lab.samplers import (
@@ -64,11 +63,7 @@ def test_criterion_1_score_oracle():
     worst = 0.0
     for gmm, x, alpha_bar, condition in random_mixture_cases(1000, ORACLE_SEED):
         for cond in (condition, None):
-            closed = (
-                score_conditional(gmm, x, alpha_bar, cond)
-                if cond is not None
-                else score_unconditional(gmm, x, alpha_bar)
-            )
+            closed = score(gmm, x, alpha_bar, cond)
             numeric = finite_diff_score(gmm, x, alpha_bar, cond, h=1e-4)
             worst = max(worst, float(np.max(np.abs(closed - numeric))))
     elapsed = time.monotonic() - started
@@ -84,12 +79,8 @@ def test_criterion_2_posterior_mean_score_identity():
         root = math.sqrt(alpha_bar)
         for cond in (condition, None):
             x0_hat = posterior_mean_x0(gmm, x, alpha_bar, cond)
-            score = (
-                score_conditional(gmm, x, alpha_bar, cond)
-                if cond is not None
-                else score_unconditional(gmm, x, alpha_bar)
-            )
-            worst = max(worst, float(np.max(np.abs((root * x0_hat - x) / beta_bar - score))))
+            implied = (root * x0_hat - x) / beta_bar
+            worst = max(worst, float(np.max(np.abs(implied - score(gmm, x, alpha_bar, cond)))))
     assert worst < 1e-10
     report(2, "denoising-mean identity", f"max residual = {worst:.3e}")
 
@@ -233,8 +224,7 @@ def test_criterion_8_sampler_statistics():
     for i in range(grid.steps):
         ab_t, ab_prev = float(grid.alpha_bars[i]), float(grid.alpha_bars[i + 1])
         noise = step_rng(7, i + 1).standard_normal((n, 2))
-        score = score_conditional(g, ddpm, ab_t, 0)
-        ddpm = ddpm_step(ddpm, score, ddpm_beta(ab_t, ab_prev), noise)
+        ddpm = ddpm_step(ddpm, score(g, ddpm, ab_t, 0), ddpm_beta(ab_t, ab_prev), noise)
         ddim = ddim_step(ddim, posterior_mean_x0(g, ddim, ab_t, 0), ab_t, ab_prev)
     for name, xs in (("ddpm", ddpm), ("ddim", ddim)):
         se = xs.std(axis=0, ddof=1) / math.sqrt(n)

@@ -153,6 +153,8 @@ class TestConfig:
     def test_invalid_weights_rejected(self):
         with pytest.raises(ConfigError, match="sum to 1"):
             loads_config("gmm: {means: [[0.0], [1.0]], weights: [0.5, 0.4]}")
+        with pytest.raises(ConfigError, match=r"sum to 1, got 1\.0000000001$"):
+            loads_config("gmm: {means: [[0.0], [1.0]], weights: [0.5, 0.5000000001]}")
 
     def test_invalid_strategy_rejected(self):
         with pytest.raises(ConfigError, match="strategy"):
@@ -362,6 +364,20 @@ class TestCliContracts:
         out = tmp_path / "o"
         assert run_cli(*argv, "--config", DEFAULT, "--out", str(out)) == 2
         assert path in capsys.readouterr().err
+        assert not out.exists()
+
+    # 4 * max |mu_c|^2, which bounds every squared distance between two means,
+    # overflows: refused at load rather than failing or writing inf mid-run
+    @pytest.mark.parametrize("means", ["[[1.0e+160, 0.0], [0.0, 1.0]]",
+                                       "[[1.0e+154, 0.0], [-1.0e+154, 0.0]]"])
+    @pytest.mark.parametrize("command", ["sample", "flow-sample", "sweep", "scatter", "verify",
+                                         "probe-c1", "probe-norm"])
+    def test_means_whose_squared_distances_overflow_exit_2(self, tmp_path, capsys, command, means):
+        out = tmp_path / "o"
+        code = run_cli(command, "--config", DEFAULT, "--out", str(out),
+                       "--set", f"gmm.means={means}", "--set", "gmm.weights=[0.5, 0.5]")
+        assert code == 2
+        assert "gmm" in capsys.readouterr().err
         assert not out.exists()
 
     def test_finals_only_blocks_are_charged_per_row(self):

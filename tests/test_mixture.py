@@ -19,8 +19,7 @@ from guidance_lab.mixture import (
     posterior_mean_x0,
     posterior_weights,
     project_onto_hull,
-    score_conditional,
-    score_unconditional,
+    score,
     surface_certificate,
 )
 from guidance_lab.samplers import flow_posterior_mean_x1
@@ -61,13 +60,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="shape"):
             GaussianMixture(dim=3, means=[[0.0, 1.0]], weights=[1.0])
 
+    def test_means_whose_squared_distances_overflow_rejected(self):
+        # 4 * max |mu_c|^2 bounds every squared distance between two means
+        GaussianMixture(dim=2, means=[[6e153, 0.0], [-6e153, 0.0]], weights=[0.5, 0.5])
+        for means in ([[1e154, 0.0], [-1e154, 0.0]], [[1e160, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match=r"max \|mu_c\|\^2, .* must be finite, got inf"):
+                GaussianMixture(dim=2, means=means, weights=[0.5, 0.5])
+
     def test_point_dimension_checked(self):
         with pytest.raises(ValueError, match="dimension"):
             log_density_t(PAIR_1D, np.zeros(2), 0.5)
 
     def test_component_index_checked(self):
         with pytest.raises(ValueError, match="component index"):
-            score_conditional(PAIR_1D, np.zeros(1), 0.5, 2)
+            score(PAIR_1D, np.zeros(1), 0.5, 2)
 
     def test_alpha_bar_range(self):
         with pytest.raises(ValueError, match="alpha_bar"):
@@ -115,7 +121,7 @@ class TestScores:
     def test_zero_at_scaled_mean(self):
         g = GaussianMixture(dim=2, means=[[2.0, 0.0]], weights=[1.0])
         np.testing.assert_allclose(
-            score_conditional(g, np.array([1.0, 0.0]), 0.25, 0), np.zeros(2), atol=0
+            score(g, np.array([1.0, 0.0]), 0.25, 0), np.zeros(2), atol=0
         )
 
     def test_outward_probe_gives_minus_kw(self):
@@ -130,30 +136,30 @@ class TestScores:
             g = GaussianMixture(dim=dim, means=[mu], weights=[1.0])
             x = math.sqrt(alpha_bar) * mu + k * w
             np.testing.assert_allclose(
-                score_conditional(g, x, alpha_bar, 0), -k * w, atol=1e-12
+                score(g, x, alpha_bar, 0), -k * w, atol=1e-12
             )
 
     def test_direct_formula_value(self):
         g = GaussianMixture(dim=2, means=[[1.0, 2.0]], weights=[1.0])
         np.testing.assert_allclose(
-            score_conditional(g, np.zeros(2), 0.81, 0), [0.9, 1.8], atol=1e-15
+            score(g, np.zeros(2), 0.81, 0), [0.9, 1.8], atol=1e-15
         )
 
     def test_unconditional_symmetric_cancellation(self):
         np.testing.assert_allclose(
-            score_unconditional(PAIR_1D, np.array([0.0]), 0.5), [0.0], atol=1e-15
+            score(PAIR_1D, np.array([0.0]), 0.5), [0.0], atol=1e-15
         )
 
     def test_single_component_reduces_to_conditional(self):
         g = GaussianMixture(dim=3, means=[[1.0, -1.0, 0.5]], weights=[1.0])
         x = np.array([0.3, 0.1, -0.2])
         np.testing.assert_allclose(
-            score_unconditional(g, x, 0.6), score_conditional(g, x, 0.6, 0), atol=0
+            score(g, x, 0.6), score(g, x, 0.6, 0), atol=0
         )
 
     def test_frozen_mixture_value(self):
         # logistic-gap oracle: -0.5 + tanh-like reweighting of the two means
-        value = score_unconditional(PAIR_1D, np.array([0.5]), 1.0)
+        value = score(PAIR_1D, np.array([0.5]), 1.0)
         np.testing.assert_allclose(value, [-0.037882842739990241], atol=1e-14)
 
     def test_translation_equivariance_at_full_signal(self):
@@ -165,8 +171,8 @@ class TestScores:
             shifted = GaussianMixture(dim=2, means=means + v, weights=[1 / 3] * 3)
             x = rng.standard_normal(2)
             np.testing.assert_allclose(
-                score_conditional(shifted, x + v, 1.0, 1),
-                score_conditional(g, x, 1.0, 1),
+                score(shifted, x + v, 1.0, 1),
+                score(g, x, 1.0, 1),
                 atol=1e-12,
             )
 
@@ -275,7 +281,7 @@ class TestResponsibilityKernel:
         x = 3 * rng.standard_normal((3000, dim))
         for fn in (lambda p: posterior_weights(gmm, p, 0.4),
                    lambda p: posterior_mean_x0(gmm, p, 0.4),
-                   lambda p: score_unconditional(gmm, p, 0.4),
+                   lambda p: score(gmm, p, 0.4),
                    lambda p: flow_posterior_mean_x1(gmm, p, 0.6, 0.1)):
             single = np.concatenate([fn(x[i:i + 1]) for i in range(len(x))])
             for n in (1, 2, 7, 192, 3000):
@@ -324,12 +330,7 @@ class TestPosteriorMean:
             for cond in (condition, None):
                 x0_hat = posterior_mean_x0(gmm, x, alpha_bar, cond)
                 implied = (math.sqrt(alpha_bar) * x0_hat - x) / beta_bar
-                score = (
-                    score_conditional(gmm, x, alpha_bar, cond)
-                    if cond is not None
-                    else score_unconditional(gmm, x, alpha_bar)
-                )
-                assert np.max(np.abs(implied - score)) < 1e-10
+                assert np.max(np.abs(implied - score(gmm, x, alpha_bar, cond))) < 1e-10
 
 
 class TestFiniteDifferenceOracle:
@@ -338,7 +339,7 @@ class TestFiniteDifferenceOracle:
         x = np.array([0.2, 0.5, -1.0])
         np.testing.assert_allclose(
             finite_diff_score(g, x, 0.7, 0, h=1e-4),
-            score_conditional(g, x, 0.7, 0),
+            score(g, x, 0.7, 0),
             atol=1e-5,
         )
 
@@ -357,11 +358,7 @@ class TestFiniteDifferenceOracle:
     def test_oracle_equivalence_randomized(self):
         for gmm, x, alpha_bar, condition in random_cases(200, seed=29):
             for cond in (condition, None):
-                closed = (
-                    score_conditional(gmm, x, alpha_bar, cond)
-                    if cond is not None
-                    else score_unconditional(gmm, x, alpha_bar)
-                )
+                closed = score(gmm, x, alpha_bar, cond)
                 numeric = finite_diff_score(gmm, x, alpha_bar, cond, h=1e-4)
                 assert np.max(np.abs(closed - numeric)) < 1e-5
 

@@ -11,7 +11,7 @@ import pytest
 from guidance_lab import samplers as sp
 from guidance_lab import guidance as gd
 from guidance_lab.guidance import STRATEGIES, GuidanceConfig
-from guidance_lab.mixture import GaussianMixture, posterior_mean_x0, score_conditional
+from guidance_lab.mixture import GaussianMixture, posterior_mean_x0, score
 from guidance_lab.samplers import (
     EquivalenceUndefined,
     cfgpp_equivalent_weight,
@@ -24,8 +24,6 @@ from guidance_lab.samplers import (
     flow_sample_adg,
     flow_sample_batch,
     pcg_sample,
-    sample_batch,
-    sample_finals,
     sample_trajectory,
     step_rng,
 )
@@ -92,8 +90,7 @@ def ddpm_population(gmm, grid, condition, n, seed):
     for i in range(grid.steps):
         ab_t, ab_prev = float(grid.alpha_bars[i]), float(grid.alpha_bars[i + 1])
         noise = step_rng(seed, i + 1).standard_normal((n, gmm.dim))
-        score = score_conditional(gmm, x, ab_t, condition)
-        x = ddpm_step(x, score, ddpm_beta(ab_t, ab_prev), noise)
+        x = ddpm_step(x, score(gmm, x, ab_t, condition), ddpm_beta(ab_t, ab_prev), noise)
     return x
 
 
@@ -244,7 +241,7 @@ class TestSampleTrajectory:
         seeds = [0, 3, 5, 8, 13, 21, 34, 55]
         runs = [
             (
-                sample_batch(SQUARE, grid, config, 0, seeds),
+                sp.sample_runs(SQUARE, grid, [sp.Run(config, 0, seeds)])[0],
                 [sample_trajectory(SQUARE, grid, config, 0, s) for s in seeds],
             )
             for config in (
@@ -500,7 +497,8 @@ class TestNoiseStreams:
         grid = make_grid(SCHED, 30)
         for strategy in ("pcg", "adg"):
             config = GuidanceConfig(strategy=strategy, omega=2.0, pcg_inner_steps=2)
-            a, b = (sample_batch(SQUARE, grid, config, 0, range(6)) for _ in range(2))
+            a, b = (sp.sample_runs(SQUARE, grid, [sp.Run(config, 0, range(6))])[0]
+                    for _ in range(2))
             for ra, rb in zip(a, b):
                 np.testing.assert_array_equal(ra.x_t, rb.x_t)
                 np.testing.assert_array_equal(ra.final_x0, rb.final_x0)
@@ -543,11 +541,12 @@ class TestMixedRows:
         )
         groups, rows, order = self._rows(gmm)
         omega, cond, seeds = (np.array(col)[order] for col in zip(*rows))
-        finals = sample_finals(gmm, grid, config, cond, seeds, omega)
-        records = sp.sample_runs(gmm, grid, [sp.Run(config, cond, seeds, omega)])[0]
+        run = sp.Run(config, cond, seeds, omega)
+        finals = sp.sample_runs(gmm, grid, [run], log=False)[0]
+        records = sp.sample_runs(gmm, grid, [run])[0]
         position = {row: k for k, row in enumerate(zip(omega, cond, seeds))}
         for w, c in groups:
-            alone = sample_batch(gmm, grid, replace(config, omega=w), c, self.SEEDS)
+            alone = sp.sample_runs(gmm, grid, [sp.Run(replace(config, omega=w), c, self.SEEDS)])[0]
             for ref in alone:
                 k = position[(w, c, ref.seed)]
                 self._check(records[k], finals[k], ref, strategy)
@@ -587,10 +586,10 @@ class TestMixedRows:
         runs.append(sp.Run(replace(base, omega=6.0), conds, self.SEEDS))
         for run, records in zip(runs, sp.sample_runs(gmm, grid, runs), strict=True):
             if np.ndim(run.condition):
-                alone = [sample_batch(gmm, grid, run.config, int(c), [s])[0]
+                alone = [sample_trajectory(gmm, grid, run.config, int(c), s)
                          for c, s in zip(run.condition, run.seeds)]
             else:
-                alone = sample_batch(gmm, grid, run.config, run.condition, run.seeds)
+                alone = sp.sample_runs(gmm, grid, [run])[0]
             for mixed, ref in zip(records, alone, strict=True):
                 self._check(mixed, mixed.final_x0, ref, run.config.strategy)
 
@@ -606,20 +605,23 @@ class TestMixedRows:
         runs = [sp.Run(replace(base, strategy=s), cond, seeds, omega + k)
                 for k, s in enumerate(STRATEGIES)]
         for run, finals in zip(runs, sp.sample_runs(gmm, grid, runs, log=False), strict=True):
-            alone = sample_finals(gmm, grid, run.config, cond, seeds, run.omega)
+            alone = sp.sample_runs(gmm, grid, [run], log=False)[0]
             assert np.array_equal(finals, alone), run.config.strategy
 
     def test_row_inputs_are_checked(self):
         grid = make_grid(SCHED, 5)
+
+        def drive(*run):
+            return sp.sample_runs(SQUARE, grid, [sp.Run(*run)], log=False)
+
         with pytest.raises(ValueError, match="omega must be >= 1"):
-            sample_finals(SQUARE, grid, GuidanceConfig(), 0, [0, 1], [2.0, 0.5])
+            drive(GuidanceConfig(), 0, [0, 1], [2.0, 0.5])
         with pytest.raises(ValueError, match="one condition per row"):
-            sample_finals(SQUARE, grid, GuidanceConfig(), np.array([0, 1, 2]), [0, 1])
+            drive(GuidanceConfig(), np.array([0, 1, 2]), [0, 1])
         with pytest.raises(RuntimeError, match="component index 4"):
-            sample_finals(SQUARE, grid, GuidanceConfig(), np.array([0, 4]), [0, 1])
+            drive(GuidanceConfig(), np.array([0, 4]), [0, 1])
         with pytest.raises(ValueError, match="no recfg lambda entry for condition 2"):
-            sample_finals(SQUARE, grid, GuidanceConfig(strategy="recfg", recfg_lambda={0: 0.5}),
-                          np.array([0, 2]), [0, 1])
+            drive(GuidanceConfig(strategy="recfg", recfg_lambda={0: 0.5}), np.array([0, 2]), [0, 1])
 
     @pytest.mark.parametrize("gmm, rows, strategy, inner", [
         (SQUARE, 768, "cfg", 0),
@@ -633,8 +635,10 @@ class TestMixedRows:
         config = GuidanceConfig(strategy=strategy, pcg_inner_steps=inner)
         cond = np.arange(rows) % gmm.n_components
         omega = np.linspace(1.0, 6.0, rows)
-        peak = _traced_peak(lambda: sample_finals(gmm, grid, config, cond, range(rows), omega),
-                            lambda: sample_finals(gmm, grid, config, cond[:2], range(2), omega[:2]))
+        run = sp.Run(config, cond, range(rows), omega)
+        peak = _traced_peak(lambda: sp.sample_runs(gmm, grid, [run], log=False),
+                            lambda: sp.sample_runs(gmm, grid, [
+                                sp.Run(config, cond[:2], range(2), omega[:2])], log=False))
         assert peak <= drive_peak_bytes(rows, gmm.dim, gmm.n_components, inner)
 
 

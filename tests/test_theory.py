@@ -12,7 +12,7 @@ import guidance_lab as gl
 import guidance_lab.theory as th
 import guidance_lab.verify as vf
 from guidance_lab.config import loads_config
-from guidance_lab.mixture import GaussianMixture, score_conditional, surface_certificate
+from guidance_lab.mixture import GaussianMixture, score, surface_certificate
 from guidance_lab.schedule import NoiseSchedule, make_grid
 from guidance_lab.theory import (
     estimate_c1,
@@ -37,7 +37,7 @@ class TestMembership:
         for _ in range(50):
             x = rng.standard_normal(1) * 3
             member, dot = mt_membership(PAIR_1D, CERT_1D, x, 0.5, 1.0)
-            expected = float(np.sum(score_conditional(PAIR_1D, x, 0.5, 1) ** 2))
+            expected = float(np.sum(score(PAIR_1D, x, 0.5, 1) ** 2))
             assert dot == pytest.approx(expected, abs=1e-12)
             assert dot >= 0
             assert member == (dot <= 0)
