@@ -14,6 +14,8 @@ import json
 import os
 import sys
 
+import yaml
+
 from . import reports as rp
 from . import samplers as sp
 from . import theory
@@ -84,9 +86,11 @@ def _load(args) -> ExperimentConfig:
         # quoted, so a path such as 2024 or 010 stays the string it is
         overrides.append(f"run.output_dir={json.dumps(args.out, ensure_ascii=False)}")
     if args.strategy is not None:
-        overrides += [f"guidance.strategy={args.strategy}", f"run.strategies=[{args.strategy}]"]
+        strategy = json.dumps(args.strategy, ensure_ascii=False)
+        overrides += [f"guidance.strategy={strategy}", f"run.strategies=[{strategy}]"]
     if args.omega is not None:
-        overrides.append(f"guidance.omega={args.omega}")
+        # spelled as YAML writes it: Python's 1e+16 would load as a string
+        overrides.append(f"guidance.omega={yaml.safe_dump(args.omega).splitlines()[0]}")
     return load_config(args.config, overrides)
 
 

@@ -2,7 +2,8 @@
 
 CSV dialect: comma separator, '.' decimal point, one header row, LF line
 endings, floats at 17 significant digits so every binary double survives
-a round trip.
+a round trip. Every CSV is written by one row writer, ``_write_rows``: a
+row is a head of leading cells followed by a row of a float block.
 """
 
 from __future__ import annotations
@@ -39,55 +40,38 @@ def _csv_file(path: str, header: list[str]):
 
 def write_csv(path: str, header: list[str], rows) -> None:
     """``rows`` is an iterable of rows: float cells at .17g, others by str."""
-    formats = {}  # one printf format per sequence of cell types
+    heads = [_head(*row) for row in rows]
     with _csv_file(path, header) as fh:
-        for row in rows:
-            kinds = tuple(map(type, row))
-            fmt = formats.get(kinds)
-            if fmt is None:
-                fmt = formats[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
-            fh.write(fmt % tuple(row))
+        _write_rows(fh, heads, np.empty((len(heads), 0)))
 
 
-def _cell_format(kind: type) -> str:
-    """printf format of a cell of type ``kind``: floats at .17g, others by str."""
-    return "%.17g" if issubclass(kind, (float, np.floating)) else "%s"
+def _head(*cells) -> str:
+    """A row's leading cells, floats at .17g and others by str, with '%'
+    escaped for a printf template."""
+    return ",".join(
+        ("%.17g" if isinstance(v, (float, np.floating)) else "%s") % (v,) for v in cells
+    ).replace("%", "%%")
 
 
-# _write_columns turns this many rows at a time into Python values, so a
-# file's cells are never all held as Python objects at once
+# _write_rows formats this many rows per printf call, so a file's cells are
+# never all held as Python objects at once
 _CHUNK_ROWS = 1024
 
 
-def _write_columns(path: str, columns: dict[str, np.ndarray]) -> None:
-    """One CSV from named columns of equal length; a 2-D block (n, k)
-    expands to ``name_0..name_{k-1}``."""
-    header, cells = [], []
-    for name, block in columns.items():
-        if block.ndim == 1:
-            header.append(name)
-            cells.append(block)
-        else:
-            header += [f"{name}_{i}" for i in range(block.shape[1])]
-            cells += list(block.T)
-    n = len(cells[0])
-    write_csv(path, header, (
-        row for start in range(0, n, _CHUNK_ROWS)
-        for row in zip(*(c[start:start + _CHUNK_ROWS].tolist() for c in cells))
-    ))
-
-
-def _repeat(items, name: str, counts=1) -> np.ndarray:
-    """Attribute ``name`` of each item, repeated ``counts`` times, as an object column."""
-    return np.repeat(np.array([getattr(item, name) for item in items], dtype=object), counts)
+def _write_rows(fh, heads: list[str], block: np.ndarray) -> None:
+    """One row per head: the head, then the matching row of the (n, k) float
+    ``block`` at .17g."""
+    slots = ",%.17g" * block.shape[1] + "\n"
+    for start in range(0, len(heads), _CHUNK_ROWS):
+        template = slots.join(heads[start:start + _CHUNK_ROWS]) + slots
+        fh.write(template % tuple(block[start:start + _CHUNK_ROWS].ravel().tolist()))
 
 
 def write_trajectory_csv(records: list[TrajectoryRecord], path: str) -> None:
     """One row per (trajectory, step), trajectories ordered by seed.
 
-    Each trajectory is one printf call: its seed, strategy and omega and
-    each row's step and time are baked into a template that leaves a .17g
-    slot for each of the row's 4 * dim + 4 logged floats.
+    Each row's head is its record's seed, strategy and omega and its step
+    and time; the 4 * dim + 4 logged floats follow.
     """
     if not records:
         raise ValueError("no records to write")
@@ -97,21 +81,17 @@ def write_trajectory_csv(records: list[TrajectoryRecord], path: str) -> None:
     header = ["seed", "strategy", "omega", "step", "t",
               *(f"{name}_{i}" for name in blocks for i in range(dim)),
               "gamma", "gamma_omega", "guided_norm", "cfgpp_residual"]
-    slots = ",%.17g" * (4 * dim + 4) + "\n"
-    tails = {}  # each row's step, time and slots, per time grid
+    tails = {}  # each row's step and time, per time grid
     with _csv_file(path, header) as fh:
         for r in records:
-            head = ",".join(_cell_format(type(v)) % v for v in (r.seed, r.strategy, r.omega))
-            head = head.replace("%", "%%")
+            head = _head(r.seed, r.strategy, r.omega)
             key = r.times.tobytes()
             if key not in tails:
-                tails[key] = [f",{step},{'%.17g' % t}{slots}"
-                              for step, t in enumerate(r.times.tolist())]
-            template = "".join([head + tail for tail in tails[key]])
+                tails[key] = ["," + _head(step, t) for step, t in enumerate(r.times.tolist())]
             residual = np.full(r.steps, np.nan) if r.cfgpp_residual is None else r.cfgpp_residual
             block = np.column_stack([*(getattr(r, name) for name in blocks),
                                      r.gamma, r.gamma_omega, r.guided_norm, residual])
-            fh.write(template % tuple(block.ravel().tolist()))
+            _write_rows(fh, [head + tail for tail in tails[key]], block)
 
 
 def write_summary_csv(
@@ -120,19 +100,20 @@ def write_summary_csv(
     certificate: SurfaceCertificate | None = None,
 ) -> dict[str, np.ndarray]:
     """Final samples in seed order with their norm, and their projection on
-    the certificate's normal when one is given; returns the columns written."""
+    the certificate's normal when one is given; returns the float columns
+    written after seed, strategy and omega."""
     if not records:
         raise ValueError("no records to write")
     records = sorted(records, key=lambda r: r.seed)
     finals = np.stack([r.final_x0 for r in records])
-    columns = {
-        **{name: _repeat(records, name) for name in ("seed", "strategy", "omega")},
-        "x0": finals,
-        "norm": np.linalg.norm(finals, axis=1),
-    }
+    columns = {"x0": finals, "norm": np.linalg.norm(finals, axis=1)}
     if certificate is not None:
         columns["w_dot_x0"] = finals @ certificate.normal
-    _write_columns(path, columns)
+    header = ["seed", "strategy", "omega", *(f"x0_{i}" for i in range(finals.shape[1])),
+              *list(columns)[1:]]
+    with _csv_file(path, header) as fh:
+        _write_rows(fh, [_head(r.seed, r.strategy, r.omega) for r in records],
+                    np.column_stack(list(columns.values())))
     return columns
 
 
@@ -147,14 +128,13 @@ def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
 def write_scatter_csv(sets: list[ScatterSet], path: str) -> None:
     if not sets:
         raise ValueError("no scatter sets to write")
-    sizes = [len(s.seeds) for s in sets]
-    _write_columns(path, {
-        "omega": _repeat(sets, "omega", sizes),
-        "strategy": _repeat(sets, "strategy", sizes),
-        "component": np.concatenate([s.components for s in sets]),
-        "seed": np.concatenate([s.seeds for s in sets]),
-        "x0": np.concatenate([s.samples for s in sets]),
-    })
+    dim = sets[0].samples.shape[1]
+    header = ["omega", "strategy", "component", "seed", *(f"x0_{i}" for i in range(dim))]
+    with _csv_file(path, header) as fh:
+        for s in sets:
+            heads = [_head(s.omega, s.strategy, c, seed)
+                     for c, seed in zip(s.components.tolist(), s.seeds.tolist())]
+            _write_rows(fh, heads, s.samples)
 
 
 def write_probe_csv(report: ProbeReport, path: str) -> None:

@@ -26,11 +26,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About six round ticks across [lo, hi]."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         lo, hi = 0.0, 1.0
     span = hi - lo
-    raw = span / max(n - 1, 1)
+    raw = span / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -128,12 +129,13 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-def _data_range(values, pad_fraction=0.05):
+def _data_range(values):
+    """The finite values' span, padded by 5% on each side."""
     values = [v for v in values if math.isfinite(v)]
     if not values:
         return 0.0, 1.0
     lo, hi = min(values), max(values)
-    pad = (hi - lo) * pad_fraction or 0.5
+    pad = (hi - lo) * 0.05 or 0.5
     return lo - pad, hi + pad
 
 

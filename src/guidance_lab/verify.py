@@ -100,8 +100,9 @@ def probe_score_identity(cases: int, seed: int, tolerance: float = 1e-10) -> Pro
     )
 
 
-def probe_posterior_simplex(cases: int, seed: int, tolerance: float = 1e-12) -> ProbeReport:
+def probe_posterior_simplex(cases: int, seed: int) -> ProbeReport:
     """Responsibilities are a probability vector at every draw."""
+    tolerance = 1e-12
     sums, negs = [0.0], [0.0]
     for gmm, x, alpha_bar, _ in random_mixture_cases(cases, seed):
         resp = mx.posterior_weights(gmm, x, alpha_bar)
@@ -118,8 +119,9 @@ def probe_posterior_simplex(cases: int, seed: int, tolerance: float = 1e-12) -> 
     )
 
 
-def probe_surface_invariants(gmm: GaussianMixture, tolerance: float = 1e-9) -> ProbeReport:
+def probe_surface_invariants(gmm: GaussianMixture) -> ProbeReport:
     """Certificate geometry checks across all components of the mixture."""
+    tolerance = 1e-9
     if gmm.n_components < 2:
         return ProbeReport.not_applicable(
             "surface_certificates", {"components": gmm.n_components},

@@ -243,6 +243,20 @@ class TestCliContracts:
         captured = capsys.readouterr()
         assert "mean_norm=" in captured.out
 
+    @pytest.mark.parametrize("omega", ["1e16", "1e20", "100000000000000000000"])
+    def test_large_omega_flag_loads(self, tmp_path, capsys, omega):
+        # Python spells 1e16 as 1e+16, which YAML 1.1 reads as a string
+        code = run_cli(
+            "sample", "--config", DEFAULT, "--seed-count", "2", "--set", "grid.steps=10",
+            "--omega", omega, "--out", str(tmp_path),
+        )
+        assert code == 0, capsys.readouterr().err
+        assert f" omega={float(omega)!r} " in capsys.readouterr().out
+
+    def test_infinite_omega_flag_exit_2(self, tmp_path, capsys):
+        assert run_cli("sample", "--config", DEFAULT, "--omega", "inf", "--out", str(tmp_path)) == 2
+        assert "guidance.omega: must be finite, got inf" in capsys.readouterr().err
+
     def test_sample_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):

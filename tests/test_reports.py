@@ -143,3 +143,72 @@ def test_trajectory_csv_equals_column_layout(tmp_path, dim, residual, strategy, 
     rp.write_trajectory_csv(records, str(tmp_path / "template.csv"))
     _columns_layout(records, str(tmp_path / "columns.csv"))
     assert (tmp_path / "template.csv").read_bytes() == (tmp_path / "columns.csv").read_bytes()
+
+
+ODD_HEADS = [("cfg", 5.0), ("adg", 2), ("a%sb%%c%", 0.1 + 0.2), ("apg", np.float64(-0.0))]
+ODD_SEEDS = (11, 2, 2**63 + 5)
+
+
+# finals holding 1e300 and both infinities overflow the norm to inf and give
+# inf - inf = nan projections, as IEEE arithmetic should
+@np.errstate(over="ignore", invalid="ignore")
+def _check_summary(out, records, certificate):
+    """write_summary_csv equals the same rows written through write_csv, and
+    returns the float columns it wrote."""
+    columns = rp.write_summary_csv(records, str(out / "summary.csv"), certificate)
+    records = sorted(records, key=lambda r: r.seed)
+    finals = np.stack([r.final_x0 for r in records])
+    dim = finals.shape[1]
+    floats = [finals, np.linalg.norm(finals, axis=1)[:, None]]
+    header = ["seed", "strategy", "omega", *(f"x0_{i}" for i in range(dim)), "norm"]
+    if certificate is not None:
+        floats.append((finals @ certificate.normal)[:, None])
+        header.append("w_dot_x0")
+    floats = np.hstack(floats)
+    rp.write_csv(str(out / "rows.csv"), header, [
+        [r.seed, r.strategy, r.omega, *cells] for r, cells in zip(records, floats.tolist())])
+    assert (out / "summary.csv").read_bytes() == (out / "rows.csv").read_bytes()
+    np.testing.assert_array_equal(np.column_stack(list(columns.values())), floats)
+
+
+def _certificate(dim):
+    normal = np.arange(1.0, dim + 1) / np.linalg.norm(np.arange(1.0, dim + 1))
+    return SurfaceCertificate(component_index=0, normal=normal, offset=-1.0, min_margin=1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("certified", [False, True])
+@pytest.mark.parametrize("strategy, omega", ODD_HEADS)
+def test_summary_csv_equals_rows(tmp_path, dim, certified, strategy, omega):
+    records = [_odd_record(s, strategy, omega, dim, False, steps=1) for s in ODD_SEEDS]
+    _check_summary(tmp_path, records, _certificate(dim) if certified else None)
+
+
+def test_summary_csv_crosses_a_chunk_boundary(tmp_path):
+    records = [_odd_record(s, "a%s", 1 / 3, 2, False, steps=1) for s in range(1100)]
+    _check_summary(tmp_path, records, _certificate(2))
+
+
+def _odd_scatter(omega, strategy, dim, n, seed):
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    samples = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-300, 300, (n, dim))
+    mask = rng.random((n, dim)) < 0.3
+    samples[mask] = rng.choice(SPECIAL, mask.sum())
+    seeds = np.array([*ODD_SEEDS, *range(n - len(ODD_SEEDS))], dtype=np.uint64)
+    return ScatterSet(omega=omega, strategy=strategy, components=rng.integers(0, 5, n),
+                      seeds=seeds, samples=samples)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("sizes", [(4, 3, 5, 1), (1100, 7, 2, 3)])
+def test_scatter_csv_equals_rows(tmp_path, dim, sizes):
+    sets = [_odd_scatter(omega, strategy, dim, n, seed)
+            for seed, ((strategy, omega), n) in enumerate(zip(ODD_HEADS, sizes))]
+    rp.write_scatter_csv(sets, str(tmp_path / "scatter.csv"))
+    rp.write_csv(
+        str(tmp_path / "rows.csv"),
+        ["omega", "strategy", "component", "seed", *(f"x0_{i}" for i in range(dim))],
+        [[s.omega, s.strategy, c, seed, *cells] for s in sets
+         for c, seed, cells in zip(s.components.tolist(), s.seeds.tolist(), s.samples.tolist())],
+    )
+    assert (tmp_path / "scatter.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
