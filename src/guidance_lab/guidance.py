@@ -13,6 +13,9 @@ parallel (angle below ``ANGLE_FLOOR``), exactly antiparallel (rejection
 below ``REJECTION_FLOOR`` of its norm) or almost zero-length (norm below
 ``NORM_FLOOR``) make the rotation a no-op and fall back to the
 conditional prediction.
+
+``STRATEGIES`` maps each strategy name to the batched rule the sampler
+runs; every rule calls the public function of its strategy below.
 """
 
 from __future__ import annotations
@@ -54,43 +57,32 @@ ANGLE_FLOOR = 1e-7
 REJECTION_FLOOR = 1e-12
 DEFAULT_ANGLE_CAP = math.pi / 3.0
 
-STRATEGIES = (
-    "cfg",
-    "adg",
-    "adg_no_cap",
-    "adg_normalized",
-    "adg_simplified",
-    "cfgpp",
-    "apg",
-    "recfg",
-    "pcg",
-)
-
-
 class DegenerateGeometryError(ValueError):
     """A prediction is too short (or the pair too parallel) for angle math."""
 
 
-@dataclass(frozen=True)
-class PredictionPair:
-    """Conditional/unconditional clean predictions at one reverse step."""
+class PredictionPair(NamedTuple):
+    """Conditional/unconditional clean predictions at one reverse step, and
+    their separation geometry; build it with :meth:`of`, which checks the
+    pair and measures the geometry once for every rule that reads it."""
 
     x0_cond: np.ndarray
     x0_uncond: np.ndarray
     x_t: np.ndarray
     alpha_bar_t: float
+    geometry: _PairGeometry
 
-    def __post_init__(self):
-        cond = np.asarray(self.x0_cond, dtype=float)
-        uncond = np.asarray(self.x0_uncond, dtype=float)
-        x_t = np.asarray(self.x_t, dtype=float)
+    @classmethod
+    def of(cls, x0_cond, x0_uncond, x_t, alpha_bar_t: float) -> PredictionPair:
+        """The checked pair; alpha_bar_t = 0 is the flow path's pure-noise start."""
+        cond = np.asarray(x0_cond, dtype=float)
+        uncond = np.asarray(x0_uncond, dtype=float)
+        x_t = np.asarray(x_t, dtype=float)
         if not cond.shape == uncond.shape == x_t.shape:
             raise ValueError("prediction pair vectors must share one shape")
-        if not 0.0 < self.alpha_bar_t < 1.0:
-            raise ValueError("alpha_bar_t must lie in (0, 1)")
-        object.__setattr__(self, "x0_cond", cond)
-        object.__setattr__(self, "x0_uncond", uncond)
-        object.__setattr__(self, "x_t", x_t)
+        if not 0.0 <= alpha_bar_t < 1.0:
+            raise ValueError("alpha_bar_t must lie in [0, 1)")
+        return cls(cond, uncond, x_t, alpha_bar_t, _pair_geometry(cond, uncond))
 
 
 # APG knobs.  The defaults below are arbitrary (no canonical values are
@@ -126,9 +118,12 @@ class GuidanceConfig:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
+            raise ValueError(
+                f"unknown strategy {self.strategy!r}; expected one of {tuple(STRATEGIES)}")
         if not self.omega >= 1.0:
             raise ValueError("guidance weight omega must be >= 1")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"guidance weight omega must be finite, got {self.omega}")
         if not 0.0 < self.angle_cap <= math.pi:
             raise ValueError("angle_cap must lie in (0, pi]")
         if not 0.0 < self.cfgpp_lambda <= 1.0:
@@ -256,25 +251,29 @@ def rotate_raw(
     return _rotate(_pair_geometry(x_cond, x_uncond), omega, angle_cap)[0]
 
 
-def adg_rotate(pair: PredictionPair, omega: float, angle_cap: float = DEFAULT_ANGLE_CAP) -> np.ndarray:
+def adg_rotate(
+    pair: PredictionPair, omega: float | np.ndarray, angle_cap: float = DEFAULT_ANGLE_CAP
+) -> tuple[np.ndarray, np.ndarray]:
     """Rotate the conditional prediction away from the unconditional one.
 
     The rotation angle is (omega - 1) times the separation angle, capped.
     omega = 1 and degenerate geometry return the conditional prediction
-    unchanged.
+    unchanged.  Returns (rotated, turn angle).
     """
-    return rotate_raw(pair.x0_cond, pair.x0_uncond, omega, angle_cap)
+    return _rotate(pair.geometry, omega, angle_cap)
 
 
-def adg_no_cap(pair: PredictionPair, omega: float) -> np.ndarray:
+def adg_no_cap(pair: PredictionPair, omega: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotation variant without the cap; angles beyond pi/2 reverse course."""
-    return rotate_raw(pair.x0_cond, pair.x0_uncond, omega, None)
+    return _rotate(pair.geometry, omega, None)
 
 
-def adg_normalized(pair: PredictionPair, omega: float, angle_cap: float = DEFAULT_ANGLE_CAP) -> np.ndarray:
+def adg_normalized(
+    pair: PredictionPair, omega: float | np.ndarray, angle_cap: float = DEFAULT_ANGLE_CAP
+) -> tuple[np.ndarray, np.ndarray]:
     """Capped rotation rescaled to the conditional prediction's norm."""
-    rotated = adg_rotate(pair, omega, angle_cap)
-    return _rescale_to(rotated, pair.x0_cond)
+    rotated, turn = adg_rotate(pair, omega, angle_cap)
+    return _rescale_to(rotated, pair.x0_cond), turn
 
 
 def adg_simplified(pair: PredictionPair, omega: float) -> np.ndarray:
@@ -355,3 +354,56 @@ def cfgpp_predictions(
     eps_uncond = np.asarray(eps_uncond, dtype=float)
     mixed = (1.0 - lam) * eps_uncond + lam * eps_cond
     return x0_from_eps(x_t, mixed, alpha_bar), eps_uncond
+
+
+# ---------------------------------------------------------------------------
+# Strategy table
+# ---------------------------------------------------------------------------
+# Each rule maps one run's slice of the pair, its rows, its config and its
+# state (the APG momentum, zeros at the first step) to (guided prediction,
+# turn angle or None, renoising noise or None, state).  The rows carry each
+# row's guidance weight as an (n, 1) ``omega`` column and, for recfg, its
+# ``recfg_lambda``.  Only cfgpp returns a renoising noise: the sampler's
+# next state is not the one a DDIM step would derive from the guided
+# prediction.  The rules look the functions above up as module globals when
+# they run, so a wrapper put on the module sees every call.
+
+def _apg(pair, rows, config, state):
+    guided, state = apg_update(pair, rows.omega, config.apg_params, state)
+    return guided, None, None, state
+
+
+def _eps_pair(pair):
+    x, ab = pair.x_t, pair.alpha_bar_t
+    return eps_from_x0(x, pair.x0_cond, ab), eps_from_x0(x, pair.x0_uncond, ab)
+
+
+def _recfg(pair, rows, config, state):
+    eps = recfg_combine(*_eps_pair(pair), rows.omega, rows.recfg_lambda)
+    return x0_from_eps(pair.x_t, eps, pair.alpha_bar_t), None, None, state
+
+
+def _cfgpp(pair, rows, config, state):
+    denoised, renoise = cfgpp_predictions(
+        *_eps_pair(pair), config.cfgpp_lambda, pair.x_t, pair.alpha_bar_t)
+    return denoised, None, renoise, state
+
+
+STRATEGIES = {
+    "cfg": lambda pair, rows, config, state: (
+        cfg_combine(pair, rows.omega), None, None, state),
+    # the rotations' weights are an (n,) vector, like the geometry's angle
+    "adg": lambda pair, rows, config, state: (
+        *adg_rotate(pair, rows.omega[:, 0], config.angle_cap), None, state),
+    "adg_no_cap": lambda pair, rows, config, state: (
+        *adg_no_cap(pair, rows.omega[:, 0]), None, state),
+    "adg_normalized": lambda pair, rows, config, state: (
+        *adg_normalized(pair, rows.omega[:, 0], config.angle_cap), None, state),
+    "adg_simplified": lambda pair, rows, config, state: (
+        adg_simplified(pair, rows.omega), None, None, state),
+    "cfgpp": _cfgpp,
+    "apg": _apg,
+    "recfg": _recfg,
+    # predictor: the conditional step; the sampler runs the corrector after it
+    "pcg": lambda pair, rows, config, state: (pair.x0_cond, None, None, state),
+}

@@ -15,7 +15,6 @@ same whichever batch of seeds, or group of runs, it runs in.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Any, NamedTuple, Sequence
 
@@ -168,18 +167,8 @@ class TrajectoryRecord:
 
 
 # ---------------------------------------------------------------------------
-# Strategy table
+# Runs and their rows
 # ---------------------------------------------------------------------------
-# Each rule maps one run's slice of (pair, geometry), its config, its rows,
-# alpha_bar_prev and its APG momentum to (guided prediction, next state or
-# None, APG momentum, log columns); the rows carry each row's guidance weight
-# as an (n, 1) column and, for recfg, its lambda.  Only cfgpp returns the next state itself: its
-# renoising noise is not the one a DDIM step would derive from the guided
-# prediction.  At alpha_bar = 0, the flow path's start, the eps-space rules
-# (recfg, cfgpp) and the pcg corrector are undefined and abort the drive; so
-# the pair is a _Pair, PredictionPair's fields without its checks.
-_Pair = namedtuple("_Pair", "x0_cond x0_uncond x_t alpha_bar_t")
-
 
 class Run(NamedTuple):
     """One group of rows in a drive: a config, its condition (one
@@ -211,6 +200,8 @@ def _rows(run: Run) -> _Rows:
     column[:, 0] = config.omega if run.omega is None else run.omega
     if not np.all(column >= 1.0):
         raise ValueError("guidance weight omega must be >= 1")
+    if not np.all(np.isfinite(column)):
+        raise ValueError("guidance weight omega must be finite")
     if np.ndim(condition):
         condition = np.asarray(condition)
         if condition.shape != (n,):
@@ -222,40 +213,6 @@ def _rows(run: Run) -> _Rows:
     return _Rows(seeds, condition, column, lam)
 
 
-def _rotation(capped, normalized=False):
-    def rule(pair, geo, cfg, rows, ab_prev, state):
-        guided, turn = gd._rotate(geo, rows.omega[:, 0], cfg.angle_cap if capped else None)
-        if normalized:
-            guided = gd._rescale_to(guided, geo.x_cond)
-        return guided, None, state, {"gamma_omega": turn}
-    return rule
-
-
-def _apg(pair, geo, cfg, rows, ab_prev, state):
-    guided, state = gd.apg_update(pair, rows.omega, cfg.apg_params, state)
-    return guided, None, state, {}
-
-
-def _recfg(pair, geo, cfg, rows, ab_prev, state):
-    x, ab = pair.x_t, pair.alpha_bar_t
-    eps = gd.recfg_combine(
-        gd.eps_from_x0(x, pair.x0_cond, ab), gd.eps_from_x0(x, pair.x0_uncond, ab),
-        rows.omega, rows.recfg_lambda,
-    )
-    return gd.x0_from_eps(x, eps, ab), None, state, {}
-
-
-def _cfgpp(pair, geo, cfg, rows, ab_prev, state):
-    x, ab = pair.x_t, pair.alpha_bar_t
-    denoised, renoise = gd.cfgpp_predictions(
-        gd.eps_from_x0(x, pair.x0_cond, ab), gd.eps_from_x0(x, pair.x0_uncond, ab),
-        cfg.cfgpp_lambda, x, ab,
-    )
-    x_next = math.sqrt(ab_prev) * denoised + math.sqrt(1.0 - ab_prev) * renoise
-    residual = _cfgpp_residual(pair, cfg.cfgpp_lambda, ab_prev, x_next)
-    return denoised, x_next, state, {"cfgpp_residual": residual}
-
-
 def _cfgpp_residual(pair, lam, ab_prev, x_next):
     """Distance between the split update and its equivalent-weight linear step."""
     try:
@@ -264,22 +221,6 @@ def _cfgpp_residual(pair, lam, ab_prev, x_next):
         return math.nan
     reference = ddim_step(pair.x_t, gd.cfg_combine(pair, omega_t), pair.alpha_bar_t, ab_prev)
     return np.linalg.norm(x_next - reference, axis=-1)
-
-
-_STEP_RULES = {
-    "cfg": lambda pair, geo, cfg, rows, ab_prev, state: (
-        gd.cfg_combine(pair, rows.omega), None, state, {}),
-    "adg": _rotation(capped=True),
-    "adg_no_cap": _rotation(capped=False),
-    "adg_normalized": _rotation(capped=True, normalized=True),
-    "adg_simplified": lambda pair, geo, cfg, rows, ab_prev, state: (
-        gd.adg_simplified(pair, rows.omega), None, state, {}),
-    "apg": _apg,
-    "recfg": _recfg,
-    "cfgpp": _cfgpp,
-    # predictor: the conditional step; the corrector runs after it
-    "pcg": lambda pair, geo, cfg, rows, ab_prev, state: (pair.x0_cond, None, state, {}),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +252,12 @@ def _drive(gmm, runs, times, alpha_bars, log=True):
     ``seeds[j]`` under its condition and weight.  Step i runs once for all
     rows: it predicts x0 by the exact posterior means at ``alpha_bars[i]``
     (logged at ``times[i]``), measures the pair geometry and takes a DDIM
-    step to ``alpha_bars[i + 1]``.  Each run applies its own strategy rule
-    (with its APG momentum, or cfgpp's own next state) and pcg corrector
-    to its slice of rows, so a row is the same in any drive.  Returns one
-    entry per run: its records, or with ``log=False`` its ``(n, dim)``
-    final states alone, with no per-step log allocated.
+    step to ``alpha_bars[i + 1]``.  Each run applies its own rule from
+    :data:`guidance.STRATEGIES` (with its APG momentum; cfgpp renoises with
+    the noise its rule returns) and pcg corrector to its slice of rows, so
+    a row is the same in any drive.  Returns one entry per run: its
+    records, or with ``log=False`` its ``(n, dim)`` final states alone,
+    with no per-step log allocated and no cfgpp residual computed.
     """
     groups = [_rows(run) for run in runs]
     ends = np.cumsum([len(rows.seeds) for rows in groups]).tolist()
@@ -339,24 +281,24 @@ def _drive(gmm, runs, times, alpha_bars, log=True):
             else:  # pure noise, the flow's start: the prior means, exactly
                 cond = np.broadcast_to(mx._condition_means(gmm, condition), x.shape)
                 uncond = np.broadcast_to(gmm.weights @ gmm.means, x.shape)
-            geo = gd._pair_geometry(cond, uncond)
+            pair = gd.PredictionPair.of(cond, uncond, x, ab_t)
             guided = np.empty_like(x)
-            own_next = []
+            renoised = []
             for k, (run, rows, sl) in enumerate(zip(runs, groups, slices)):
-                pair = _Pair(cond[sl], uncond[sl], x[sl], ab_t)
-                geo_k = gd._PairGeometry._make(a[sl] for a in geo)
-                guided[sl], x_next, states[k], columns = _STEP_RULES[run.config.strategy](
-                    pair, geo_k, run.config, rows, ab_prev, states[k])
-                if x_next is not None:
-                    own_next.append((sl, x_next))
-                if log and "gamma_omega" in columns:
-                    gamma_omega[i, sl] = np.where(geo_k.safe, columns["gamma_omega"], math.nan)
-                if log and "cfgpp_residual" in columns:
-                    residual[i, sl] = columns["cfgpp_residual"]
+                part = gd.PredictionPair(cond[sl], uncond[sl], x[sl], ab_t,
+                                         gd._PairGeometry._make(a[sl] for a in pair.geometry))
+                guided[sl], turn, renoise, states[k] = gd.STRATEGIES[run.config.strategy](
+                    part, rows, run.config, states[k])
+                if renoise is not None:
+                    renoised.append((run.config, part, sl, renoise))
+                if log and turn is not None:
+                    gamma_omega[i, sl] = np.where(part.geometry.safe, turn, math.nan)
             x_next = (ddim_step(x, guided, ab_t, ab_prev) if ab_t > 0.0
                       else math.sqrt(ab_prev) * guided + math.sqrt(1.0 - ab_prev) * x)
-            for sl, own in own_next:
-                x_next[sl] = own
+            for config, part, sl, renoise in renoised:
+                x_next[sl] = math.sqrt(ab_prev) * guided[sl] + math.sqrt(1.0 - ab_prev) * renoise
+                if log:
+                    residual[i, sl] = _cfgpp_residual(part, config.cfgpp_lambda, ab_prev, x_next[sl])
             for run, rows, sl in zip(runs, groups, slices):
                 config = run.config
                 if config.strategy == "pcg" and config.pcg_inner_steps and ab_prev < 1.0:
@@ -366,7 +308,7 @@ def _drive(gmm, runs, times, alpha_bars, log=True):
             raise RuntimeError(f"trajectory aborted at step {i} (t={t}): {exc}") from exc
         if log:
             x_t[i], x0_cond[i], x0_uncond[i], x0_guided[i] = x, cond, uncond, guided
-            gamma[i] = np.where(geo.safe, geo.gamma, math.nan)
+            gamma[i] = np.where(pair.geometry.safe, pair.geometry.gamma, math.nan)
             guided_norm[i] = np.linalg.norm(guided, axis=-1)
         x = x_next
     if not log:

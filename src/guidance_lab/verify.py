@@ -225,7 +225,7 @@ def probe_cfgpp_equivalence(steps: int, seed: int, tolerance: float = 1e-8) -> P
         denoised, renoise = gd.cfgpp_predictions(eps_c, eps_u, lam, x_t, ab_t)
         split = math.sqrt(ab_prev) * denoised + math.sqrt(1.0 - ab_prev) * renoise
         omega_t = sp.cfgpp_equivalent_weight(lam, ab_t, ab_prev)
-        pair = gd.PredictionPair(
+        pair = gd.PredictionPair.of(
             x0_cond=gd.x0_from_eps(x_t, eps_c, ab_t),
             x0_uncond=gd.x0_from_eps(x_t, eps_u, ab_t),
             x_t=x_t,

@@ -192,7 +192,7 @@ def test_criterion_7_split_update_equivalence():
         eps_c, eps_u = rng.standard_normal(dim), rng.standard_normal(dim)
         denoised, renoise = cfgpp_predictions(eps_c, eps_u, lam, x_t, ab_t)
         split = math.sqrt(ab_prev) * denoised + math.sqrt(1.0 - ab_prev) * renoise
-        pair = PredictionPair(
+        pair = PredictionPair.of(
             x0_cond=x0_from_eps(x_t, eps_c, ab_t),
             x0_uncond=x0_from_eps(x_t, eps_u, ab_t),
             x_t=x_t,

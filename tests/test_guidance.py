@@ -29,7 +29,7 @@ from guidance_lab.guidance import (
 
 def pair_of(x0_cond, x0_uncond, alpha_bar=0.5):
     x0_cond = np.asarray(x0_cond, float)
-    return PredictionPair(
+    return PredictionPair.of(
         x0_cond=x0_cond,
         x0_uncond=np.asarray(x0_uncond, float),
         x_t=np.zeros_like(x0_cond),
@@ -116,7 +116,7 @@ class TestAngles:
 class TestRotation:
     def test_omega_one_returns_conditional_exactly(self):
         for pair in random_pairs(50, seed=6):
-            out = adg_rotate(pair, 1.0)
+            out = adg_rotate(pair, 1.0)[0]
             assert np.array_equal(out, pair.x0_cond) or np.max(np.abs(out - pair.x0_cond)) == 0.0
 
     def test_orthogonal_closed_form(self):
@@ -125,18 +125,22 @@ class TestRotation:
         for omega in (1.2, 1.5, 2.0):
             gamma_omega = min((omega - 1.0) * math.pi / 2, DEFAULT_ANGLE_CAP)
             expected = (math.cos(gamma_omega) + math.sin(gamma_omega)) * pair.x0_cond
-            np.testing.assert_allclose(adg_rotate(pair, omega), expected, atol=1e-14)
+            np.testing.assert_allclose(adg_rotate(pair, omega)[0], expected, atol=1e-14)
+            # the turn is returned with the rotation, capped but for adg_no_cap
+            assert adg_rotate(pair, omega)[1] == gamma_omega
+            assert adg_normalized(pair, omega)[1] == gamma_omega
+            assert adg_no_cap(pair, omega)[1] == (omega - 1.0) * math.pi / 2
 
     def test_frozen_pi6_example(self):
         np.testing.assert_allclose(
-            adg_rotate(PI6_PAIR, 2.0), [0.75, 0.93301270189221932], atol=1e-15
+            adg_rotate(PI6_PAIR, 2.0)[0], [0.75, 0.93301270189221932], atol=1e-15
         )
 
     def test_norm_bound(self):
         rng = np.random.default_rng(8)
         for pair in random_pairs(500, seed=8):
             omega = float(rng.uniform(1.0, 10.0))
-            ratio = np.linalg.norm(adg_rotate(pair, omega)) / np.linalg.norm(pair.x0_cond)
+            ratio = np.linalg.norm(adg_rotate(pair, omega)[0]) / np.linalg.norm(pair.x0_cond)
             assert ratio <= math.sqrt(2.0) * (1 + 1e-12)
 
     def test_cap_coincidence_is_exact(self):
@@ -146,11 +150,11 @@ class TestRotation:
             if gamma < ANGLE_FLOOR:
                 continue
             omega = 1.0 + (DEFAULT_ANGLE_CAP * 0.9) / gamma
-            assert np.array_equal(adg_rotate(pair, omega), adg_no_cap(pair, omega))
+            assert np.array_equal(adg_rotate(pair, omega)[0], adg_no_cap(pair, omega)[0])
 
     def test_output_stays_in_prediction_plane(self):
         for pair in random_pairs(100, seed=12):
-            out = adg_rotate(pair, 3.0)
+            out = adg_rotate(pair, 3.0)[0]
             basis = np.stack([pair.x0_cond, pair.x0_uncond])
             q, _ = np.linalg.qr(basis.T)
             residual = out - q @ (q.T @ out)
@@ -160,7 +164,7 @@ class TestRotation:
         # (omega-1)*gamma = pi on an orthogonal unit pair flips the sign
         pair = pair_of([0.0, 1.0], [1.0, 0.0])
         omega = 1.0 + math.pi / (math.pi / 2)
-        np.testing.assert_allclose(adg_no_cap(pair, omega), -pair.x0_cond, atol=1e-12)
+        np.testing.assert_allclose(adg_no_cap(pair, omega)[0], -pair.x0_cond, atol=1e-12)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(14)
@@ -185,28 +189,28 @@ class TestRotation:
 
     def test_degenerate_pair_falls_back(self):
         pair = pair_of([1.0, 1.0], [2.0, 2.0])  # parallel
-        np.testing.assert_array_equal(adg_rotate(pair, 5.0), pair.x0_cond)
+        np.testing.assert_array_equal(adg_rotate(pair, 5.0)[0], pair.x0_cond)
         tiny = pair_of([1e-15, 0.0], [1.0, 0.0])
-        np.testing.assert_array_equal(adg_rotate(tiny, 5.0), tiny.x0_cond)
+        np.testing.assert_array_equal(adg_rotate(tiny, 5.0)[0], tiny.x0_cond)
 
 
 class TestNormalizedVariants:
     def test_norm_is_preserved(self):
         for pair in random_pairs(100, seed=16):
-            out = adg_normalized(pair, 4.0)
+            out = adg_normalized(pair, 4.0)[0]
             assert abs(np.linalg.norm(out) - np.linalg.norm(pair.x0_cond)) < 1e-12
 
     def test_direction_matches_rotation(self):
         for pair in random_pairs(50, seed=18):
-            rotated = adg_rotate(pair, 3.0)
-            normalized = adg_normalized(pair, 3.0)
+            rotated = adg_rotate(pair, 3.0)[0]
+            normalized = adg_normalized(pair, 3.0)[0]
             cosine = rotated @ normalized / (np.linalg.norm(rotated) * np.linalg.norm(normalized))
             assert cosine == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_pi6_example(self):
         # rotation output rescaled by its exact norm sqrt(1 + sin(pi/3) sin(pi/6))
         np.testing.assert_allclose(
-            adg_normalized(PI6_PAIR, 2.0),
+            adg_normalized(PI6_PAIR, 2.0)[0],
             [0.62652188143812762, 0.77940383119357885],
             atol=1e-15,
         )
@@ -244,7 +248,7 @@ class TestLinearFamily:
             eps_u = rng.standard_normal(dim)
             ab = float(rng.uniform(0.05, 0.95))
             omega = float(rng.uniform(1.0, 8.0))
-            pair = PredictionPair(
+            pair = PredictionPair.of(
                 x0_cond=x0_from_eps(x_t, eps_c, ab),
                 x0_uncond=x0_from_eps(x_t, eps_u, ab),
                 x_t=x_t,
@@ -261,7 +265,7 @@ class TestApg:
         rng = np.random.default_rng(24)
         cond = rng.standard_normal((10_000, 3))
         uncond = rng.standard_normal((10_000, 3))
-        pair = PredictionPair(
+        pair = PredictionPair.of(
             x0_cond=cond, x0_uncond=uncond, x_t=np.zeros_like(cond), alpha_bar_t=0.5
         )
         out, _ = apg_update(pair, 3.0, params, np.zeros(cond.shape))
@@ -310,7 +314,7 @@ class TestApg:
         cond = rng.standard_normal((4000, 3))
         uncond = cond + rng.standard_normal((4000, 3)) * 10.0 ** rng.integers(-4, 3, (4000, 1))
         uncond[:200] = cond[:200]
-        pair = PredictionPair(x0_cond=cond, x0_uncond=uncond, x_t=np.zeros_like(cond),
+        pair = PredictionPair.of(x0_cond=cond, x0_uncond=uncond, x_t=np.zeros_like(cond),
                               alpha_bar_t=0.5)
         unclamped = ApgParams(eta=0.3, beta=0.0, r=math.inf)
         _, mixed = apg_update(pair, 2.0, unclamped, np.zeros(cond.shape))
@@ -396,6 +400,10 @@ class TestGuidanceConfig:
         with pytest.raises(ValueError, match="langevin"):
             GuidanceConfig(pcg_langevin_mode="other")
 
+    def test_infinite_omega_is_refused(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            GuidanceConfig(omega=math.inf)
+
     def test_recfg_lambda_table(self):
         cfg = GuidanceConfig(recfg_lambda={0: 0.5, 2: 0.8})
         assert cfg.recfg_lambda_for(0) == 0.5
@@ -405,8 +413,16 @@ class TestGuidanceConfig:
 
     def test_prediction_pair_validation(self):
         with pytest.raises(ValueError, match="shape"):
-            PredictionPair(
+            PredictionPair.of(
                 x0_cond=np.zeros(2), x0_uncond=np.zeros(3), x_t=np.zeros(2), alpha_bar_t=0.5
             )
         with pytest.raises(ValueError, match="alpha_bar"):
             pair_of([1.0], [1.0], alpha_bar=1.0)
+        with pytest.raises(ValueError, match="alpha_bar"):
+            pair_of([1.0], [1.0], alpha_bar=-0.25)
+        # alpha_bar = 0 is the flow path's start: the pair takes it, the
+        # eps-space change of variable does not
+        pure_noise = pair_of([0.0, 2.0], [1.0, 0.0], alpha_bar=0.0)
+        np.testing.assert_array_equal(adg_rotate(pure_noise, 1.0)[0], pure_noise.x0_cond)
+        with pytest.raises(ValueError, match="alpha_bar"):
+            eps_from_x0(pure_noise.x_t, pure_noise.x0_cond, pure_noise.alpha_bar_t)

@@ -332,7 +332,7 @@ class TestEquivalentWeight:
             eps_c, eps_u = rng.standard_normal(dim), rng.standard_normal(dim)
             denoise, renoise = cfgpp_predictions(eps_c, eps_u, lam, x_t, ab_t)
             split = math.sqrt(ab_prev) * denoise + math.sqrt(1 - ab_prev) * renoise
-            pair = PredictionPair(
+            pair = PredictionPair.of(
                 x0_cond=x0_from_eps(x_t, eps_c, ab_t),
                 x0_uncond=x0_from_eps(x_t, eps_u, ab_t),
                 x_t=x_t,
@@ -532,7 +532,7 @@ class TestMixedRows:
             assert np.array_equal(mixed.cfgpp_residual, alone.cfgpp_residual, equal_nan=True)
 
     @pytest.mark.parametrize("gmm", [SQUARE, WIDE], ids=["dim2", "dim32"])
-    @pytest.mark.parametrize("strategy", sorted(sp._STEP_RULES))
+    @pytest.mark.parametrize("strategy", sorted(gd.STRATEGIES))
     def test_mixed_drive_equals_separate_drives(self, gmm, strategy):
         grid = make_grid(SCHED, 30)
         config = GuidanceConfig(
@@ -623,6 +623,13 @@ class TestMixedRows:
         with pytest.raises(ValueError, match="no recfg lambda entry for condition 2"):
             drive(GuidanceConfig(strategy="recfg", recfg_lambda={0: 0.5}), np.array([0, 2]), [0, 1])
 
+    @pytest.mark.parametrize("omega", [math.inf, [2.0, math.inf]], ids=["run", "row"])
+    def test_infinite_weight_is_refused(self, omega):
+        # an infinite weight passes omega >= 1 and would drive the rows to NaN
+        grid = make_grid(SCHED, 5)
+        with pytest.raises(ValueError, match="must be finite"):
+            sp.sample_runs(SQUARE, grid, [sp.Run(GuidanceConfig(), 0, [0, 1], omega)], log=False)
+
     @pytest.mark.parametrize("gmm, rows, strategy, inner", [
         (SQUARE, 768, "cfg", 0),
         (SQUARE, 320, "apg", 0),
@@ -640,6 +647,31 @@ class TestMixedRows:
                             lambda: sp.sample_runs(gmm, grid, [
                                 sp.Run(config, cond[:2], range(2), omega[:2])], log=False))
         assert peak <= drive_peak_bytes(rows, gmm.dim, gmm.n_components, inner)
+
+
+class TestStrategyTable:
+    """The drive runs each strategy's public function, looked up when it runs."""
+
+    PUBLIC = {"cfg": "cfg_combine", "adg": "adg_rotate", "adg_no_cap": "adg_no_cap",
+              "adg_normalized": "adg_normalized", "adg_simplified": "adg_simplified",
+              "cfgpp": "cfgpp_predictions", "apg": "apg_update", "recfg": "recfg_combine"}
+
+    @pytest.mark.parametrize("log", [False, True], ids=["finals", "logged"])
+    @pytest.mark.parametrize("strategy", sorted(PUBLIC))
+    def test_drive_calls_the_public_rule(self, monkeypatch, strategy, log):
+        calls = dict.fromkeys(self.PUBLIC.values(), 0)
+        for name in calls:
+            def counted(*args, _fn=getattr(gd, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(gd, name, counted)
+        steps = 10
+        config = GuidanceConfig(strategy=strategy, omega=3.0)
+        sp.sample_runs(SQUARE, make_grid(SCHED, steps), [sp.Run(config, 0, [1, 2])], log=log)
+        assert calls[self.PUBLIC[strategy]] == steps
+        if strategy == "cfgpp":
+            # the split update's residual is a log column: finals-only drives skip it
+            assert calls["cfg_combine"] == (steps if log else 0)
 
 
 class TestDrivePeak:

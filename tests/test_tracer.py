@@ -21,7 +21,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACER = os.path.join(REPO, "perfbench", "tracer.py")
 SETUP_PROBE = os.path.join(REPO, "perfbench", "setup_probe.py")
 DEFAULT = os.path.join(REPO, "configs", "default.yaml")
-SMALL = ["--set", "grid.steps=20", "--seed-count", "2"]
+STEPS = 20
+SMALL = ["--set", f"grid.steps={STEPS}", "--seed-count", "2"]
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(guidance_lab.__file__)))
 ENV = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
 
@@ -54,6 +55,15 @@ def test_tracer_runs_a_command(tmp_path, argv, span):
     # the cfg rule looks cfg_combine up on the guidance module when it runs,
     # so the tracer's wrapper sees it; each command here runs cfg
     assert groups["guidance.combine"]["calls"] > 0
+
+
+@pytest.mark.parametrize("strategy", [
+    "cfg", "adg", "adg_no_cap", "adg_normalized", "adg_simplified", "cfgpp", "apg", "recfg"])
+def test_tracer_counts_every_rule(tmp_path, strategy):
+    # every rule but pcg's predictor calls its public guidance function, so
+    # the combine span counts at least one outer call per step
+    groups = _traced_groups(tmp_path, ["sample", *SMALL, "--strategy", strategy])
+    assert groups["guidance.combine"]["calls"] >= STEPS
 
 
 def test_setup_probe_runs():
