@@ -26,6 +26,9 @@ EXIT_OK = 0
 EXIT_PROBE_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 
+# the weight --omega overrides where a command reads its own; guidance.omega elsewhere
+_OMEGA_LEAF = {"probe-norm": "probes.norm.omega", "flow-sample": "flow.omega"}
+
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -65,8 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed-count", type=int, default=None, help="override run.seed_count")
         p.add_argument("--out", default=None, help="override run.output_dir")
         p.add_argument("--strategy", default=None, help="override the guidance strategy")
-        p.add_argument("--omega", type=float, default=None, help="override guidance.omega")
-        p.set_defaults(handler=handler)
+        omega_leaf = _OMEGA_LEAF.get(name, "guidance.omega")
+        p.add_argument("--omega", type=float, default=None, help=f"override {omega_leaf}")
+        p.set_defaults(handler=handler, omega_leaf=omega_leaf)
 
     p_plot = sub.add_parser("plot", help="render a CSV produced by this tool as SVG")
     p_plot.add_argument("csv_path", help="input CSV (scatter or sweep layout)")
@@ -90,7 +94,7 @@ def _load(args) -> ExperimentConfig:
         overrides += [f"guidance.strategy={strategy}", f"run.strategies=[{strategy}]"]
     if args.omega is not None:
         # spelled as YAML writes it: Python's 1e+16 would load as a string
-        overrides.append(f"guidance.omega={yaml.safe_dump(args.omega).splitlines()[0]}")
+        overrides.append(f"{args.omega_leaf}={yaml.safe_dump(args.omega).splitlines()[0]}")
     return load_config(args.config, overrides)
 
 
@@ -186,10 +190,9 @@ def cmd_probe_c1(args) -> int:
 def cmd_probe_norm(args) -> int:
     config = _load(args)
     nm = config.data["probes"]["norm"]
-    omega = nm["omega"] if args.omega is None else args.omega
     report = theory.norm_amplification_check(
-        config.gmm(), config.condition(), config.time_grid(), omega, range(nm["seed_count"]),
-        nm["margin_floor"],
+        config.gmm(), config.condition(), config.time_grid(), nm["omega"],
+        range(nm["seed_count"]), nm["margin_floor"],
     )
     return _emit_reports(config, [report], "norm_report.json", "norm_margins.csv")
 
@@ -236,14 +239,13 @@ def cmd_scatter(args) -> int:
 def cmd_flow_sample(args) -> int:
     config = _load(args)
     block = config.data["flow"]
-    omega = block["omega"] if args.omega is None else args.omega
     records = sp.flow_sample_batch(
-        config.gmm(), block["sigma_min"], block["steps"], omega, config.guidance().angle_cap,
-        config.condition(), config.seeds(),
+        config.gmm(), block["sigma_min"], block["steps"], block["omega"],
+        config.guidance().angle_cap, config.condition(), config.seeds(),
     )
     _emit_run(
         config, records, ("flow_trajectories.csv", "flow_summary.csv"),
-        f"flow omega={omega} sigma_min={block['sigma_min']}",
+        f"flow omega={block['omega']} sigma_min={block['sigma_min']}",
     )
     return EXIT_OK
 

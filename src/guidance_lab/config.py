@@ -3,8 +3,9 @@
 The document has nested blocks (gmm, schedule, grid, guidance, run,
 probes, sweep, scatter, flow).  ``DEFAULTS`` is its one table of each
 leaf's default, type and lower bound.  Loading fills the defaults and
-checks every leaf under its dotted path, so ``load -> dump -> load`` is a
-fixed point and every invalid document is a :class:`ConfigError`.
+checks every leaf under its dotted path, so a loaded document, written
+back as YAML, loads to the same config, and every invalid document is a
+:class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from typing import Any, NamedTuple
 import numpy as np
 import yaml
 
-from .guidance import ApgParams, GuidanceConfig
+from .guidance import DEFAULT_ANGLE_CAP, ApgParams, GuidanceConfig
 from .mixture import GaussianMixture
 from .samplers import drive_peak_bytes
 from .schedule import NoiseSchedule, TimeGrid, make_grid
 from .theory import prop1_peak_bytes
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "loads_config", "dump_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "loads_config"]
 
 
 class ConfigError(ValueError):
@@ -79,7 +80,7 @@ DEFAULTS: dict[str, Any] = {
     "guidance": {
         "strategy": "cfg",
         "omega": 1.0,
-        "angle_cap": math.pi / 3.0,
+        "angle_cap": DEFAULT_ANGLE_CAP,
         "cfgpp_lambda": 0.5,
         # r = inf is the documented linear-extrapolation reduction
         "apg": {"eta": 0.0, "beta": -0.5, "r": Leaf(2.5, hi=math.inf)},
@@ -420,11 +421,6 @@ def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConf
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return loads_config(text, overrides)
-
-
-def dump_config(config: ExperimentConfig) -> str:
-    """Serialize the normalized document; load(dump(c)) == c."""
-    return yaml.safe_dump(config.data, sort_keys=False, default_flow_style=None)
 
 
 def _apply_override(raw: dict, item: str) -> dict:

@@ -20,7 +20,6 @@ __all__ = [
     "NoiseSchedule",
     "TimeGrid",
     "alpha_bar",
-    "beta",
     "make_grid",
 ]
 
@@ -43,12 +42,6 @@ class NoiseSchedule:
             raise ValueError("beta_max must be finite and >= beta_min")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
-
-
-def beta(schedule: NoiseSchedule, t: float) -> float:
-    """Instantaneous noise rate beta(t)."""
-    _check_time(schedule, t)
-    return schedule.beta_min + (schedule.beta_max - schedule.beta_min) * t / schedule.horizon
 
 
 def alpha_bar(schedule: NoiseSchedule, t: float) -> float:

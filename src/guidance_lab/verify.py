@@ -62,18 +62,22 @@ def _verdict(ok: bool, *measured: float) -> str:
     return "pass" if ok and np.all(np.isfinite(measured)) else "fail"
 
 
-def probe_score_oracle(cases: int, seed: int, tolerance: float = 1e-5, h: float = 1e-4) -> ProbeReport:
+# probe_score_oracle's central-difference step
+SCORE_ORACLE_STEP = 1e-4
+
+
+def probe_score_oracle(cases: int, seed: int, tolerance: float = 1e-5) -> ProbeReport:
     """Closed-form scores against the central-difference oracle."""
     errors = [0.0]
     for gmm, x, alpha_bar, condition in random_mixture_cases(cases, seed):
         for cond in (condition, None):
             closed = mx.score(gmm, x, alpha_bar, cond)
-            numeric = mx.finite_diff_score(gmm, x, alpha_bar, cond, h=h)
+            numeric = mx.finite_diff_score(gmm, x, alpha_bar, cond, h=SCORE_ORACLE_STEP)
             errors.append(np.max(np.abs(closed - numeric)))
     worst = float(np.max(errors))
     return ProbeReport(
         name="score_finite_difference",
-        parameters={"cases": cases, "seed": seed, "h": h},
+        parameters={"cases": cases, "seed": seed, "h": SCORE_ORACLE_STEP},
         verdict=_verdict(worst < tolerance, worst),
         measured={"max_abs_error": worst},
         tolerance=tolerance,

@@ -39,8 +39,9 @@ from guidance_lab.samplers import (
     step_rng,
 )
 from guidance_lab.schedule import NoiseSchedule, make_grid
-from guidance_lab.theory import estimate_c1, mt_membership, norm_amplification_check, norm_sweep
+from guidance_lab.theory import estimate_c1, norm_amplification_check, norm_sweep
 from guidance_lab.verify import random_mixture_cases
+from oracles import mt_membership
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(REPO, "configs")

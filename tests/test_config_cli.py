@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 import os
 import re
 import subprocess
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 import guidance_lab
 from guidance_lab import config as config_module
 from guidance_lab.cli import main
-from guidance_lab.config import DEFAULTS, ConfigError, dump_config, load_config, loads_config
+from guidance_lab.config import DEFAULTS, ConfigError, load_config, loads_config
+from guidance_lab.guidance import GuidanceConfig
 from guidance_lab.reports import write_csv
 from guidance_lab.schedule import NoiseSchedule, alpha_bar
 from guidance_lab.svgplot import render_scatter, render_sweep
+from oracles import dump_config
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT = os.path.join(REPO, "configs", "default.yaml")
@@ -134,6 +137,21 @@ class TestConfig:
         for path in (DEFAULT, FAILING):
             config = load_config(path)
             assert loads_config(dump_config(config)) == config
+
+    def test_table_defaults_are_the_library_defaults(self):
+        # the table restates GuidanceConfig's (with ApgParams') and
+        # NoiseSchedule's defaults, where schedule.T is the horizon
+        data = loads_config("").data
+        guidance, schedule = dict(data["guidance"]), dict(data["schedule"])
+        apg = guidance.pop("apg")
+        schedule["horizon"] = schedule.pop("T")
+        library = asdict(GuidanceConfig())
+        library_apg = library.pop("apg_params")
+        for table, defaults in ((guidance, library), (apg, library_apg),
+                                (schedule, asdict(NoiseSchedule()))):
+            assert table == defaults
+            assert {k: type(v) for k, v in table.items()} == {
+                k: type(v) for k, v in defaults.items()}
 
     def test_overrides_apply_and_last_wins(self):
         config = loads_config(MINIMAL_1D, overrides=["guidance.omega=3.5", "guidance.omega=4.5"])
@@ -256,6 +274,30 @@ class TestCliContracts:
     def test_infinite_omega_flag_exit_2(self, tmp_path, capsys):
         assert run_cli("sample", "--config", DEFAULT, "--omega", "inf", "--out", str(tmp_path)) == 2
         assert "guidance.omega: must be finite, got inf" in capsys.readouterr().err
+
+    # the guidance block's weight is checked, and named, with its block
+    @pytest.mark.parametrize("command, leaf, path", [
+        ("sample", "guidance.omega", "guidance"),
+        ("probe-norm", "probes.norm.omega", "probes.norm.omega"),
+        ("flow-sample", "flow.omega", "flow.omega"),
+    ])
+    def test_omega_flag_overrides_the_leaf_its_command_reads(self, tmp_path, capsys, command,
+                                                              leaf, path):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        assert f"override {leaf}" in capsys.readouterr().out
+        assert run_cli(command, "--config", DEFAULT, "--omega", "0.5", "--out", str(tmp_path)) == 2
+        assert f"config error: {path}: guidance weight omega must be >= 1" in (
+            capsys.readouterr().err)
+
+    def test_omega_flag_sets_the_norm_probe_and_flow_weights(self, tmp_path, capsys):
+        small = ["--config", DEFAULT, "--seed-count", "2", "--out", str(tmp_path)]
+        assert run_cli("probe-norm", *small, "--omega", "3", "--set", "grid.steps=10",
+                       "--set", "probes.norm.seed_count=2") == 0
+        report = json.loads((tmp_path / "norm_report.json").read_text())
+        assert report["probes"][0]["parameters"]["omega"] == 3.0
+        assert run_cli("flow-sample", *small, "--omega", "2.5", "--set", "flow.steps=10") == 0
+        assert "flow omega=2.5 " in capsys.readouterr().out
 
     def test_sample_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from guidance_lab.schedule import NoiseSchedule, TimeGrid, alpha_bar, beta, make_grid
+from guidance_lab.schedule import NoiseSchedule, TimeGrid, alpha_bar, make_grid
+from oracles import beta
 
 
 class TestAlphaBar:

@@ -12,16 +12,17 @@ import guidance_lab as gl
 import guidance_lab.theory as th
 import guidance_lab.verify as vf
 from guidance_lab.config import loads_config
+from guidance_lab.guidance import rotate_raw
 from guidance_lab.mixture import GaussianMixture, score, surface_certificate
 from guidance_lab.schedule import NoiseSchedule, make_grid
 from guidance_lab.theory import (
     estimate_c1,
-    mt_membership,
     norm_amplification_check,
     norm_sweep,
     prop1_stress,
     scatter_experiment,
 )
+from oracles import mt_membership
 
 PAIR_1D = GaussianMixture(dim=1, means=[[-1.0], [1.0]], weights=[0.5, 0.5])
 SQUARE = GaussianMixture(
@@ -214,17 +215,28 @@ class TestProp1Stress:
         assert report.verdict == "pass"
         assert report.measured["max_identity_residual"] <= 1e-9
 
+    @pytest.mark.parametrize("dims", [(1,), (1, 2)])
+    def test_one_dimensional_pairs_keep_the_identity(self, dims):
+        # every 1-D pair is parallel or antiparallel, so the rotation leaves
+        # it as it is and the identity must predict a ratio of 1 for it
+        report = prop1_stress(trials=300, dims=dims, seed=7)
+        assert report.verdict == "pass"
+        assert report.measured["max_identity_residual"] <= 1e-9
+        if dims == (1,):
+            assert report.measured["max_ratio"] == 1.0
+            assert report.measured["max_identity_residual"] == 0.0
+
     def test_parallel_pair_ratio_is_one(self):
         v = np.array([1.0, 2.0])
         for uncond in (3.0 * v, -3.0 * v):
-            out = gl.rotate_raw(v, uncond, 5.0)
+            out = rotate_raw(v, uncond, 5.0)
             assert np.linalg.norm(out) / np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal_quarter_turn_attains_bound(self):
         # gamma = pi/2 and omega = 1.5 gives the tight case cos+sin = sqrt(2)
         cond = np.array([0.0, 3.0])
         uncond = np.array([1.0, 0.0])
-        out = gl.rotate_raw(cond, uncond, 1.5)
+        out = rotate_raw(cond, uncond, 1.5)
         ratio = np.linalg.norm(out) / np.linalg.norm(cond)
         assert abs(ratio - math.sqrt(2)) < 1e-12
 
