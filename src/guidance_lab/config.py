@@ -127,8 +127,8 @@ DEFAULTS: dict[str, Any] = {
 }
 
 # Largest working set one block may hold: its command's drive, as
-# samplers.drive_peak_bytes charges it, or the prop1 stress test's draws
-# and pair block (theory.prop1_peak_bytes).
+# samplers.drive_peak_bytes charges it, or the prop1 stress test's per-pair
+# scalars and one block of pairs (theory.prop1_peak_bytes).
 LOG_BUDGET_BYTES = 2**30
 
 
@@ -202,6 +202,26 @@ def _at(path: str):
         yield
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _built(path: str, cls, leaves: dict, **fixed):
+    """``cls(**fixed)`` with each leaf of the block at ``path``, where ``leaves`` maps a
+    leaf's name to its constructor field and value.  A ValueError is reported at the one
+    leaf whose value alone, with every other field at cls's default, fails the same way,
+    and else at the block: a check that ties leaves, such as beta_min <= beta_max, fails
+    that way for no leaf unless one leaf's value breaks it against the others' defaults."""
+    try:
+        return cls(**{f: v for f, v in leaves.values()}, **fixed)
+    except ValueError as exc:
+        alone = []
+        for name, (f, v) in leaves.items():
+            try:
+                replace(cls(), **{f: v})
+            except ValueError as own:
+                if str(own) == str(exc):
+                    alone.append(name)
+        where = f"{path}.{alone[0]}" if len(alone) == 1 else path
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _validate(data: dict) -> None:
@@ -298,7 +318,7 @@ def _check_log_budget(data: dict) -> None:
             n_scatter * components * scatter["seeds_per_class"],
             pcg=scatter["strategy"] == "pcg")),
         ("probes.norm", drive(f"2 x probes.norm.seed_count={n_norm}", 2 * n_norm)),
-        # prop1_stress holds its draw arrays whole and builds the pairs block by block
+        # prop1_stress holds four floats per pair and draws and builds the pairs block by block
         ("probes.prop1", (f"probes.prop1.trials={prop1['trials']} over {len(prop1['dims'])} "
                           f"dims up to probes.prop1.dims entry {max(prop1['dims'])}",
                           prop1_peak_bytes(prop1["trials"], prop1["dims"]))),
@@ -332,18 +352,15 @@ class ExperimentConfig:
             dim = means.shape[1] if block["dim"] is None else block["dim"]
             gmm = GaussianMixture(dim=dim, means=means, weights=np.asarray(weights, float))
         block = data["schedule"]
-        with _at("schedule"):
-            schedule = NoiseSchedule(
-                block["beta_min"], block["beta_max"], block["T"], block["shape"])
+        schedule = _built("schedule", NoiseSchedule, {
+            key: ("horizon" if key == "T" else key, value) for key, value in block.items()})
         block = data["grid"]
         with _at("grid"):
             grid = make_grid(schedule, block["steps"], block["t_end"], block["t_start"])
         block = data["guidance"]
-        with _at("guidance"):
-            guidance = GuidanceConfig(
-                **{k: v for k, v in block.items() if k != "apg"},
-                apg_params=ApgParams(**block["apg"]),
-            )
+        apg = _built("guidance.apg", ApgParams, {k: (k, v) for k, v in block["apg"].items()})
+        guidance = _built("guidance", GuidanceConfig,
+                          {k: (k, v) for k, v in block.items() if k != "apg"}, apg_params=apg)
         # GuidanceConfig checks the strategy and the weight separately, so
         # one build per named value covers every strategy x omega run
         run, sweep, scatter = data["run"], data["sweep"], data["scatter"]

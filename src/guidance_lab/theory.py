@@ -213,12 +213,13 @@ def norm_amplification_check(
 # Norm-bound stress test
 # ---------------------------------------------------------------------------
 
-# prop1_stress builds and rotates its pairs in blocks of rows holding about
-# this many floats per (rows, dim) array: 256 KiB, so a block's arrays stay
-# near L2 size (the fastest measured at dims 2, 8 and 64). Every step is
-# row-wise, so the maxima over blocks equal those of one full batch, bit
-# for bit.
-_PROP1_BLOCK_FLOATS = 32768
+# prop1_stress draws, builds and rotates its pairs in blocks of rows holding
+# about this many floats per (rows, dim) array: 64 KiB, under malloc's 128 KiB
+# mmap threshold, so each block's temporaries reuse heap memory rather than
+# fresh pages. The pair normals are drawn row-major, so every block size
+# draws the same numbers, and every step is row-wise, so the report does not
+# depend on the block size, bit for bit.
+_PROP1_BLOCK_FLOATS = 8192
 
 
 def _prop1_block_rows(dim: int) -> int:
@@ -228,14 +229,14 @@ def _prop1_block_rows(dim: int) -> int:
 def prop1_peak_bytes(trials: int, dims) -> int:
     """Upper bound on the float64 bytes prop1_stress holds at once.
 
-    Per dim it keeps two ``(trials per dim, dim)`` draw arrays and four
-    ``(trials per dim,)`` vectors while one block runs.  A block is charged
-    ten ``(rows, dim + 1)`` arrays (tracemalloc measures 7.3 to 7.6) and
+    Per dim it keeps four ``(trials per dim,)`` vectors while one block
+    runs.  A block, its drawn normals included, is charged twelve
+    ``(rows, dim + 1)`` arrays (tracemalloc measures 8.8 to 10.1) and
     64 KiB more covers the array and tuple objects of small runs.
     """
     per_dim = trials // len(dims)
     block = max(min(per_dim, _prop1_block_rows(d)) * (d + 1) for d in dims)
-    return 8 * (per_dim * (2 * max(dims) + 4) + 10 * block) + 2**16
+    return 8 * (4 * per_dim + 12 * block) + 2**16
 
 
 # prop1_stress's relative slack on the sqrt(2) bound, and its bound on the
@@ -285,25 +286,24 @@ def prop1_stress(
 def _prop1_dim(rng, per_dim: int, dim: int, norm_range) -> tuple[float, float]:
     """(max ratio, max identity residual) over per_dim random pairs of one dim.
 
-    The draws take the whole dim at once, so the stream is consumed the
-    same way whatever the block size; the pairs are then built and
-    rotated one block of rows at a time.
+    The per-pair scalars are drawn whole; the pair normals are then drawn
+    one block of rows at a time, row j holding u_j and then raw_j, so the
+    stream is consumed the same way whatever the block size.
     """
     lo, hi = norm_range
-    u = rng.standard_normal((per_dim, dim))
-    raw = rng.standard_normal((per_dim, dim))
     theta = rng.uniform(0.0, math.pi, per_dim)
     n_cond = np.exp(rng.uniform(math.log(lo), math.log(hi), per_dim))
     n_uncond = np.exp(rng.uniform(math.log(lo), math.log(hi), per_dim))
     omega = rng.uniform(1.0, 12.0, per_dim)
     rows = _prop1_block_rows(dim)
-    worst = [
-        _prop1_block(u[s], raw[s], theta[s], n_cond[s], n_uncond[s], omega[s])
-        for s in (slice(i, i + rows) for i in range(0, per_dim, rows))
-    ]
-    # np.max propagates a NaN the way one max over all rows would
-    ratio, identity_err = np.max(worst, axis=0)
-    return float(ratio), float(identity_err)
+    worst = np.full(2, -np.inf)
+    for i in range(0, per_dim, rows):
+        s = slice(i, i + rows)
+        pairs = rng.standard_normal((min(rows, per_dim - i), 2, dim))
+        # np.maximum propagates a NaN the way one max over all rows would
+        worst = np.maximum(worst, _prop1_block(
+            pairs[:, 0], pairs[:, 1], theta[s], n_cond[s], n_uncond[s], omega[s]))
+    return float(worst[0]), float(worst[1])
 
 
 def _prop1_block(u, raw, theta, n_cond, n_uncond, omega) -> tuple[float, float]:

@@ -275,9 +275,9 @@ class TestCliContracts:
         assert run_cli("sample", "--config", DEFAULT, "--omega", "inf", "--out", str(tmp_path)) == 2
         assert "guidance.omega: must be finite, got inf" in capsys.readouterr().err
 
-    # the guidance block's weight is checked, and named, with its block
+    # each weight is named by the leaf its command reads
     @pytest.mark.parametrize("command, leaf, path", [
-        ("sample", "guidance.omega", "guidance"),
+        ("sample", "guidance.omega", "guidance.omega"),
         ("probe-norm", "probes.norm.omega", "probes.norm.omega"),
         ("flow-sample", "flow.omega", "flow.omega"),
     ])
@@ -389,6 +389,10 @@ class TestCliContracts:
         ("sample", f"probes.cfgpp.seed={2**64}"),
         ("sample", "probes.prop1.trials=10000000000000"),
         ("sample", "probes.prop1.dims=[100000000]"),
+        # a constructor's check on one leaf names that leaf, not its block
+        ("sample", "guidance.omega=0.5"),
+        ("sample", "guidance.apg.eta=-1"),
+        ("sample", "schedule.beta_min=-1"),
     ])
     def test_invalid_input_exits_2_naming_its_path(self, tmp_path, capsys, command, setting):
         out = tmp_path / "o"
@@ -522,6 +526,12 @@ class TestCliContracts:
                                     "guidance.pcg_inner_steps=1000000000000"])
         loads_config(DEFAULT_TEXT, [f"run.seeds=[0, {2**64 - 1}]",
                                     f"probes.score_oracle.seed={2**64 - 2}"])
+
+    def test_prop1_trials_within_the_budget_load(self):
+        # prop1 holds four floats per trial and one block of pairs: 30M trials
+        # at three dims charge about 320 MB
+        config = loads_config(DEFAULT_TEXT, ["probes.prop1.trials=30000000"])
+        assert config.data["probes"]["prop1"]["trials"] == 30_000_000
 
     def test_numeric_output_dir_stays_a_string(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
