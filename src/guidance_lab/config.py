@@ -2,10 +2,10 @@
 
 The document has nested blocks (gmm, schedule, grid, guidance, run,
 probes, sweep, scatter, flow).  ``DEFAULTS`` is its one table of each
-leaf's default, type and lower bound.  Loading fills the defaults and
-checks every leaf under its dotted path, so a loaded document, written
-back as YAML, loads to the same config, and every invalid document is a
-:class:`ConfigError`.
+leaf's default, type and the bounds no other module owns.  Loading fills
+the defaults, checks every leaf under its dotted path and runs each
+owner's check, so a loaded document, written back as YAML, loads to the
+same config, and every invalid document is a :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -19,16 +19,17 @@ import numpy as np
 import yaml
 
 from .guidance import DEFAULT_ANGLE_CAP, ApgParams, GuidanceConfig
-from .mixture import GaussianMixture
-from .samplers import drive_peak_bytes
+from .mixture import GaussianMixture, _check_condition
+from .samplers import check_flow, drive_peak_bytes
 from .schedule import NoiseSchedule, TimeGrid, make_grid
-from .theory import prop1_peak_bytes
+from .theory import check_c1, prop1_peak_bytes
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "loads_config"]
 
 
 class ConfigError(ValueError):
-    """Invalid configuration document; message carries the dotted path."""
+    """Invalid configuration document; the message starts with the leaf at fault, each leaf
+    of a broken tie, or the block when the error names no field."""
 
 
 class Leaf(NamedTuple):
@@ -73,7 +74,7 @@ DEFAULTS: dict[str, Any] = {
         "shape": "linear",
     },
     "grid": {
-        "steps": Leaf(200, lo=1),
+        "steps": 200,
         "t_end": Leaf(None, float),         # defaults to schedule T
         "t_start": 0.0,
     },
@@ -85,13 +86,13 @@ DEFAULTS: dict[str, Any] = {
         # r = inf is the documented linear-extrapolation reduction
         "apg": {"eta": 0.0, "beta": -0.5, "r": Leaf(2.5, hi=math.inf)},
         "recfg_lambda": Leaf(1.0, _recfg_lambda),
-        "pcg_inner_steps": Leaf(0, lo=0),
+        "pcg_inner_steps": 0,
         "pcg_langevin_mode": "paper-literal",
     },
     "run": {
         "seeds": Leaf(None, [int], 0, SEED_MAX),  # explicit list, or use seed_count
         "seed_count": Leaf(16, lo=1),
-        "condition": Leaf(0, lo=0),
+        "condition": 0,
         "strategies": Leaf(None, [str]),    # defaults to [guidance.strategy]
         "output_dir": "out",
     },
@@ -121,7 +122,7 @@ DEFAULTS: dict[str, Any] = {
     },
     "flow": {
         "sigma_min": 0.1,
-        "steps": Leaf(200, lo=1),
+        "steps": 200,
         "omega": 3.0,
     },
 }
@@ -196,36 +197,19 @@ def _merge(defaults: dict, given: Any, path: str) -> dict:
 
 
 @contextmanager
-def _at(path: str):
-    """Report a constructor's ValueError as a ConfigError at ``path``."""
+def _at(block: str, **leaves: str):
+    """Report an owner's ValueError as a ConfigError at the leaf of each field it names,
+    ``block.field`` unless ``leaves`` maps the field to a path, or at ``block``."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _built(path: str, cls, leaves: dict, **fixed):
-    """``cls(**fixed)`` with each leaf of the block at ``path``, where ``leaves`` maps a
-    leaf's name to its constructor field and value.  A ValueError is reported at the one
-    leaf whose value alone, with every other field at cls's default, fails the same way,
-    and else at the block: a check that ties leaves, such as beta_min <= beta_max, fails
-    that way for no leaf unless one leaf's value breaks it against the others' defaults."""
-    try:
-        return cls(**{f: v for f, v in leaves.values()}, **fixed)
-    except ValueError as exc:
-        alone = []
-        for name, (f, v) in leaves.items():
-            try:
-                replace(cls(), **{f: v})
-            except ValueError as own:
-                if str(own) == str(exc):
-                    alone.append(name)
-        where = f"{path}.{alone[0]}" if len(alone) == 1 else path
+        fields = getattr(exc, "fields", ())
+        where = ", ".join(leaves.get(f, f"{block}.{f}") for f in fields) or block
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _validate(data: dict) -> None:
-    """The rules a leaf's table entry cannot state: ties to other leaves, strict bounds."""
+    """Rules a table entry cannot state: ties between leaves, strict bounds, owners' checks."""
     run, c1, prop1 = data["run"], data["probes"]["c1"], data["probes"]["prop1"]
     # a repeated entry would run the same rows twice and write each output over itself
     for path, values, noun in (
@@ -239,42 +223,24 @@ def _validate(data: dict) -> None:
         if len(set(values)) < len(values):
             repeated = next(v for i, v in enumerate(values) if v in values[:i])
             raise ConfigError(f"{path}: {noun} {repeated!r} repeated; entries must be distinct")
-    if not run["condition"] < len(data["gmm"]["means"]):
-        raise ConfigError(f"run.condition: {run['condition']} is not a mixture component")
-    if not all(w > 1.0 for w in c1["omegas"]):
-        raise ConfigError(f"probes.c1.omegas: each must be > 1, got {c1['omegas']!r}")
     # the probe checks that c1 grows from each omega to the next
     if not all(a < b for a, b in zip(c1["omegas"], c1["omegas"][1:])):
         raise ConfigError(f"probes.c1.omegas: must be strictly increasing, got {c1['omegas']!r}")
-    if not 0.0 < c1["alpha_bar"] <= 1.0:
-        raise ConfigError(f"probes.c1.alpha_bar: must lie in (0, 1], got {c1['alpha_bar']!r}")
-    for key in ("k_max", "bisection_tol"):
-        if not c1[key] > 0.0:
-            raise ConfigError(f"probes.c1.{key}: must be > 0, got {c1[key]!r}")
+    with _at("probes.c1", omega="probes.c1.omegas"):
+        for omega in c1["omegas"]:
+            check_c1(c1["alpha_bar"], omega, c1["k_max"])
+    if not c1["bisection_tol"] > 0.0:
+        raise ConfigError(f"probes.c1.bisection_tol: must be > 0, got {c1['bisection_tol']!r}")
+    with _at("flow"):
+        check_flow(data["flow"]["sigma_min"], data["flow"]["steps"])
     if prop1["trials"] < len(prop1["dims"]):
         raise ConfigError(f"probes.prop1.trials: must be >= the {len(prop1['dims'])} dims")
-    lam = data["guidance"]["recfg_lambda"]
-    if isinstance(lam, dict):
-        # recfg samples run.condition in sample, sweep and the determinism
-        # probe, and every component in scatter
-        used = set()
-        if "recfg" in {data["guidance"]["strategy"], *(run["strategies"] or ()),
-                       *data["sweep"]["strategies"]}:
-            used.add(run["condition"])
-        if data["scatter"]["strategy"] == "recfg":
-            used.update(range(len(data["gmm"]["means"])))
-        missing = sorted(used - lam.keys())
-        if missing:
-            raise ConfigError(
-                f"guidance.recfg_lambda: no entry for condition {missing[0]}, which recfg samples")
 
 
-def _check_log_budget(data: dict) -> None:
+def _check_log_budget(data: dict, gmm: GaussianMixture) -> None:
     """Refuse a block whose drive, or prop1 test, would hold more than LOG_BUDGET_BYTES."""
     guidance, run, probes = data["guidance"], data["run"], data["probes"]
-    sweep, scatter, means = data["sweep"], data["scatter"], data["gmm"]["means"]
-    dim = len(means[0]) if isinstance(means[0], list) else 1
-    components = len(means)
+    sweep, scatter, dim, components = data["sweep"], data["scatter"], gmm.dim, gmm.n_components
     if run["seeds"] is None:
         seeds_path, n_seeds = "run.seed_count", run["seed_count"]
     else:
@@ -342,28 +308,28 @@ class ExperimentConfig:
     def __post_init__(self):
         data = self.data
         _validate(data)
-        _check_log_budget(data)  # before make_grid allocates the grid
         block = data["gmm"]
         with _at("gmm"):
-            means = np.asarray(block["means"], dtype=float)
-            if means.ndim == 1:
-                means = means[:, None]
-            weights = block["weights"] or np.full(means.shape[0], 1.0 / means.shape[0])
+            means = np.asarray(block["means"], dtype=float).reshape(len(block["means"]), -1)
+            weights = block["weights"] or np.full(len(means), 1.0 / len(means))
             dim = means.shape[1] if block["dim"] is None else block["dim"]
-            gmm = GaussianMixture(dim=dim, means=means, weights=np.asarray(weights, float))
-        block = data["schedule"]
-        schedule = _built("schedule", NoiseSchedule, {
-            key: ("horizon" if key == "T" else key, value) for key, value in block.items()})
-        block = data["grid"]
-        with _at("grid"):
-            grid = make_grid(schedule, block["steps"], block["t_end"], block["t_start"])
-        block = data["guidance"]
-        apg = _built("guidance.apg", ApgParams, {k: (k, v) for k, v in block["apg"].items()})
-        guidance = _built("guidance", GuidanceConfig,
-                          {k: (k, v) for k, v in block.items() if k != "apg"}, apg_params=apg)
+            gmm = GaussianMixture(dim=dim, means=means, weights=weights)
+        _check_log_budget(data, gmm)  # before make_grid allocates the grid
+        run, sweep, scatter = data["run"], data["sweep"], data["scatter"]
+        with _at("run"):
+            _check_condition(gmm, run["condition"])
+        with _at("schedule", horizon="schedule.T"):
+            schedule = NoiseSchedule(**{"horizon" if key == "T" else key: value
+                                        for key, value in data["schedule"].items()})
+        with _at("grid", horizon="schedule.T"):
+            grid = make_grid(schedule, **data["grid"])
+        block = dict(data["guidance"])
+        with _at("guidance.apg"):
+            apg = ApgParams(**block.pop("apg"))
+        with _at("guidance"):
+            guidance = GuidanceConfig(apg_params=apg, **block)
         # GuidanceConfig checks the strategy and the weight separately, so
         # one build per named value covers every strategy x omega run
-        run, sweep, scatter = data["run"], data["sweep"], data["scatter"]
         for path, key, values in (
             ("run.strategies", "strategy", run["strategies"] or ()),
             ("sweep.strategies", "strategy", sweep["strategies"]),
@@ -374,12 +340,18 @@ class ExperimentConfig:
             ("flow.omega", "omega", [data["flow"]["omega"]]),
         ):
             for value in values:
-                with _at(path):
+                with _at(path, **{key: path}):
                     replace(guidance, **{key: value})
-        if not 0.0 <= data["flow"]["sigma_min"] < 1.0:
-            raise ConfigError("flow.sigma_min: sigma_min must lie in [0, 1)")
-        built = {"gmm": gmm, "grid": grid, "guidance": guidance}
-        object.__setattr__(self, "_built", built)
+        # recfg samples run.condition in sample, sweep and the determinism
+        # probe, and every component in scatter
+        sampled = {block["strategy"], *(run["strategies"] or ()), *sweep["strategies"]}
+        used = {run["condition"]} if "recfg" in sampled else set()
+        if scatter["strategy"] == "recfg":
+            used.update(range(gmm.n_components))
+        with _at("guidance"):
+            for condition in sorted(used):
+                guidance.recfg_lambda_for(condition)
+        object.__setattr__(self, "_built", {"gmm": gmm, "grid": grid, "guidance": guidance})
 
     def gmm(self) -> GaussianMixture:
         return self._built["gmm"]

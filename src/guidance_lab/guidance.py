@@ -26,6 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .mixture import FieldError, _check_alpha_bar
+
 __all__ = [
     "NORM_FLOOR",
     "ANGLE_FLOOR",
@@ -35,6 +37,7 @@ __all__ = [
     "PredictionPair",
     "ApgParams",
     "GuidanceConfig",
+    "check_omega",
     "STRATEGIES",
     "x0_from_eps",
     "eps_from_x0",
@@ -96,11 +99,11 @@ class ApgParams:
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
+            raise FieldError("eta must lie in [0, 1]", "eta")
         if not self.beta <= 0.0:
-            raise ValueError("momentum coefficient beta must be <= 0")
+            raise FieldError("momentum coefficient beta must be <= 0", "beta")
         if not self.r >= 0.0:
-            raise ValueError("norm clamp r must be nonnegative")
+            raise FieldError("norm clamp r must be nonnegative", "r")
 
 
 @dataclass(frozen=True)
@@ -118,44 +121,42 @@ class GuidanceConfig:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}; expected one of {tuple(STRATEGIES)}")
-        if not self.omega >= 1.0:
-            raise ValueError("guidance weight omega must be >= 1")
-        if not math.isfinite(self.omega):
-            raise ValueError(f"guidance weight omega must be finite, got {self.omega}")
+            raise FieldError(f"unknown strategy {self.strategy!r}; expected one of "
+                             f"{tuple(STRATEGIES)}", "strategy")
+        check_omega(self.omega)
         if not 0.0 < self.angle_cap <= math.pi:
-            raise ValueError("angle_cap must lie in (0, pi]")
+            raise FieldError("angle_cap must lie in (0, pi]", "angle_cap")
         if not 0.0 < self.cfgpp_lambda <= 1.0:
-            raise ValueError("cfgpp_lambda must lie in (0, 1]")
+            raise FieldError("cfgpp_lambda must lie in (0, 1]", "cfgpp_lambda")
         if self.pcg_inner_steps < 0:
-            raise ValueError("pcg_inner_steps must be >= 0")
+            raise FieldError("pcg_inner_steps must be >= 0", "pcg_inner_steps")
         if self.pcg_langevin_mode not in ("paper-literal", "score-consistent"):
-            raise ValueError("pcg_langevin_mode must be 'paper-literal' or 'score-consistent'")
+            raise FieldError("pcg_langevin_mode must be 'paper-literal' or 'score-consistent'",
+                             "pcg_langevin_mode")
 
     def recfg_lambda_for(self, condition: int) -> float:
-        if isinstance(self.recfg_lambda, dict):
-            try:
-                return float(self.recfg_lambda[condition])
-            except KeyError:
-                raise ValueError(f"no recfg lambda entry for condition {condition}") from None
-        return float(self.recfg_lambda)
+        if not isinstance(self.recfg_lambda, dict):
+            return float(self.recfg_lambda)
+        if condition not in self.recfg_lambda:
+            raise FieldError(f"no recfg lambda entry for condition {condition}", "recfg_lambda")
+        return float(self.recfg_lambda[condition])
+
+
+def check_omega(omega) -> None:
+    """Refuse a guidance weight, or any of an array of weights, below 1 or not finite."""
+    if not np.all(np.greater_equal(omega, 1.0)):
+        raise FieldError("guidance weight omega must be >= 1", "omega")
+    if not np.all(np.isfinite(omega)):
+        raise FieldError(f"guidance weight omega must be finite, got {np.max(omega)}", "omega")
 
 
 # ---------------------------------------------------------------------------
 # epsilon <-> x0 changes of variable
 # ---------------------------------------------------------------------------
 
-def _check_alpha_open(alpha_bar: float) -> float:
-    alpha_bar = float(alpha_bar)
-    if not 0.0 < alpha_bar < 1.0:
-        raise ValueError(f"alpha_bar must lie in (0, 1), got {alpha_bar}")
-    return alpha_bar
-
-
 def x0_from_eps(x_t: np.ndarray, eps: np.ndarray, alpha_bar: float) -> np.ndarray:
     """Clean prediction implied by a noise prediction at signal level alpha_bar."""
-    alpha_bar = _check_alpha_open(alpha_bar)
+    alpha_bar = _check_alpha_bar(alpha_bar, allow_one=False)
     x_t = np.asarray(x_t, dtype=float)
     eps = np.asarray(eps, dtype=float)
     return (x_t - math.sqrt(1.0 - alpha_bar) * eps) / math.sqrt(alpha_bar)
@@ -163,7 +164,7 @@ def x0_from_eps(x_t: np.ndarray, eps: np.ndarray, alpha_bar: float) -> np.ndarra
 
 def eps_from_x0(x_t: np.ndarray, x0: np.ndarray, alpha_bar: float) -> np.ndarray:
     """Noise prediction implied by a clean prediction (inverse of x0_from_eps)."""
-    alpha_bar = _check_alpha_open(alpha_bar)
+    alpha_bar = _check_alpha_bar(alpha_bar, allow_one=False)
     x_t = np.asarray(x_t, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     return (x_t - math.sqrt(alpha_bar) * x0) / math.sqrt(1.0 - alpha_bar)

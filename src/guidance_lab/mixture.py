@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "FieldError",
     "GaussianMixture",
     "SurfaceCertificate",
     "ComponentClassification",
@@ -39,6 +40,14 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 # Hull distances below this are treated as "on the hull", i.e. not a vertex.
 HULL_DISTANCE_FLOOR = 1e-7
+
+
+class FieldError(ValueError):
+    """A broken input rule; ``fields`` names the parameters it checks, several for a tie."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
 
 
 @dataclass(frozen=True)
@@ -59,23 +68,25 @@ class GaussianMixture:
         means = np.atleast_2d(np.asarray(self.means, dtype=float))
         weights = np.asarray(self.weights, dtype=float).ravel()
         if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+            raise FieldError("dim must be a positive integer", "dim")
         if means.ndim != 2 or means.shape[1] != self.dim:
-            raise ValueError(f"means must have shape (C, {self.dim}), got {means.shape}")
+            raise FieldError(f"means must have shape (C, {self.dim}), got {means.shape}",
+                             "dim", "means")
         if weights.shape[0] != means.shape[0]:
-            raise ValueError("means and weights must have the same component count")
+            raise FieldError("means and weights must have the same component count",
+                             "means", "weights")
         if means.shape[0] < 1:
-            raise ValueError("at least one component required")
+            raise FieldError("at least one component required", "means")
         if np.any(weights <= 0):
-            raise ValueError("all mixing weights must be positive")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"mixing weights must sum to 1, got {float(weights.sum())!r}")
+            raise FieldError("all mixing weights must be positive", "weights")
+        if abs((total := float(weights.sum())) - 1.0) > 1e-12:
+            raise FieldError(f"mixing weights must sum to 1, got {total!r}", "weights")
         with np.errstate(all="ignore"):
             sq_norms = np.einsum("cd,cd->c", means, means)
             reach = 4.0 * sq_norms.max()  # bounds every squared distance between two means
         if not np.isfinite(reach):
-            raise ValueError("4 * max |mu_c|^2, which bounds the squared distances between "
-                             f"means, must be finite, got {reach}")
+            raise FieldError("4 * max |mu_c|^2, which bounds the squared distances between "
+                             f"means, must be finite, got {reach}", "means")
         derived = {
             "means": means,
             "weights": weights,
@@ -102,13 +113,14 @@ def _check_alpha_bar(alpha_bar: float, *, allow_one: bool) -> float:
     hi_ok = alpha_bar <= 1.0 if allow_one else alpha_bar < 1.0
     if not (0.0 < alpha_bar and hi_ok):
         bound = "(0, 1]" if allow_one else "(0, 1)"
-        raise ValueError(f"alpha_bar must lie in {bound}, got {alpha_bar}")
+        raise FieldError(f"alpha_bar must lie in {bound}, got {alpha_bar}", "alpha_bar")
     return alpha_bar
 
 def _check_condition(gmm: GaussianMixture, condition: int) -> int:
     condition = int(condition)
     if not 0 <= condition < gmm.n_components:
-        raise ValueError(f"component index {condition} outside [0, {gmm.n_components})")
+        raise FieldError(f"component index {condition} outside [0, {gmm.n_components})",
+                         "condition")
     return condition
 
 def _condition_means(gmm: GaussianMixture, condition) -> np.ndarray:

@@ -24,7 +24,7 @@ from . import guidance as gd
 from . import mixture as mx
 from .guidance import GuidanceConfig
 from .mixture import GaussianMixture
-from .schedule import TimeGrid
+from .schedule import TimeGrid, _check_steps
 
 __all__ = [
     "EquivalenceUndefined",
@@ -36,6 +36,7 @@ __all__ = [
     "ddpm_step",
     "sample_runs",
     "drive_peak_bytes",
+    "check_flow",
     "flow_sample_batch",
     "sample_trajectory",
     "pcg_sample",
@@ -198,10 +199,7 @@ def _rows(run: Run) -> _Rows:
     n = len(seeds)
     column = np.empty((n, 1))
     column[:, 0] = config.omega if run.omega is None else run.omega
-    if not np.all(column >= 1.0):
-        raise ValueError("guidance weight omega must be >= 1")
-    if not np.all(np.isfinite(column)):
-        raise ValueError("guidance weight omega must be finite")
+    gd.check_omega(column)
     if np.ndim(condition):
         condition = np.asarray(condition)
         if condition.shape != (n,):
@@ -392,6 +390,13 @@ def drive_peak_bytes(
     return 8 * (rows * per_row + 2 * components * dim) + 2**18
 
 
+def check_flow(sigma_min: float, steps: int) -> None:
+    """Refuse a path floor sigma_min outside [0, 1) or fewer than one step."""
+    if not 0.0 <= sigma_min < 1.0:
+        raise mx.FieldError("sigma_min must lie in [0, 1)", "sigma_min")
+    _check_steps(steps)
+
+
 def flow_sample_batch(
     gmm: GaussianMixture,
     sigma_min: float,
@@ -407,10 +412,7 @@ def flow_sample_batch(
     the VP noising of x1 at alpha_bar = (t / s)^2 and the Euler step is y's
     DDIM step, so the capped-angle rule drives y; the log holds t and s * y.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not 0.0 <= sigma_min < 1.0:
-        raise ValueError("sigma_min must lie in [0, 1)")
+    check_flow(sigma_min, steps)
     t = np.arange(steps + 1) * (1.0 / steps)
     s = np.hypot(t, 1.0 - (1.0 - sigma_min) * t)
     config = GuidanceConfig(strategy="adg", omega=omega, angle_cap=angle_cap)
@@ -498,9 +500,7 @@ def flow_posterior_mean_x1(
     :func:`~guidance_lab.mixture.posterior_mean_x0`, ``condition`` may be
     an ``(n,)`` index array, one component per row.
     """
-    x_t = np.asarray(x_t, dtype=float)
-    if x_t.shape[-1:] != (gmm.dim,):
-        raise ValueError(f"point dimension {x_t.shape} incompatible with mixture dim {gmm.dim}")
+    x_t = mx._as_points(gmm, x_t)
     sigma = 1.0 - (1.0 - sigma_min) * t
     if sigma <= FLOW_STD_FLOOR:
         raise ValueError(f"path std underflow at t={t}")

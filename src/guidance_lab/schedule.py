@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mixture import FieldError
+
 __all__ = [
     "NoiseSchedule",
     "TimeGrid",
@@ -35,13 +37,13 @@ class NoiseSchedule:
 
     def __post_init__(self):
         if self.shape != "linear":
-            raise ValueError(f"unsupported schedule shape {self.shape!r}")
+            raise FieldError(f"unsupported schedule shape {self.shape!r}", "shape")
         if not self.beta_min > 0:
-            raise ValueError("beta_min must be positive")
+            raise FieldError("beta_min must be positive", "beta_min")
         if not self.beta_min <= self.beta_max < math.inf:
-            raise ValueError("beta_max must be finite and >= beta_min")
+            raise FieldError("beta_max must be finite and >= beta_min", "beta_min", "beta_max")
         if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+            raise FieldError("horizon must be positive", "horizon")
 
 
 def alpha_bar(schedule: NoiseSchedule, t: float) -> float:
@@ -62,6 +64,11 @@ def _check_time(schedule: NoiseSchedule, t: float) -> None:
         raise ValueError(f"time {t} outside [0, {schedule.horizon}]")
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 1:
+        raise FieldError(f"steps must be >= 1, got {steps}", "steps")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform reverse-time grid with attached alpha_bar values.
@@ -79,8 +86,7 @@ class TimeGrid:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         abars = np.asarray(self.alpha_bars, dtype=float)
-        if self.steps < 1:
-            raise ValueError("grid needs at least one step")
+        _check_steps(self.steps)
         if times.shape != (self.steps + 1,) or abars.shape != (self.steps + 1,):
             raise ValueError("grid arrays must have steps + 1 entries")
         if not np.all(np.diff(times) < 0):
@@ -102,11 +108,11 @@ def make_grid(
     """Uniform grid of `steps` transitions from t_end down to t_start."""
     if t_end is None:
         t_end = schedule.horizon
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not (schedule.horizon >= t_end > t_start >= 0.0):
-        raise ValueError(f"need horizon >= t_end > t_start >= 0, got ({t_end}, {t_start})")
+    _check_steps(steps)
+    if not t_end > t_start >= 0.0:
+        raise FieldError(f"need t_end > t_start >= 0, got ({t_end}, {t_start})", "t_end", "t_start")
+    if not t_end <= schedule.horizon:
+        raise FieldError(f"t_end {t_end} exceeds horizon {schedule.horizon}", "horizon", "t_end")
     times = np.linspace(t_end, t_start, steps + 1)
     abars = np.array([alpha_bar(schedule, t) for t in times])
     return TimeGrid(steps=steps, times=times, alpha_bars=abars)
-

@@ -25,6 +25,7 @@ __all__ = [
     "ProbeReport",
     "MARGIN_FLOOR",
     "anomalous_equation",
+    "check_c1",
     "estimate_c1",
     "norm_amplification_check",
     "prop1_stress",
@@ -113,6 +114,15 @@ def anomalous_equation(
     return margins, h
 
 
+def check_c1(alpha_bar: float, omega: float, k_max: float) -> None:
+    """Refuse c1 inputs: alpha_bar outside (0, 1], omega <= 1 or k_max <= 0."""
+    mx._check_alpha_bar(alpha_bar, allow_one=True)
+    if not omega > 1.0:
+        raise mx.FieldError(f"c1 requires omega > 1, got {omega}", "omega")
+    if not k_max > 0:
+        raise mx.FieldError(f"k_max must be positive, got {k_max}", "k_max")
+
+
 def estimate_c1(
     gmm: GaussianMixture,
     certificate: SurfaceCertificate,
@@ -132,10 +142,7 @@ def estimate_c1(
     roundoff eps and logits rounded by Delta ~ (dim + 3) eps max |logit|
     (N. J. Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3).
     """
-    if not omega > 1.0:
-        raise ValueError("estimate_c1 requires omega > 1")
-    if not k_max > 0:
-        raise ValueError("k_max must be positive")
+    check_c1(alpha_bar, omega, k_max)
     margins, h = anomalous_equation(gmm, certificate, alpha_bar, omega)
     lo, hi = 0.0, min(k_max, (omega - 1.0) * math.sqrt(alpha_bar) * float(margins.max()))
     k, step, (value, slope) = hi, math.inf, h(hi)

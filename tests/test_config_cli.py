@@ -400,6 +400,28 @@ class TestCliContracts:
         assert setting.partition("=")[0] in capsys.readouterr().err
         assert not out.exists()
 
+    # an owner's error names the leaf its rule checks, every leaf of a tie
+    # (schedule.T is the schedule's horizon) or a list leaf's path; an error
+    # that names no field, such as numpy's on ragged means, names its block
+    @pytest.mark.parametrize("setting, where", [
+        ("gmm.weights=[0.5, 0.2, 0.2, 0.2]", "gmm.weights: mixing weights must sum to 1"),
+        ("gmm.dim=0", "gmm.dim: dim must be a positive integer"),
+        ("gmm.dim=3", "gmm.dim, gmm.means: means must have shape (C, 3), got (4, 2)"),
+        ("grid.t_end=5", "schedule.T, grid.t_end: t_end 5.0 exceeds horizon 1.0"),
+        ("grid.t_start=-1", "grid.t_end, grid.t_start: need t_end > t_start >= 0"),
+        ("schedule.T=-1", "schedule.T: horizon must be positive"),
+        ("schedule.beta_max=0.05", "schedule.beta_min, schedule.beta_max: beta_max must be"),
+        ("probes.c1.omegas=[1.0, 2.0]", "probes.c1.omegas: c1 requires omega > 1, got 1.0"),
+        ("run.condition=9", "run.condition: component index 9 outside [0, 4)"),
+        ("gmm.means=[[1.0], [1.0, 2.0]]", "gmm: setting an array element with a sequence"),
+    ])
+    def test_config_error_names_the_leaves_its_rule_checks(self, tmp_path, capsys, setting,
+                                                           where):
+        out = tmp_path / "o"
+        assert run_cli("sample", "--config", DEFAULT, "--out", str(out), "--set", setting) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {where}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting", NONFINITE_SETTINGS)
     def test_nonfinite_float_exits_2_naming_its_path(self, tmp_path, capsys, setting):
         out = tmp_path / "o"

@@ -90,6 +90,13 @@ class TestC1Estimation:
         with pytest.raises(ValueError, match="omega"):
             estimate_c1(PAIR_1D, CERT_1D, 0.5, 1.0)
 
+    # these once returned 0.0 or a number, or raised a bare math domain error
+    @pytest.mark.parametrize("alpha_bar", [1.5, 0.0, math.nan, -0.5])
+    def test_alpha_bar_outside_unit_interval_refused(self, alpha_bar):
+        with pytest.raises(ValueError, match=r"alpha_bar must lie in \(0, 1\]") as exc:
+            estimate_c1(PAIR_1D, CERT_1D, alpha_bar, 2.0)
+        assert exc.value.fields == ("alpha_bar",)
+
     def test_saturates_at_k_max(self):
         value = estimate_c1(PAIR_1D, CERT_1D, 0.5, 3.0, k_max=0.1)
         assert value == 0.1
