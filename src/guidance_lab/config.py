@@ -310,9 +310,11 @@ class ExperimentConfig:
         _validate(data)
         block = data["gmm"]
         with _at("gmm"):
-            means = np.asarray(block["means"], dtype=float).reshape(len(block["means"]), -1)
+            means = block["means"]
+            if not isinstance(means[0], list):  # a number per mean: a 1-D mixture
+                means = [[m] for m in means]
             weights = block["weights"] or np.full(len(means), 1.0 / len(means))
-            dim = means.shape[1] if block["dim"] is None else block["dim"]
+            dim = len(means[0]) if block["dim"] is None else block["dim"]
             gmm = GaussianMixture(dim=dim, means=means, weights=weights)
         _check_log_budget(data, gmm)  # before make_grid allocates the grid
         run, sweep, scatter = data["run"], data["sweep"], data["scatter"]

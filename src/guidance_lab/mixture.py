@@ -65,7 +65,10 @@ class GaussianMixture:
     half_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        means = np.atleast_2d(np.asarray(self.means, dtype=float))
+        try:
+            means = np.atleast_2d(np.asarray(self.means, dtype=float))
+        except ValueError as exc:  # rows of unequal length, or an entry that is no number
+            raise FieldError(f"means must be a (C, {self.dim}) array of numbers", "means") from exc
         weights = np.asarray(self.weights, dtype=float).ravel()
         if self.dim < 1:
             raise FieldError("dim must be a positive integer", "dim")

@@ -66,9 +66,9 @@ def step_rng(seed: int, step: int) -> np.random.Generator:
 def _check_ordering(alpha_bar_t: float, alpha_bar_prev: float) -> tuple[float, float]:
     alpha_bar_t = float(alpha_bar_t)
     alpha_bar_prev = float(alpha_bar_prev)
-    if not 0.0 < alpha_bar_t < alpha_bar_prev <= 1.0:
+    if not 0.0 <= alpha_bar_t < alpha_bar_prev <= 1.0:
         raise ValueError(
-            f"need 0 < alpha_bar_t < alpha_bar_prev <= 1, got ({alpha_bar_t}, {alpha_bar_prev})"
+            f"need 0 <= alpha_bar_t < alpha_bar_prev <= 1, got ({alpha_bar_t}, {alpha_bar_prev})"
         )
     return alpha_bar_t, alpha_bar_prev
 
@@ -243,32 +243,23 @@ def _stream_draws(seeds, step: int, shape: tuple) -> np.ndarray:
     return np.array([drawn[s] for s in seeds]).reshape((len(seeds),) + shape)
 
 
-def _drive(gmm, runs, times, alpha_bars, log=True):
-    """Advance every row of every run together as one (n, dim) array.
+def _steps(gmm, runs, groups, slices, times, alpha_bars):
+    """Run a drive's step math, yielding ``(i, pair, parts, turns, guided, x_next)``
+    for each transition i: ``parts`` holds each run's slice of the pair, ``turns``
+    each run's turn angle or None.  A consumer drops step i's arrays before step i + 1.
 
     The runs' rows are stacked in order; row j of a run follows seed
     ``seeds[j]`` under its condition and weight.  Step i runs once for all
-    rows: it predicts x0 by the exact posterior means at ``alpha_bars[i]``
-    (logged at ``times[i]``), measures the pair geometry and takes a DDIM
-    step to ``alpha_bars[i + 1]``.  Each run applies its own rule from
-    :data:`guidance.STRATEGIES` (with its APG momentum; cfgpp renoises with
-    the noise its rule returns) and pcg corrector to its slice of rows, so
-    a row is the same in any drive.  Returns one entry per run: its
-    records, or with ``log=False`` its ``(n, dim)`` final states alone,
-    with no per-step log allocated and no cfgpp residual computed.
+    rows: it predicts x0 by the exact posterior means at ``alpha_bars[i]``,
+    measures the pair geometry and takes a DDIM step to ``alpha_bars[i + 1]``.
+    Each run applies its own rule from :data:`guidance.STRATEGIES` (with its
+    APG momentum) to its slice of rows, then its cfgpp renoise or pcg
+    corrector, so a row is the same in any drive.
     """
-    groups = [_rows(run) for run in runs]
-    ends = np.cumsum([len(rows.seeds) for rows in groups]).tolist()
-    slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
     seeds = [s for rows in groups for s in rows.seeds]
     condition = np.concatenate([np.broadcast_to(rows.condition, (len(rows.seeds),))
                                 for rows in groups])
     x = _stream_draws(seeds, 0, (gmm.dim,))
-    if log:
-        shape = (len(times),) + x.shape
-        x_t, x0_cond, x0_uncond, x0_guided = (np.empty(shape) for _ in range(4))
-        gamma, gamma_omega, residual = (np.full(shape[:2], math.nan) for _ in range(3))
-        guided_norm = np.empty(shape[:2])
     states = [np.zeros((len(rows.seeds), gmm.dim)) for rows in groups]
     for i, t in enumerate(times):
         try:
@@ -281,36 +272,56 @@ def _drive(gmm, runs, times, alpha_bars, log=True):
                 uncond = np.broadcast_to(gmm.weights @ gmm.means, x.shape)
             pair = gd.PredictionPair.of(cond, uncond, x, ab_t)
             guided = np.empty_like(x)
-            renoised = []
+            parts, turns, renoises = [], [None] * len(runs), [None] * len(runs)
             for k, (run, rows, sl) in enumerate(zip(runs, groups, slices)):
-                part = gd.PredictionPair(cond[sl], uncond[sl], x[sl], ab_t,
-                                         gd._PairGeometry._make(a[sl] for a in pair.geometry))
-                guided[sl], turn, renoise, states[k] = gd.STRATEGIES[run.config.strategy](
-                    part, rows, run.config, states[k])
-                if renoise is not None:
-                    renoised.append((run.config, part, sl, renoise))
-                if log and turn is not None:
-                    gamma_omega[i, sl] = np.where(part.geometry.safe, turn, math.nan)
-            x_next = (ddim_step(x, guided, ab_t, ab_prev) if ab_t > 0.0
-                      else math.sqrt(ab_prev) * guided + math.sqrt(1.0 - ab_prev) * x)
-            for config, part, sl, renoise in renoised:
-                x_next[sl] = math.sqrt(ab_prev) * guided[sl] + math.sqrt(1.0 - ab_prev) * renoise
-                if log:
-                    residual[i, sl] = _cfgpp_residual(part, config.cfgpp_lambda, ab_prev, x_next[sl])
-            for run, rows, sl in zip(runs, groups, slices):
+                parts.append(gd.PredictionPair(cond[sl], uncond[sl], x[sl], ab_t,
+                                               gd._PairGeometry._make(a[sl] for a in pair.geometry)))
+                guided[sl], turns[k], renoises[k], states[k] = gd.STRATEGIES[run.config.strategy](
+                    parts[k], rows, run.config, states[k])
+            x_next = ddim_step(x, guided, ab_t, ab_prev)
+            for run, rows, sl, renoise in zip(runs, groups, slices, renoises):
                 config = run.config
+                if renoise is not None:
+                    x_next[sl] = math.sqrt(ab_prev) * guided[sl] + math.sqrt(1.0 - ab_prev) * renoise
                 if config.strategy == "pcg" and config.pcg_inner_steps and ab_prev < 1.0:
                     # no corrector at the terminal point (beta_bar would be 0)
                     x_next[sl] = _pcg_correct(gmm, x_next[sl], ab_t, ab_prev, config, rows, i)
         except ValueError as exc:
             raise RuntimeError(f"trajectory aborted at step {i} (t={t}): {exc}") from exc
-        if log:
-            x_t[i], x0_cond[i], x0_uncond[i], x0_guided[i] = x, cond, uncond, guided
-            gamma[i] = np.where(pair.geometry.safe, pair.geometry.gamma, math.nan)
-            guided_norm[i] = np.linalg.norm(guided, axis=-1)
+        yield i, pair, parts, turns, guided, x_next
         x = x_next
+
+
+def _drive(gmm, runs, times, alpha_bars, log=True):
+    """Advance every row of every run together as one (n, dim) array (see
+    :func:`_steps`), logging step i at ``times[i]``.  Returns one entry per
+    run: its records, or with ``log=False`` its ``(n, dim)`` final states
+    alone, with no per-step log allocated and no cfgpp residual computed.
+    """
+    groups = [_rows(run) for run in runs]
+    ends = np.cumsum([len(rows.seeds) for rows in groups]).tolist()
+    slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
+    steps = _steps(gmm, runs, groups, slices, times, alpha_bars)
     if not log:
+        for *step, x in steps:
+            del step  # hold no array of step i while step i + 1 runs
         return [x[sl] for sl in slices]
+    shape = (len(times), ends[-1], gmm.dim)
+    x_t, x0_cond, x0_uncond, x0_guided = (np.empty(shape) for _ in range(4))
+    gamma, gamma_omega, residual = (np.full(shape[:2], math.nan) for _ in range(3))
+    guided_norm = np.empty(shape[:2])
+    for i, pair, parts, turns, guided, x in steps:
+        x_t[i], x0_cond[i], x0_uncond[i] = pair.x_t, pair.x0_cond, pair.x0_uncond
+        x0_guided[i] = guided
+        gamma[i] = np.where(pair.geometry.safe, pair.geometry.gamma, math.nan)
+        guided_norm[i] = np.linalg.norm(guided, axis=-1)
+        for run, part, turn, sl in zip(runs, parts, turns, slices):
+            if turn is not None:
+                gamma_omega[i, sl] = np.where(part.geometry.safe, turn, math.nan)
+            if run.config.strategy == "cfgpp":
+                residual[i, sl] = _cfgpp_residual(part, run.config.cfgpp_lambda,
+                                                  alpha_bars[i + 1], x[sl])
+        del pair, parts, part, guided  # as above
     out = []
     for run, rows, sl in zip(runs, groups, slices):
         strategy = run.config.strategy
@@ -378,7 +389,7 @@ def drive_peak_bytes(
     and up to eleven array views of about 140 bytes each) and, per step,
     ``4 * dim + 4`` floats of log: x_t, the three predictions, gamma,
     gamma_omega, the cfgpp residual and the guided norm, all allocated
-    before the loop and filled step by step.  Twice the means and 256 KiB
+    before the first step and filled step by step.  Twice the means and 256 KiB
     cover the reduction buffers and fixed objects.  tracemalloc measures
     at most 80% of this finals-only and 98% logged, where the exact log
     dominates, over dims 1-128, 1-64 components, 1-2000 rows, 1-200 steps,

@@ -115,4 +115,8 @@ def make_grid(
         raise FieldError(f"t_end {t_end} exceeds horizon {schedule.horizon}", "horizon", "t_end")
     times = np.linspace(t_end, t_start, steps + 1)
     abars = np.array([alpha_bar(schedule, t) for t in times])
-    return TimeGrid(steps=steps, times=times, alpha_bars=abars)
+    try:
+        return TimeGrid(steps=steps, times=times, alpha_bars=abars)
+    except ValueError as exc:  # neighbouring grid points round to one float
+        raise FieldError(f"{exc}: {steps} steps from t_end {t_end} to t_start {t_start} give "
+                         "points equal as floats", "t_end", "t_start", "steps") from exc

@@ -401,8 +401,7 @@ class TestCliContracts:
         assert not out.exists()
 
     # an owner's error names the leaf its rule checks, every leaf of a tie
-    # (schedule.T is the schedule's horizon) or a list leaf's path; an error
-    # that names no field, such as numpy's on ragged means, names its block
+    # (schedule.T is the schedule's horizon) or a list leaf's path
     @pytest.mark.parametrize("setting, where", [
         ("gmm.weights=[0.5, 0.2, 0.2, 0.2]", "gmm.weights: mixing weights must sum to 1"),
         ("gmm.dim=0", "gmm.dim: dim must be a positive integer"),
@@ -413,7 +412,11 @@ class TestCliContracts:
         ("schedule.beta_max=0.05", "schedule.beta_min, schedule.beta_max: beta_max must be"),
         ("probes.c1.omegas=[1.0, 2.0]", "probes.c1.omegas: c1 requires omega > 1, got 1.0"),
         ("run.condition=9", "run.condition: component index 9 outside [0, 4)"),
-        ("gmm.means=[[1.0], [1.0, 2.0]]", "gmm: setting an array element with a sequence"),
+        ("gmm.means=[[1.0], [1.0, 2.0]]", "gmm.means: means must be a (C, 2) array of numbers"),
+        ("gmm.means=[1.0, [2.0]]", "gmm.means: means must be a (C, 2) array of numbers"),
+        # a grid finer than float resolution: t_end, t_start and steps set the spacing
+        ("grid.t_end=1.0e-20", "grid.t_end, grid.t_start, grid.steps: grid alpha_bars must be "
+                               "strictly increasing: 200 steps from t_end 1e-20 to t_start 0.0"),
     ])
     def test_config_error_names_the_leaves_its_rule_checks(self, tmp_path, capsys, setting,
                                                            where):

@@ -18,13 +18,28 @@ from guidance_lab.cli import main
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
-# (command, config) -> exit code, and the sha256 of its stdout and of each
-# file it writes; None marks a file whose bytes depend on SIMD dispatch
+# every strategy in one drive, the pcg corrector on: pins cfgpp's renoise,
+# recfg's lambda and pcg's corrector, which the default config does not run
+NINE = ("cfg", "adg", "adg_no_cap", "adg_normalized", "adg_simplified", "apg", "recfg", "cfgpp",
+        "pcg")
+ALL_STRATEGIES = ("--set", f"run.strategies=[{', '.join(NINE)}]",
+                  "--set", "guidance.pcg_inner_steps=2")
+
+# (command, config, *extra CLI arguments) -> exit code, and the sha256 of its
+# stdout and of each file it writes; None marks a file whose bytes depend on
+# SIMD dispatch
 GOLDENS = {
     ("sample", "default.yaml"): (0, {
         "stdout": "4fe7fd917ceb32aaf302172418087fa32d86ce93fd8470305fed5fbea2234fde",
         "summary_cfg.csv": None,
         "trajectories_cfg.csv": None,
+    }),
+    ("sample", "default.yaml", *ALL_STRATEGIES): (0, {
+        "stdout": "4227b69451dc4ef1a8419220bbece14c22654b417e43aac56efe5087bf2ce62b",
+        **{f"{kind}_{s}.csv": None for kind in ("summary", "trajectories") for s in NINE},
+        "summary_cfgpp.csv": "bea85102a92da72cff8e81d407707d86a930cfc036a8abfda7b91d1fa70fdf02",
+        "summary_pcg.csv": "5d7e1a5c779f74e5d9aa07802aec49956834148e3e59dd12d691db2a8439d2b0",
+        "summary_recfg.csv": "00d47acdb8b105910fd075ca033d09b95e1b4a546453a0715ed407574d21b39c",
     }),
     ("flow-sample", "default.yaml"): (0, {
         "stdout": "82ce1402ff4c1f8521897503de7e61640eef673a91ea187ce8b78a21ff548910",
@@ -109,11 +124,13 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("command, config", list(GOLDENS), ids=[" ".join(k) for k in GOLDENS])
-def test_command_output_matches_its_golden(tmp_path, capsys, command, config):
-    code, pinned = GOLDENS[command, config]
+@pytest.mark.parametrize("key", list(GOLDENS), ids=[" ".join(k) for k in GOLDENS])
+def test_command_output_matches_its_golden(tmp_path, capsys, key):
+    command, config, *extra = key
+    code, pinned = GOLDENS[key]
     out = tmp_path / "out"
-    assert main([command, "--config", os.path.join(CONFIGS, config), "--out", str(out)]) == code
+    argv = [command, "--config", os.path.join(CONFIGS, config), "--out", str(out), *extra]
+    assert main(argv) == code
     assert _sha256(capsys.readouterr().out.encode()) == pinned["stdout"]
     written = sorted(os.listdir(out)) if out.exists() else []
     assert written == sorted(name for name in pinned if name != "stdout")

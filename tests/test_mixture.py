@@ -60,6 +60,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="shape"):
             GaussianMixture(dim=3, means=[[0.0, 1.0]], weights=[1.0])
 
+    def test_ragged_means_name_the_means(self):
+        for means in ([[1.0], [1.0, 2.0]], [[1.0, 2.0], 3.0], [["a", 1.0]]):
+            with pytest.raises(mx.FieldError, match=r"means must be a \(C, 2\) array") as caught:
+                GaussianMixture(dim=2, means=means, weights=[0.5, 0.5])
+            assert caught.value.fields == ("means",)
+
     def test_means_whose_squared_distances_overflow_rejected(self):
         # 4 * max |mu_c|^2 bounds every squared distance between two means
         GaussianMixture(dim=2, means=[[6e153, 0.0], [-6e153, 0.0]], weights=[0.5, 0.5])

@@ -123,10 +123,28 @@ class TestDdimStep:
         np.testing.assert_allclose(out, [1.1153550716504105, 0.0], atol=1e-15)
 
     def test_ordering_enforced(self):
-        with pytest.raises(ValueError, match="alpha_bar"):
-            ddim_step(np.zeros(1), np.zeros(1), 0.5, 0.25)
-        with pytest.raises(ValueError, match="alpha_bar"):
-            ddim_step(np.zeros(1), np.zeros(1), 0.5, 0.5)
+        # the three functions share one check: 0 <= alpha_bar_t < alpha_bar_prev <= 1
+        for step in (lambda ab_t, ab_prev: ddim_step(np.zeros(1), np.zeros(1), ab_t, ab_prev),
+                     ddpm_beta,
+                     lambda ab_t, ab_prev: cfgpp_equivalent_weight(0.5, ab_t, ab_prev)):
+            for ab_t, ab_prev in [(0.5, 0.25), (0.5, 0.5), (-1e-300, 0.5), (-0.5, 0.5),
+                                  (0.0, 0.0), (0.5, 1.0 + 2**-52), (0.0, 1.5), (math.nan, 0.5),
+                                  (0.0, math.nan)]:
+                with pytest.raises(ValueError,
+                                   match=r"need 0 <= alpha_bar_t < alpha_bar_prev <= 1"):
+                    step(ab_t, ab_prev)
+            step(0.0, 0.5)  # the flow's start, and its one-step drive
+            step(0.0, 1.0)
+
+    @pytest.mark.parametrize("ab_prev", [1e-300, 0.02, 0.5, 0.999, 1.0])
+    def test_step_from_pure_noise(self, ab_prev):
+        # at alpha_bar_t = 0 the noise the step implies is x itself: the flow's first step
+        rng = np.random.default_rng(17)
+        x, x0 = rng.standard_normal((2, 64, 3)) * np.logspace(-8, 8, 3)
+        expected = math.sqrt(ab_prev) * x0 + math.sqrt(1.0 - ab_prev) * x
+        out = ddim_step(x, x0, 0.0, ab_prev)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
 
 
 class TestDdpmStep:
@@ -474,6 +492,24 @@ class TestFlowStrategies:
             sp._drive(SQUARE, [sp.Run(config, 0, [1, 2])], times, alpha_bars)
 
 
+    @pytest.mark.parametrize("mode", ["paper-literal", "score-consistent"])
+    def test_pcg_corrector_runs_from_the_flow_start(self, mode):
+        # ddpm_beta(0, ab_prev) = 1: from pure noise the corrector's step is the whole transition
+        omega, inner, condition = 3.0, 2, 1
+        config = GuidanceConfig(strategy="pcg", omega=omega, pcg_inner_steps=inner,
+                                pcg_langevin_mode=mode)
+        times, alpha_bars, _ = flow_levels(0.1, 10)
+        ab = float(alpha_bars[1])
+        divisor = 1.0 - ab if mode == "paper-literal" else math.sqrt(1.0 - ab)
+        for rec in sp._drive(SQUARE, [sp.Run(config, condition, [1, 2])], times, alpha_bars)[0]:
+            x = math.sqrt(ab) * SQUARE.means[condition] + math.sqrt(1.0 - ab) * rec.x_t[0]
+            for noise in step_rng(rec.seed, 1).standard_normal((inner, SQUARE.dim)):
+                eps_c, eps_u = ((x - math.sqrt(ab) * posterior_mean_x0(SQUARE, x, ab, c))
+                                / math.sqrt(1.0 - ab) for c in (condition, None))
+                x = x - 0.5 * (omega * eps_c + (1.0 - omega) * eps_u) / divisor + noise
+            np.testing.assert_allclose(rec.x_t[1], x, rtol=0, atol=1e-12)
+
+
 class TestNoiseStreams:
     def test_keyed_streams_are_independent_and_stable(self):
         a = step_rng(5, 1).standard_normal(4)
@@ -669,6 +705,41 @@ class TestMixedRows:
                             lambda: sp.sample_runs(gmm, grid, [
                                 sp.Run(config, cond[:2], range(2), omega[:2])], log=False))
         assert peak <= drive_peak_bytes(rows, gmm.dim, gmm.n_components, inner)
+
+
+class TestStepStream:
+    """The step loop yields each transition once, in order, to any consumer."""
+
+    TURNING = ("adg", "adg_no_cap", "adg_normalized")
+
+    @pytest.mark.parametrize("gmm", [SQUARE, WIDE], ids=["dim2", "dim32"])
+    def test_grouped_drive_yields_each_transition_in_order(self, gmm):
+        grid = make_grid(SCHED, 12)
+        base = GuidanceConfig(omega=3.0, pcg_inner_steps=2)
+        seeds = (3, 11, 4)
+        runs = [sp.Run(replace(base, strategy=s, omega=1.5 + 0.5 * k), k % gmm.n_components,
+                       seeds) for k, s in enumerate(STRATEGIES)]
+        groups = [sp._rows(run) for run in runs]
+        slices = [slice(3 * k, 3 * k + 3) for k in range(len(runs))]
+        steps = list(sp._steps(gmm, runs, groups, slices, grid.times[:-1], grid.alpha_bars))
+        assert [step[0] for step in steps] == list(range(grid.steps))
+        for i, pair, parts, turns, guided, x_next in steps:
+            assert pair.alpha_bar_t == grid.alpha_bars[i]
+            assert guided.shape == x_next.shape == pair.x_t.shape == (3 * len(runs), gmm.dim)
+            assert len(parts) == len(turns) == len(runs)
+            for run, part, turn, sl in zip(runs, parts, turns, slices):
+                assert np.array_equal(part.x_t, pair.x_t[sl])
+                assert np.array_equal(part.geometry.gamma, pair.geometry.gamma[sl])
+                assert (turn is not None) == (run.config.strategy in self.TURNING)
+        for (*_, x_next), (_, pair, *_) in zip(steps, steps[1:]):
+            assert np.array_equal(x_next, pair.x_t)
+        # both of the driver's consumers read this stream
+        finals = sp.sample_runs(gmm, grid, runs, log=False)
+        for run_records, run_finals, sl in zip(sp.sample_runs(gmm, grid, runs), finals, slices):
+            assert np.array_equal(run_finals, steps[-1][-1][sl])
+            for j, record in zip(range(sl.start, sl.stop), run_records):
+                assert np.array_equal(record.x_t, [pair.x_t[j] for _, pair, *_ in steps])
+                assert np.array_equal(record.x0_guided, [step[4][j] for step in steps])
 
 
 class TestStrategyTable:

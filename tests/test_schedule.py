@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from guidance_lab.mixture import FieldError
 from guidance_lab.schedule import NoiseSchedule, TimeGrid, alpha_bar, make_grid
 from oracles import beta
 
@@ -91,6 +92,16 @@ class TestTimeGrid:
             make_grid(NoiseSchedule(), 5, 0.2, 0.5)
         with pytest.raises(ValueError):
             make_grid(NoiseSchedule(), 5, 2.0, 0.0)
+
+    @pytest.mark.parametrize("steps, t_end, t_start", [
+        (200, 1e-20, 0.0),         # every alpha_bar rounds to 1
+        (3, 5e-324, 0.0),          # the times themselves collide
+        (4, 0.5 + 2**-52, 0.5),
+    ])
+    def test_grid_below_float_resolution_names_its_fields(self, steps, t_end, t_start):
+        with pytest.raises(FieldError, match="strictly (in|de)creasing") as caught:
+            make_grid(NoiseSchedule(), steps, t_end, t_start)
+        assert caught.value.fields == ("t_end", "t_start", "steps")
 
     def test_direct_construction_validated(self):
         with pytest.raises(ValueError, match="decreasing"):
