@@ -323,7 +323,8 @@ class ExperimentConfig:
         with _at("schedule", horizon="schedule.T"):
             schedule = NoiseSchedule(**{"horizon" if key == "T" else key: value
                                         for key, value in data["schedule"].items()})
-        with _at("grid", horizon="schedule.T"):
+        with _at("grid", horizon="schedule.T", beta_min="schedule.beta_min",
+                 beta_max="schedule.beta_max"):
             grid = make_grid(schedule, **data["grid"])
         block = dict(data["guidance"])
         with _at("guidance.apg"):

@@ -118,5 +118,8 @@ def make_grid(
     try:
         return TimeGrid(steps=steps, times=times, alpha_bars=abars)
     except ValueError as exc:  # neighbouring grid points round to one float
+        fields, tied = ("t_end", "t_start", "steps"), "times"
+        if np.all(np.diff(times) < 0):  # distinct times that the schedule maps to one alpha_bar
+            fields, tied = fields + ("beta_min", "beta_max", "horizon"), "alpha_bars"
         raise FieldError(f"{exc}: {steps} steps from t_end {t_end} to t_start {t_start} give "
-                         "points equal as floats", "t_end", "t_start", "steps") from exc
+                         f"{tied} equal as floats", *fields) from exc

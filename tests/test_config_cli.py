@@ -414,9 +414,14 @@ class TestCliContracts:
         ("run.condition=9", "run.condition: component index 9 outside [0, 4)"),
         ("gmm.means=[[1.0], [1.0, 2.0]]", "gmm.means: means must be a (C, 2) array of numbers"),
         ("gmm.means=[1.0, [2.0]]", "gmm.means: means must be a (C, 2) array of numbers"),
-        # a grid finer than float resolution: t_end, t_start and steps set the spacing
-        ("grid.t_end=1.0e-20", "grid.t_end, grid.t_start, grid.steps: grid alpha_bars must be "
-                               "strictly increasing: 200 steps from t_end 1e-20 to t_start 0.0"),
+        # a grid finer than float resolution: t_end, t_start and steps set the spacing,
+        # and where only the alpha_bars tie, the schedule sets them too
+        ("grid.t_end=1.0e-20", "grid.t_end, grid.t_start, grid.steps, schedule.beta_min, "
+                               "schedule.beta_max, schedule.T: grid alpha_bars must be strictly "
+                               "increasing: 200 steps from t_end 1e-20 to t_start 0.0"),
+        ("schedule.beta_max=100000", "grid.t_end, grid.t_start, grid.steps, schedule.beta_min, "
+                                     "schedule.beta_max, schedule.T: grid alpha_bars must be "
+                                     "strictly increasing: 200 steps from t_end 1.0"),
     ])
     def test_config_error_names_the_leaves_its_rule_checks(self, tmp_path, capsys, setting,
                                                            where):

@@ -6,11 +6,16 @@ whose bytes depend on numpy's SIMD dispatch (its exp, log and atan2
 kernels round differently on AVX-512, AVX2 and SSE) is pinned by name
 only; every other byte is pinned, so a change that moves any output the
 dispatch does not move fails here.  A re-pin lists old and new hash and
-its reason in CHANGES.md.
+its reason in CHANGES.md; ``PYTHONPATH=src python tests/test_goldens.py``
+prints both for every hash that moved.
 """
 
+import contextlib
 import hashlib
+import io
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -58,7 +63,7 @@ GOLDENS = {
         "scatter_omega_5.svg": "ce8bb75eab68fbd6449beeadf82a8e91091b3945d01078f6bcc4603b26c0269e",
     }),
     ("verify", "default.yaml"): (0, {
-        "stdout": "be5a935cbbbab97f157cfc3116c16c269483a87def514fd0644308fcf2354112",
+        "stdout": "625aa08d06413482c54b79c60006c228a1a0ae6cb19ed094354553fa74a520b5",
         "probe_anomalous_interval.csv":
             "a38b25c3474d11fda50b9523ec533abcbdef4cfa3cf066a81db9755a9d403558",
         "probe_guidance_off_equivalence.csv":
@@ -71,7 +76,7 @@ GOLDENS = {
         "probe_rotation_norm_bound.csv":
             "c463a6811b67fadbc0b3c1b301db3c9d5a42d4ae067cb68d84fadc9c990cbe53",
         "probe_score_finite_difference.csv":
-            "968bc971eea71be541c3b524db39c1b80cbaf0c7f3b917b57d37e91564c2f24d",
+            "98d5022834418c3233d63d743078228946dd7c8d4b4e5708bf9917c7ad53f402",
         "probe_split_update_equivalence.csv":
             "6ff9fa31e87c54b3d03aeef4b5db54d8e93d95472bfb0097b2fb296117868a9e",
         "probe_surface_certificates.csv":
@@ -91,7 +96,7 @@ GOLDENS = {
         "norm_report.json": None,
     }),
     ("verify", "failing.yaml"): (1, {
-        "stdout": "325280e9c2aee5d559797cbdd33efce06d8e70e9e9e9bd6d13ae8fa117732ad1",
+        "stdout": "28a2d5498df5cf1b7d3f2d47a8357bfde807657c9dcb030deb73e54f3e323dff",
         "probe_anomalous_interval.csv":
             "a38b25c3474d11fda50b9523ec533abcbdef4cfa3cf066a81db9755a9d403558",
         "probe_guidance_off_equivalence.csv":
@@ -105,14 +110,14 @@ GOLDENS = {
         "probe_rotation_norm_bound.csv":
             "bfa46085fb14fc9d0e4882ddacc49a11600592eaf5e52cac9dc06454483c546f",
         "probe_score_finite_difference.csv":
-            "4814034d9795a7798a3178372bcfef83e159229b4fb4f97d400af1553b534997",
+            "95313d3bb9826b1e3417ffd7570ef7cd96e5a92a3527a9500e27d984634574fe",
         "probe_split_update_equivalence.csv":
             "6ff9fa31e87c54b3d03aeef4b5db54d8e93d95472bfb0097b2fb296117868a9e",
         "probe_surface_certificates.csv":
             "da73ed638b390d233702911c810ecbe89624640f1568f708c8f38cc88c8cd85d",
         "probe_trajectory_determinism.csv":
             "6c6e94d37feb447b0d1ff16caef18a6555a5870a390694497a0d4588f2f2dd28",
-        "verify_report.json": "8a5f06bc262b44caab90ed67eb159c81a9ae66bd48d4184c3de25220816a4b22",
+        "verify_report.json": "4b83a12e96ac7ce7815753acc67a78d7c5df23ebc010597486c258b21b96768b",
     }),
     ("verify", "corrupt.yaml"): (2, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -124,16 +129,44 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("key", list(GOLDENS), ids=[" ".join(k) for k in GOLDENS])
-def test_command_output_matches_its_golden(tmp_path, capsys, key):
+def run_entry(key, out: Path) -> tuple[int, dict]:
+    """Run one entry's command into ``out``: its exit code, and the sha256 of
+    its stdout and of each file it writes."""
     command, config, *extra = key
-    code, pinned = GOLDENS[key]
-    out = tmp_path / "out"
     argv = [command, "--config", os.path.join(CONFIGS, config), "--out", str(out), *extra]
-    assert main(argv) == code
-    assert _sha256(capsys.readouterr().out.encode()) == pinned["stdout"]
-    written = sorted(os.listdir(out)) if out.exists() else []
-    assert written == sorted(name for name in pinned if name != "stdout")
-    for name in written:
-        if pinned[name] is not None:
-            assert _sha256((out / name).read_bytes()) == pinned[name], name
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    hashes = {"stdout": _sha256(stdout.getvalue().encode())}
+    for name in sorted(os.listdir(out)) if out.exists() else []:
+        hashes[name] = _sha256((out / name).read_bytes())
+    return code, hashes
+
+
+@pytest.mark.parametrize("key", list(GOLDENS), ids=[" ".join(k) for k in GOLDENS])
+def test_command_output_matches_its_golden(tmp_path, key):
+    code, pinned = GOLDENS[key]
+    got_code, got = run_entry(key, tmp_path / "out")
+    assert got_code == code
+    assert sorted(got) == sorted(pinned)
+    for name, digest in pinned.items():
+        if digest is not None:
+            assert got[name] == digest, name
+
+
+if __name__ == "__main__":
+    # every entry's exit code and hashes as they are now, old -> new where
+    # one differs from its pin
+    for key, (code, pinned) in GOLDENS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            got_code, got = run_entry(key, Path(tmp) / "out")
+        print(" ".join(key) + ":", f"exit {got_code}" if got_code == code
+              else f"exit {code} -> {got_code}")
+        for name in sorted(got.keys() | pinned.keys()):
+            old, new = pinned.get(name, "unpinned"), got.get(name, "not written")
+            if old is None:
+                print(f"  {name}: {new} (pinned by name)")
+            elif old == new:
+                print(f"  {name}: {new}")
+            else:
+                print(f"  {name}: {old} -> {new}")

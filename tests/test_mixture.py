@@ -1,7 +1,6 @@
 """Mixture densities, scores, posterior quantities and surface certificates."""
 
 import math
-import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -14,7 +13,7 @@ from guidance_lab.mixture import (
     HULL_DISTANCE_FLOOR,
     GaussianMixture,
     classify_component,
-    finite_diff_score,
+    complex_step_score,
     log_density_t,
     posterior_mean_x0,
     posterior_weights,
@@ -339,24 +338,36 @@ class TestPosteriorMean:
                 assert np.max(np.abs(implied - score(gmm, x, alpha_bar, cond))) < 1e-10
 
 
-class TestFiniteDifferenceOracle:
+def mp_score(gmm, x, alpha_bar, condition):
+    """50-digit score of float inputs: sqrt(ab) mu_c - x, or -x + sqrt(ab) E_resp[mu]."""
+    with mp.workdps(50):
+        a = mp.sqrt(mp.mpf(alpha_bar))
+        means = gmm.means.tolist()
+        if condition is not None:
+            return [a * m - mp.mpf(xi) for xi, m in zip(x.tolist(), means[condition])]
+        resp = mp_responsibilities(gmm, x.tolist(), a, 1)
+        return [a * mp.fsum(r * m[k] for r, m in zip(resp, means)) - mp.mpf(xi)
+                for k, xi in enumerate(x.tolist())]
+
+
+class TestComplexStepOracle:
     def test_single_gaussian_matches_closed_form(self):
         g = GaussianMixture(dim=3, means=[[1.0, -2.0, 0.3]], weights=[1.0])
         x = np.array([0.2, 0.5, -1.0])
         np.testing.assert_allclose(
-            finite_diff_score(g, x, 0.7, 0, h=1e-4),
+            complex_step_score(g, x, 0.7, 0),
             score(g, x, 0.7, 0),
             atol=1e-5,
         )
 
     def test_symmetric_mixture_at_origin(self):
         np.testing.assert_allclose(
-            finite_diff_score(PAIR_1D, np.array([0.0]), 0.5), [0.0], atol=1e-6
+            complex_step_score(PAIR_1D, np.array([0.0]), 0.5), [0.0], atol=1e-6
         )
 
     def test_frozen_mixture_value(self):
         np.testing.assert_allclose(
-            finite_diff_score(PAIR_1D, np.array([0.5]), 1.0),
+            complex_step_score(PAIR_1D, np.array([0.5]), 1.0),
             [-0.037882842739990241],
             atol=1e-6,
         )
@@ -365,23 +376,26 @@ class TestFiniteDifferenceOracle:
         for gmm, x, alpha_bar, condition in random_cases(200, seed=29):
             for cond in (condition, None):
                 closed = score(gmm, x, alpha_bar, cond)
-                numeric = finite_diff_score(gmm, x, alpha_bar, cond, h=1e-4)
+                numeric = complex_step_score(gmm, x, alpha_bar, cond)
                 assert np.max(np.abs(closed - numeric)) < 1e-5
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError, match="h must be positive"):
-            finite_diff_score(PAIR_1D, np.array([0.0]), 0.5, h=0.0)
+    def test_oracle_matches_mpmath_to_rounding(self):
+        # central differences at h = 1e-4 are off by about 1e-8 here
+        for gmm, x, alpha_bar, condition in random_mixture_cases(200, 11):
+            for cond in (condition, None):
+                ref = mp_score(gmm, x, alpha_bar, cond)
+                got = complex_step_score(gmm, x, alpha_bar, cond)
+                with mp.workdps(50):
+                    bound = 1e-13 * max(1.0, float(max(abs(r) for r in ref)))
+                    assert max(abs(mp.mpf(g) - r) for g, r in zip(got.tolist(), ref)) <= bound
 
     @staticmethod
-    def one_point_per_call(gmm, x, alpha_bar, condition, h=1e-4):
+    def one_point_per_call(gmm, x, alpha_bar, condition, h=1e-30):
         grad = np.empty_like(x)
         for j in range(gmm.dim):
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            fp = log_density_t(gmm, xp, alpha_bar, condition)
-            fm = log_density_t(gmm, xm, alpha_bar, condition)
-            grad[j] = (fp - fm) / (2.0 * h)
+            point = x.astype(complex)
+            point[j] += 1j * h
+            grad[j] = log_density_t(gmm, point, alpha_bar, condition).imag / h
         return grad
 
     @pytest.mark.parametrize("seed", [0, 169886732])
@@ -389,24 +403,16 @@ class TestFiniteDifferenceOracle:
         for gmm, x, alpha_bar, condition in random_mixture_cases(200, seed):
             for cond in (condition, None):
                 assert np.array_equal(
-                    finite_diff_score(gmm, x, alpha_bar, cond),
+                    complex_step_score(gmm, x, alpha_bar, cond),
                     self.one_point_per_call(gmm, x, alpha_bar, cond),
                 )
 
-    def test_wide_point_is_evaluated_in_bounded_chunks(self):
+    def test_wide_point_equals_one_call_per_point_bitwise(self):
         rng = np.random.default_rng(5)
         gmm = GaussianMixture(dim=512, means=rng.standard_normal((4, 512)), weights=[0.25] * 4)
         x = rng.standard_normal(512)
-        finite_diff_score(gmm, x, 0.5)  # warm the call path once
         for cond in (1, None):
-            tracemalloc.start()
-            try:
-                grad = finite_diff_score(gmm, x, 0.5, cond)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            # one call over all 1024 points would hold 1024 x 4 x 512 x 8 bytes twice
-            assert peak <= mx._FD_CHUNK_BYTES
+            grad = complex_step_score(gmm, x, 0.5, cond)
             assert np.array_equal(grad, self.one_point_per_call(gmm, x, 0.5, cond))
 
 

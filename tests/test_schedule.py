@@ -93,15 +93,21 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             make_grid(NoiseSchedule(), 5, 2.0, 0.0)
 
-    @pytest.mark.parametrize("steps, t_end, t_start", [
-        (200, 1e-20, 0.0),         # every alpha_bar rounds to 1
-        (3, 5e-324, 0.0),          # the times themselves collide
-        (4, 0.5 + 2**-52, 0.5),
+    GRID_FIELDS = ("t_end", "t_start", "steps")
+    SCHEDULE_FIELDS = ("beta_min", "beta_max", "horizon")
+
+    @pytest.mark.parametrize("beta_max, steps, t_end, t_start, tied", [
+        (20.0, 200, 1e-20, 0.0, "alpha_bars"),  # distinct times, every alpha_bar rounds to 1
+        (1e5, 200, 1.0, 0.0, "alpha_bars"),     # distinct times, alpha_bars underflow to 0
+        (20.0, 3, 5e-324, 0.0, "times"),        # the times themselves collide
+        (20.0, 4, 0.5 + 2**-52, 0.5, "times"),
     ])
-    def test_grid_below_float_resolution_names_its_fields(self, steps, t_end, t_start):
-        with pytest.raises(FieldError, match="strictly (in|de)creasing") as caught:
-            make_grid(NoiseSchedule(), steps, t_end, t_start)
-        assert caught.value.fields == ("t_end", "t_start", "steps")
+    def test_grid_below_float_resolution_names_its_fields(self, beta_max, steps, t_end, t_start,
+                                                          tied):
+        with pytest.raises(FieldError, match=f"strictly.*give {tied} equal") as caught:
+            make_grid(NoiseSchedule(beta_max=beta_max), steps, t_end, t_start)
+        schedule = self.SCHEDULE_FIELDS if tied == "alpha_bars" else ()
+        assert caught.value.fields == self.GRID_FIELDS + schedule
 
     def test_direct_construction_validated(self):
         with pytest.raises(ValueError, match="decreasing"):

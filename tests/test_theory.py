@@ -462,7 +462,7 @@ class TestVerifyProbesFailOnNaN:
         assert math.isnan(report.measured["max_step_deviation"])
 
     @pytest.mark.parametrize("probe, module, name", [
-        (lambda: vf.probe_score_oracle(6, 1), gl.mixture, "finite_diff_score"),
+        (lambda: vf.probe_score_oracle(6, 1), gl.mixture, "complex_step_score"),
         (lambda: vf.probe_score_identity(6, 1), gl.mixture, "posterior_mean_x0"),
         (lambda: vf.probe_posterior_simplex(6, 1), gl.mixture, "posterior_weights"),
         (lambda: vf.probe_cfgpp_equivalence(6, 1), gl.samplers, "cfgpp_equivalent_weight"),
