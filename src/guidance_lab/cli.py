@@ -26,9 +26,6 @@ EXIT_OK = 0
 EXIT_PROBE_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 
-# the weight --omega overrides where a command reads its own; guidance.omega elsewhere
-_OMEGA_LEAF = {"probe-norm": "probes.norm.omega", "flow-sample": "flow.omega"}
-
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -50,14 +47,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler, help_text in (
-        ("sample", cmd_sample, "run guided trajectories, write CSVs"),
-        ("verify", cmd_verify, "run the full certifier suite"),
-        ("probe-c1", cmd_probe_c1, "anomalous-interval estimate across omegas"),
-        ("probe-norm", cmd_probe_norm, "norm amplification along the outward normal"),
-        ("sweep", cmd_sweep, "final-norm sweep over strategies and omegas"),
-        ("scatter", cmd_scatter, "per-component sample scatter across omegas"),
-        ("flow-sample", cmd_flow_sample, "guided flow-matching trajectories"),
+    # Each command takes only the shortcut flags whose leaves it reads: the
+    # run's seeds, its strategy and the weight leaf --omega sets (None: no --omega).
+    for name, handler, help_text, shortcuts, omega_leaf in (
+        ("sample", cmd_sample, "run guided trajectories, write CSVs",
+         ("--seed-count", "--strategy"), "guidance.omega"),
+        ("verify", cmd_verify, "run the full certifier suite",
+         ("--seed-count", "--strategy"), "guidance.omega"),
+        ("probe-c1", cmd_probe_c1, "anomalous-interval estimate across omegas", (), None),
+        ("probe-norm", cmd_probe_norm, "norm amplification along the outward normal",
+         (), "probes.norm.omega"),
+        ("sweep", cmd_sweep, "final-norm sweep over strategies and omegas", (), None),
+        ("scatter", cmd_scatter, "per-component sample scatter across omegas", (), None),
+        ("flow-sample", cmd_flow_sample, "guided flow-matching trajectories",
+         ("--seed-count",), "flow.omega"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML configuration document")
@@ -65,11 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
             "--set", dest="overrides", action="append", default=[], metavar="K=V",
             help="override a config entry by dotted path (repeatable, last wins)",
         )
-        p.add_argument("--seed-count", type=int, default=None, help="override run.seed_count")
+        if "--seed-count" in shortcuts:
+            p.add_argument("--seed-count", type=int, default=None, help="override run.seed_count")
         p.add_argument("--out", default=None, help="override run.output_dir")
-        p.add_argument("--strategy", default=None, help="override the guidance strategy")
-        omega_leaf = _OMEGA_LEAF.get(name, "guidance.omega")
-        p.add_argument("--omega", type=float, default=None, help=f"override {omega_leaf}")
+        if "--strategy" in shortcuts:
+            p.add_argument("--strategy", default=None, help="override the guidance strategy")
+        if omega_leaf is not None:
+            p.add_argument("--omega", type=float, default=None, help=f"override {omega_leaf}")
         p.set_defaults(handler=handler, omega_leaf=omega_leaf)
 
     p_plot = sub.add_parser("plot", help="render a CSV produced by this tool as SVG")
@@ -84,17 +89,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ExperimentConfig:
     overrides = list(args.overrides)
-    if args.seed_count is not None:
-        overrides += [f"run.seed_count={args.seed_count}", "run.seeds=null"]
+    # a command's namespace holds only the shortcut flags it takes
+    seed_count, strategy, omega = map(vars(args).get, ("seed_count", "strategy", "omega"))
+    if seed_count is not None:
+        overrides += [f"run.seed_count={seed_count}", "run.seeds=null"]
     if args.out is not None:
         # quoted, so a path such as 2024 or 010 stays the string it is
         overrides.append(f"run.output_dir={json.dumps(args.out, ensure_ascii=False)}")
-    if args.strategy is not None:
-        strategy = json.dumps(args.strategy, ensure_ascii=False)
+    if strategy is not None:
+        strategy = json.dumps(strategy, ensure_ascii=False)
         overrides += [f"guidance.strategy={strategy}", f"run.strategies=[{strategy}]"]
-    if args.omega is not None:
+    if omega is not None:
         # spelled as YAML writes it: Python's 1e+16 would load as a string
-        overrides.append(f"{args.omega_leaf}={yaml.safe_dump(args.omega).splitlines()[0]}")
+        overrides.append(f"{args.omega_leaf}={yaml.safe_dump(omega).splitlines()[0]}")
     return load_config(args.config, overrides)
 
 
@@ -254,11 +261,20 @@ def cmd_plot(args) -> int:
     from . import svgplot
 
     out = args.out or os.path.splitext(args.csv_path)[0] + ".svg"
+    if args.omega is not None and args.kind == "sweep":
+        print("input error: --omega selects scatter rows; a sweep figure draws every omega",
+              file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         # inside the handler: a file that is not UTF-8 raises UnicodeDecodeError
         rows = _read_csv(args.csv_path)
         if args.kind == "scatter":
-            doc = svgplot.render_scatter(*_scatter_groups(rows, args.omega))
+            groups, title = _scatter_groups(rows, args.omega)
+            if args.omega is not None and not groups:
+                print(f"input error: --omega {args.omega:g}: no row of {args.csv_path} has "
+                      "that omega", file=sys.stderr)
+                return EXIT_INPUT_ERROR
+            doc = svgplot.render_scatter(groups, title)
         else:
             doc = svgplot.render_sweep(
                 _sweep_series(rows), title="mean final norm vs guidance weight")

@@ -58,6 +58,14 @@ def _recfg_lambda(value, path):
             for k, v in value.items()}
 
 
+def _directory(value, path):
+    """A directory path: a non-empty string."""
+    value = _typed(value, Leaf(None, str), path)
+    if not value:
+        raise ConfigError(f"{path}: must name a directory, got ''")
+    return value
+
+
 # Seeds key Philox streams through np.uint64.
 SEED_MAX = 2**64 - 1
 
@@ -94,7 +102,7 @@ DEFAULTS: dict[str, Any] = {
         "seed_count": Leaf(16, lo=1),
         "condition": 0,
         "strategies": Leaf(None, [str]),    # defaults to [guidance.strategy]
-        "output_dir": "out",
+        "output_dir": Leaf("out", _directory),
     },
     "probes": {
         # seed + 1 seeds the simplex probe

@@ -1,7 +1,9 @@
 """Configuration loading, CLI commands, CSV/SVG emission contracts."""
 
+import functools
 import json
 import math
+import operator
 from dataclasses import asdict
 import os
 import re
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import guidance_lab
 from guidance_lab import config as config_module
-from guidance_lab.cli import main
+from guidance_lab.cli import _load, build_parser, main
 from guidance_lab.config import DEFAULTS, ConfigError, load_config, loads_config
 from guidance_lab.guidance import GuidanceConfig
 from guidance_lab.reports import write_csv
@@ -246,6 +248,20 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+# the shortcut flags each config command takes, and the weight leaf its --omega sets
+SHORTCUTS = {
+    "sample": ({"--seed-count", "--strategy", "--omega"}, "guidance.omega"),
+    "verify": ({"--seed-count", "--strategy", "--omega"}, "guidance.omega"),
+    "probe-c1": (set(), None),
+    "probe-norm": ({"--omega"}, "probes.norm.omega"),
+    "sweep": (set(), None),
+    "scatter": (set(), None),
+    "flow-sample": ({"--seed-count", "--omega"}, "flow.omega"),
+}
+SHORTCUT_VALUES = {"--seed-count": "2", "--strategy": "adg", "--omega": "7"}
+WEIGHT_LEAVES = ("guidance.omega", "probes.norm.omega", "flow.omega")
+
+
 class TestCliContracts:
     def test_sample_writes_summary_rows(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -275,28 +291,48 @@ class TestCliContracts:
         assert run_cli("sample", "--config", DEFAULT, "--omega", "inf", "--out", str(tmp_path)) == 2
         assert "guidance.omega: must be finite, got inf" in capsys.readouterr().err
 
-    # each weight is named by the leaf its command reads
-    @pytest.mark.parametrize("command, leaf, path", [
-        ("sample", "guidance.omega", "guidance.omega"),
-        ("probe-norm", "probes.norm.omega", "probes.norm.omega"),
-        ("flow-sample", "flow.omega", "flow.omega"),
-    ])
-    def test_omega_flag_overrides_the_leaf_its_command_reads(self, tmp_path, capsys, command,
-                                                              leaf, path):
+    # a command takes only the shortcut flags whose leaves it reads, and its
+    # --omega is named by and sets the weight leaf it reads
+    @pytest.mark.parametrize("command", list(SHORTCUTS))
+    def test_omega_flag_overrides_the_leaf_its_command_reads(self, tmp_path, capsys, command):
+        kept, leaf = SHORTCUTS[command]
         with pytest.raises(SystemExit):
             run_cli(command, "--help")
-        assert f"override {leaf}" in capsys.readouterr().out
-        assert run_cli(command, "--config", DEFAULT, "--omega", "0.5", "--out", str(tmp_path)) == 2
-        assert f"config error: {path}: guidance weight omega must be >= 1" in (
+        usage = capsys.readouterr().out
+        assert all(flag in usage for flag in ("--config", "--set", "--out"))
+        assert {flag for flag in SHORTCUT_VALUES if flag in usage} == kept
+        out = tmp_path / "out"
+        for flag, value in SHORTCUT_VALUES.items():
+            if flag in kept:
+                continue
+            with pytest.raises(SystemExit) as exc:
+                run_cli(command, "--config", DEFAULT, "--out", str(out), flag, value)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+            assert not out.exists()
+        # the namespace holds only the flags the command takes, and loads
+        assert _load(build_parser().parse_args([command, "--config", DEFAULT])) == (
+            load_config(DEFAULT))
+        if leaf is None:
+            return
+        assert f"override {leaf}" in usage
+        data = _load(build_parser().parse_args([command, "--config", DEFAULT, "--omega", "7"])).data
+        for path in WEIGHT_LEAVES:
+            value = functools.reduce(operator.getitem, path.split("."), data)
+            assert (value == 7.0) == (path == leaf), path
+        assert run_cli(command, "--config", DEFAULT, "--omega", "0.5", "--out", str(out)) == 2
+        assert f"config error: {leaf}: guidance weight omega must be >= 1" in (
             capsys.readouterr().err)
+        assert not out.exists()
 
     def test_omega_flag_sets_the_norm_probe_and_flow_weights(self, tmp_path, capsys):
-        small = ["--config", DEFAULT, "--seed-count", "2", "--out", str(tmp_path)]
+        small = ["--config", DEFAULT, "--out", str(tmp_path)]
         assert run_cli("probe-norm", *small, "--omega", "3", "--set", "grid.steps=10",
                        "--set", "probes.norm.seed_count=2") == 0
         report = json.loads((tmp_path / "norm_report.json").read_text())
         assert report["probes"][0]["parameters"]["omega"] == 3.0
-        assert run_cli("flow-sample", *small, "--omega", "2.5", "--set", "flow.steps=10") == 0
+        assert run_cli("flow-sample", *small, "--seed-count", "2", "--omega", "2.5",
+                       "--set", "flow.steps=10") == 0
         assert "flow omega=2.5 " in capsys.readouterr().out
 
     def test_sample_byte_identical_reruns(self, tmp_path):
@@ -571,6 +607,20 @@ class TestCliContracts:
         ) == 0
         assert (tmp_path / "010" / "summary_cfg.csv").exists()
 
+    # an empty path would let the command run whole and then fail to write its first file
+    @pytest.mark.parametrize("command, argv", [
+        ("sample", ["--out", "", "--set", "grid.steps=10"]),
+        ("verify", ["--set", 'run.output_dir=""']),
+    ], ids=["sample", "verify"])
+    def test_empty_output_dir_exits_2_at_load(self, tmp_path, monkeypatch, capsys, command,
+                                              argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(command, "--config", DEFAULT, *argv) == 2
+        assert "config error: run.output_dir: must name a directory" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(ConfigError, match=r"^run\.output_dir: "):
+            loads_config("run: {output_dir: ''}")
+
     def test_repeated_seeds_exit_2(self, tmp_path, capsys):
         assert run_cli(
             "sample", "--config", DEFAULT, "--out", str(tmp_path / "r"),
@@ -685,6 +735,29 @@ class TestCliContracts:
             "--out", str(out / "replot.svg"),
         ) == 0
         assert (out / "replot.svg").exists()
+
+    @pytest.mark.parametrize("kind, header, row", [
+        # a sweep figure draws every omega, so --omega selects nothing there
+        ("sweep", "strategy,omega,mean_norm,std_norm,n_seeds", "cfg,5.0,1.5,0.25,4"),
+        ("scatter", "omega,strategy,component,seed,x0_0,x0_1", "5.0,cfg,0,0,1.5,-0.5"),
+    ], ids=["sweep", "scatter"])
+    def test_plot_omega_that_selects_nothing_is_input_error(self, tmp_path, capsys, kind,
+                                                            header, row):
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(f"{header}\n{row}\n")
+        assert run_cli("plot", str(path), "--kind", kind, "--omega", "4") == 2
+        assert "--omega" in capsys.readouterr().err
+        assert not path.with_suffix(".svg").exists()
+        if kind == "sweep":
+            assert run_cli("plot", str(path), "--kind", kind, "--omega", "5") == 2
+            assert not path.with_suffix(".svg").exists()
+        else:
+            assert run_cli("plot", str(path), "--kind", kind, "--omega", "5") == 0
+            assert path.with_suffix(".svg").read_text().count("<circle") == 1
+        # without --omega, a CSV with no rows still draws bare axes
+        path.write_text(f"{header}\n")
+        assert run_cli("plot", str(path), "--kind", kind) == 0
+        assert "<circle" not in path.with_suffix(".svg").read_text()
 
     def test_plot_malformed_csv_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -45,7 +45,8 @@ def _traced_groups(tmp_path, argv):
       "--set", "probes.norm.seed_count=2", "--set", "probes.guidance_off.seed_count=2",
       "--set", "probes.cfgpp.steps=4"], "verify.run_suite"),
     (["sample", *SMALL, "--set", "run.strategies=[cfg, adg, pcg]"], "cli.cmd_sample"),
-    (["sweep", *SMALL, "--set", "sweep.seed_count=2"], "cli.cmd_sweep"),
+    # sweep takes no --seed-count: it reads sweep.seed_count
+    (["sweep", "--set", f"grid.steps={STEPS}", "--set", "sweep.seed_count=2"], "cli.cmd_sweep"),
 ], ids=["verify", "sample", "sweep"])
 def test_tracer_runs_a_command(tmp_path, argv, span):
     groups = _traced_groups(tmp_path, argv)
