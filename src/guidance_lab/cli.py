@@ -40,12 +40,23 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it refuses an argument the command does not take
+    with its own usage, where argparse would print the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="guidance-lab",
         description="Gaussian-mixture diffusion guidance laboratory",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     # Each command takes only the shortcut flags whose leaves it reads: the
     # run's seeds, its strategy and the weight leaf --omega sets (None: no --omega).

@@ -231,6 +231,13 @@ def _validate(data: dict) -> None:
         if len(set(values)) < len(values):
             repeated = next(v for i, v in enumerate(values) if v in values[:i])
             raise ConfigError(f"{path}: {noun} {repeated!r} repeated; entries must be distinct")
+    # so would two scatter weights that name one figure, scatter_omega_{omega:g}.svg
+    named = {}
+    for omega in data["scatter"]["omegas"]:
+        first = named.setdefault(f"{omega:g}", omega)
+        if first != omega:
+            raise ConfigError(f"scatter.omegas: omegas {first!r} and {omega!r} both name "
+                              f"scatter_omega_{omega:g}.svg; entries must be distinct")
     # the probe checks that c1 grows from each omega to the next
     if not all(a < b for a, b in zip(c1["omegas"], c1["omegas"][1:])):
         raise ConfigError(f"probes.c1.omegas: must be strictly increasing, got {c1['omegas']!r}")

@@ -126,8 +126,7 @@ class GuidanceConfig:
         check_omega(self.omega)
         if not 0.0 < self.angle_cap <= math.pi:
             raise FieldError("angle_cap must lie in (0, pi]", "angle_cap")
-        if not 0.0 < self.cfgpp_lambda <= 1.0:
-            raise FieldError("cfgpp_lambda must lie in (0, 1]", "cfgpp_lambda")
+        _check_cfgpp_lambda(self.cfgpp_lambda)
         if self.pcg_inner_steps < 0:
             raise FieldError("pcg_inner_steps must be >= 0", "pcg_inner_steps")
         if self.pcg_langevin_mode not in ("paper-literal", "score-consistent"):
@@ -140,6 +139,12 @@ class GuidanceConfig:
         if condition not in self.recfg_lambda:
             raise FieldError(f"no recfg lambda entry for condition {condition}", "recfg_lambda")
         return float(self.recfg_lambda[condition])
+
+
+def _check_cfgpp_lambda(lam) -> None:
+    """Refuse a cfgpp noise-mixing weight outside (0, 1]."""
+    if not 0.0 < lam <= 1.0:
+        raise FieldError("cfgpp_lambda must lie in (0, 1]", "cfgpp_lambda")
 
 
 def check_omega(omega) -> None:
@@ -349,8 +354,7 @@ def cfgpp_predictions(
     renoising).  The renoising noise is deliberately the unconditional
     prediction; that substitution is the whole strategy.
     """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("lambda must lie in (0, 1]")
+    _check_cfgpp_lambda(lam)
     eps_cond = np.asarray(eps_cond, dtype=float)
     eps_uncond = np.asarray(eps_uncond, dtype=float)
     mixed = (1.0 - lam) * eps_uncond + lam * eps_cond

@@ -27,7 +27,6 @@ from .mixture import GaussianMixture
 from .schedule import TimeGrid, _check_steps
 
 __all__ = [
-    "EquivalenceUndefined",
     "TrajectoryRecord",
     "Run",
     "step_rng",
@@ -47,10 +46,6 @@ __all__ = [
 ]
 
 FLOW_STD_FLOOR = 1e-9
-
-
-class EquivalenceUndefined(ValueError):
-    """The time-varying-weight mapping has no finite value at this step."""
 
 
 def step_rng(seed: int, step: int) -> np.random.Generator:
@@ -73,6 +68,12 @@ def _check_ordering(alpha_bar_t: float, alpha_bar_prev: float) -> tuple[float, f
     return alpha_bar_t, alpha_bar_prev
 
 
+def _renoise(x0_hat, eps, ab_prev):
+    """The state at ab_prev that a clean prediction and a noise make: DDIM's
+    update, and cfgpp's with its unconditional noise."""
+    return math.sqrt(ab_prev) * x0_hat + math.sqrt(1.0 - ab_prev) * eps
+
+
 def ddim_step(
     x_t: np.ndarray,
     x0_hat: np.ndarray,
@@ -88,7 +89,7 @@ def ddim_step(
     x_t = np.asarray(x_t, dtype=float)
     x0_hat = np.asarray(x0_hat, dtype=float)
     eps = (x_t - math.sqrt(alpha_bar_t) * x0_hat) / math.sqrt(1.0 - alpha_bar_t)
-    return math.sqrt(alpha_bar_prev) * x0_hat + math.sqrt(1.0 - alpha_bar_prev) * eps
+    return _renoise(x0_hat, eps, alpha_bar_prev)
 
 
 def ddpm_beta(alpha_bar_t: float, alpha_bar_prev: float) -> float:
@@ -123,14 +124,14 @@ def cfgpp_equivalent_weight(lam: float, alpha_bar_t: float, alpha_bar_prev: floa
     """Guidance weight making a plain linear step match the split update.
 
     ``omega_t = lam * sqrt(bb_t * ab_prev) / (sqrt(bb_t * ab_prev) -
-    sqrt(bb_prev * ab_t))``.  Raises :class:`EquivalenceUndefined` when
-    the denominator vanishes.
+    sqrt(bb_prev * ab_t))``, NaN where the denominator is below 1e-14 (the
+    levels are equal, or adjacent doubles): no weight makes the steps equal.
     """
     alpha_bar_t, alpha_bar_prev = _check_ordering(alpha_bar_t, alpha_bar_prev)
     lead = math.sqrt((1.0 - alpha_bar_t) * alpha_bar_prev)
     denom = lead - math.sqrt((1.0 - alpha_bar_prev) * alpha_bar_t)
     if abs(denom) < 1e-14:
-        raise EquivalenceUndefined("equivalence undefined at this step")
+        return math.nan
     return lam * lead / denom
 
 
@@ -213,10 +214,7 @@ def _rows(run: Run) -> _Rows:
 
 def _cfgpp_residual(pair, lam, ab_prev, x_next):
     """Distance between the split update and its equivalent-weight linear step."""
-    try:
-        omega_t = cfgpp_equivalent_weight(lam, pair.alpha_bar_t, ab_prev)
-    except EquivalenceUndefined:
-        return math.nan
+    omega_t = cfgpp_equivalent_weight(lam, pair.alpha_bar_t, ab_prev)
     reference = ddim_step(pair.x_t, gd.cfg_combine(pair, omega_t), pair.alpha_bar_t, ab_prev)
     return np.linalg.norm(x_next - reference, axis=-1)
 
@@ -282,7 +280,7 @@ def _steps(gmm, runs, groups, slices, times, alpha_bars):
             for run, rows, sl, renoise in zip(runs, groups, slices, renoises):
                 config = run.config
                 if renoise is not None:
-                    x_next[sl] = math.sqrt(ab_prev) * guided[sl] + math.sqrt(1.0 - ab_prev) * renoise
+                    x_next[sl] = _renoise(guided[sl], renoise, ab_prev)
                 if config.strategy == "pcg" and config.pcg_inner_steps and ab_prev < 1.0:
                     # no corrector at the terminal point (beta_bar would be 0)
                     x_next[sl] = _pcg_correct(gmm, x_next[sl], ab_t, ab_prev, config, rows, i)

@@ -210,7 +210,8 @@ def probe_c1_monotone(
 
 
 def probe_cfgpp_equivalence(steps: int, seed: int, tolerance: float = 1e-8) -> ProbeReport:
-    """Split denoise/renoise update vs the equivalent-weight linear step.
+    """Split denoise/renoise update vs the equivalent-weight linear step, by
+    the sampler's own renoise and the residual its cfgpp log holds.
 
     The expected residual is zero by direct algebra; each sampled step is
     still measured and reported.
@@ -227,7 +228,7 @@ def probe_cfgpp_equivalence(steps: int, seed: int, tolerance: float = 1e-8) -> P
         eps_c = rng.standard_normal(dim)
         eps_u = rng.standard_normal(dim)
         denoised, renoise = gd.cfgpp_predictions(eps_c, eps_u, lam, x_t, ab_t)
-        split = math.sqrt(ab_prev) * denoised + math.sqrt(1.0 - ab_prev) * renoise
+        split = sp._renoise(denoised, renoise, ab_prev)
         omega_t = sp.cfgpp_equivalent_weight(lam, ab_t, ab_prev)
         pair = gd.PredictionPair.of(
             x0_cond=gd.x0_from_eps(x_t, eps_c, ab_t),
@@ -235,8 +236,7 @@ def probe_cfgpp_equivalence(steps: int, seed: int, tolerance: float = 1e-8) -> P
             x_t=x_t,
             alpha_bar_t=ab_t,
         )
-        linear = sp.ddim_step(x_t, gd.cfg_combine(pair, omega_t), ab_t, ab_prev)
-        residual = float(np.linalg.norm(split - linear))
+        residual = float(sp._cfgpp_residual(pair, lam, ab_prev, split))
         residuals.append(residual)
         details.append(
             {"step": i, "alpha_bar_t": ab_t, "alpha_bar_prev": ab_prev,

@@ -308,7 +308,9 @@ class TestCliContracts:
             with pytest.raises(SystemExit) as exc:
                 run_cli(command, "--config", DEFAULT, "--out", str(out), flag, value)
             assert exc.value.code == 2
-            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: guidance-lab {command} ")
+            assert f"unrecognized arguments: {flag} {value}" in err
             assert not out.exists()
         # the namespace holds only the flags the command takes, and loads
         assert _load(build_parser().parse_args([command, "--config", DEFAULT])) == (
@@ -635,6 +637,8 @@ class TestCliContracts:
         ("sweep", "sweep.strategies=[adg, adg]"),
         ("sweep", "sweep.omegas=[1.0, 2.0, 1]"),
         ("scatter", "scatter.omegas=[1.0, 1.0]"),
+        # distinct weights with one :g spelling would write one figure
+        ("scatter", "scatter.omegas=[1.0000001, 1.0000002]"),
     ])
     def test_repeated_list_entries_exit_2(self, tmp_path, capsys, command, setting):
         out = tmp_path / "r"

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -13,7 +14,6 @@ from guidance_lab import guidance as gd
 from guidance_lab.guidance import STRATEGIES, GuidanceConfig
 from guidance_lab.mixture import GaussianMixture, posterior_mean_x0, score
 from guidance_lab.samplers import (
-    EquivalenceUndefined,
     cfgpp_equivalent_weight,
     ddim_step,
     ddpm_beta,
@@ -362,10 +362,19 @@ class TestEquivalentWeight:
         assert worst < 1e-8
 
     def test_undefined_guard(self):
-        # the guard needs a degenerate denominator, which valid orderings
-        # never produce; check the error type is raised by a direct call
-        with pytest.raises(EquivalenceUndefined):
-            raise EquivalenceUndefined("synthetic")
+        # adjacent doubles are a valid ordering whose denominator falls below
+        # the guard: no weight makes the two updates equal, so the weight is
+        # NaN, and a logged cfgpp drive at such levels logs a NaN residual
+        # without a warning
+        levels = np.array([0.5, np.nextafter(0.5, 1.0), np.nextafter(np.nextafter(0.5, 1.0), 1.0)])
+        assert math.isnan(cfgpp_equivalent_weight(0.5, 0.5, float(levels[1])))
+        config = GuidanceConfig(strategy="cfgpp", omega=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = sp._drive(SQUARE, [sp.Run(config, 0, [0, 1])], np.array([0.1, 0.2]), levels)
+        for rec in records[0]:
+            assert np.isnan(rec.cfgpp_residual).all()
+            assert np.isfinite(rec.final_x0).all()
 
 
 class TestFlow:

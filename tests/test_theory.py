@@ -466,6 +466,7 @@ class TestVerifyProbesFailOnNaN:
         (lambda: vf.probe_score_identity(6, 1), gl.mixture, "posterior_mean_x0"),
         (lambda: vf.probe_posterior_simplex(6, 1), gl.mixture, "posterior_weights"),
         (lambda: vf.probe_cfgpp_equivalence(6, 1), gl.samplers, "cfgpp_equivalent_weight"),
+        (lambda: vf.probe_cfgpp_equivalence(6, 1), gl.samplers, "_cfgpp_residual"),
     ])
     def test_nan_after_the_first_case_fails(self, monkeypatch, probe, module, name):
         real, calls = getattr(module, name), []
