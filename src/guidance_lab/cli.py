@@ -315,7 +315,13 @@ def _scatter_groups(rows, omega_filter):
         # a 1-D mixture's samples have no x0_1: they lie on the x axis
         y = float(row["x0_1"]) if "x0_1" in row else 0.0
         points.setdefault((omega, int(row["component"])), []).append((float(row["x0_0"]), y))
-    multi = len({omega for omega, _ in points}) > 1
+    omegas = sorted({omega for omega, _ in points})
+    # two weights with one :g spelling would share a legend label, one group over the other
+    for lo, hi in zip(omegas, omegas[1:]):
+        if f"{lo:g}" == f"{hi:g}":
+            raise ValueError(f"omegas {lo!r} and {hi!r} both read omega={lo:g}; "
+                             "select one with --omega")
+    multi = len(omegas) > 1
     groups = {
         (f"omega={omega:g} " if multi else "") + f"component {c}": points[omega, c]
         for omega, c in sorted(points)

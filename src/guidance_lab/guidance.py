@@ -8,11 +8,11 @@ separation angle; the linear family extrapolates.  Operations broadcast
 over leading axes (vectors are ``(..., dim)``).
 
 Geometry conventions: the rotation happens in span{x0_cond, x0_uncond};
-the separation angle is taken with ``atan2``; pairs that are numerically
-parallel (angle below ``ANGLE_FLOOR``), exactly antiparallel (rejection
-below ``REJECTION_FLOOR`` of its norm) or almost zero-length (norm below
-``NORM_FLOOR``) make the rotation a no-op and fall back to the
-conditional prediction.
+the separation angle is taken with ``atan2``.  A pair that spans no plane
+to turn in, parallel or antiparallel (rejection at most ``REJECTION_FLOOR``
+of its norm), or that is almost zero-length (norm at most ``NORM_FLOOR``)
+makes the rotation a no-op and falls back to the conditional prediction;
+every other pair turns, however small its angle.
 
 ``STRATEGIES`` maps each strategy name to the batched rule the sampler
 runs; every rule calls the public function of its strategy below.
@@ -30,7 +30,6 @@ from .mixture import FieldError, _check_alpha_bar
 
 __all__ = [
     "NORM_FLOOR",
-    "ANGLE_FLOOR",
     "REJECTION_FLOOR",
     "DEFAULT_ANGLE_CAP",
     "DegenerateGeometryError",
@@ -54,14 +53,14 @@ __all__ = [
 ]
 
 NORM_FLOOR = 1e-12
-ANGLE_FLOOR = 1e-7
-# Exactly antiparallel pairs leave a rejection of rounding noise, under 1e-15
-# of |x_cond| up to dim 4096; it spans no plane to turn in.
+# The one test of "too parallel to turn": exactly (anti)parallel pairs leave a
+# rejection of rounding noise, under 1e-15 of |x_cond| up to dim 4096.  Any
+# larger one turns, at any angle, to within about (omega - 1)*u*|x_cond|.
 REJECTION_FLOOR = 1e-12
 DEFAULT_ANGLE_CAP = math.pi / 3.0
 
 class DegenerateGeometryError(ValueError):
-    """A prediction is too short (or the pair too parallel) for angle math."""
+    """A prediction is too short for angle math."""
 
 
 class PredictionPair(NamedTuple):
@@ -197,7 +196,7 @@ class _PairGeometry(NamedTuple):
     gamma: np.ndarray       # separation angle
     sin_gamma: np.ndarray   # |rejection| / |x_cond|
     safe: np.ndarray        # both norms above NORM_FLOOR
-    valid: np.ndarray       # safe, gamma >= ANGLE_FLOOR, sin_gamma > REJECTION_FLOOR
+    valid: np.ndarray       # safe, and sin_gamma > REJECTION_FLOOR: a plane to turn in
 
 
 def _pair_geometry(x_cond: np.ndarray, x_uncond: np.ndarray) -> _PairGeometry:
@@ -218,7 +217,7 @@ def _pair_geometry(x_cond: np.ndarray, x_uncond: np.ndarray) -> _PairGeometry:
     rej_norm = _norm(rejection)
     gamma = np.arctan2(rej_norm * n_uncond, dot)
     sin_gamma = rej_norm / np.where(safe, n_cond, 1.0)
-    valid = safe & (gamma >= ANGLE_FLOOR) & (sin_gamma > REJECTION_FLOOR)
+    valid = safe & (sin_gamma > REJECTION_FLOOR)
     return _PairGeometry(x_cond, rejection, gamma, sin_gamma, safe, valid)
 
 

@@ -833,6 +833,18 @@ class TestCliContracts:
         legend = re.findall(r'font-size="12">([^<]*)</text>', svg)
         assert legend == [f"omega={w} component {c}" for w in (2, 10) for c in range(12)]
 
+    def test_plot_scatter_refuses_omegas_that_share_a_label(self, tmp_path, capsys):
+        # both weights print as omega=1: one legend entry would hide the other's points
+        path = tmp_path / "scatter.csv"
+        rows = [f"{w},cfg,{c},0,{c}.5,-0.5" for w in ("1.0000001", "1.0000002") for c in (0, 1)]
+        path.write_text("omega,strategy,component,seed,x0_0,x0_1\n" + "\n".join(rows) + "\n")
+        assert run_cli("plot", str(path), "--kind", "scatter") == 2
+        err = capsys.readouterr().err
+        assert "1.0000001" in err and "1.0000002" in err
+        assert not path.with_suffix(".svg").exists()
+        assert run_cli("plot", str(path), "--kind", "scatter", "--omega", "1.0000002") == 0
+        assert path.with_suffix(".svg").read_text().count("<circle") == 2
+
     def test_flow_sample(self, tmp_path):
         out = tmp_path / "fl"
         code = run_cli(

@@ -2,11 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from guidance_lab.guidance import (
-    ANGLE_FLOOR,
     DEFAULT_ANGLE_CAP,
     ApgParams,
     DegenerateGeometryError,
@@ -147,8 +147,7 @@ class TestRotation:
         # below the cap both variants compute the identical expression
         for pair in random_pairs(100, seed=10):
             gamma = angle_between(pair.x0_cond, pair.x0_uncond)
-            if gamma < ANGLE_FLOOR:
-                continue
+            assert pair.geometry.valid
             omega = 1.0 + (DEFAULT_ANGLE_CAP * 0.9) / gamma
             assert np.array_equal(adg_rotate(pair, omega)[0], adg_no_cap(pair, omega)[0])
 
@@ -192,6 +191,41 @@ class TestRotation:
         np.testing.assert_array_equal(adg_rotate(pair, 5.0)[0], pair.x0_cond)
         tiny = pair_of([1e-15, 0.0], [1.0, 0.0])
         np.testing.assert_array_equal(adg_rotate(tiny, 5.0)[0], tiny.x0_cond)
+        # an exactly (anti)parallel pair leaves a rejection of rounding noise
+        # (sin gamma up to 5.3e-16 here); REJECTION_FLOOR alone keeps it unturned
+        rng = np.random.default_rng(35)
+        for dim in (2, 3, 8, 64, 512, 4096):
+            x_cond = rng.standard_normal(dim)
+            for c in np.exp(np.linspace(-7.0, 7.0, 29)):
+                for pair in (pair_of(x_cond, c * x_cond), pair_of(x_cond, -c * x_cond)):
+                    assert not pair.geometry.valid
+                    np.testing.assert_array_equal(adg_rotate(pair, 5.0)[0], x_cond)
+
+    def test_small_angles_turn_by_the_paper_rule(self):
+        # gamma from 1e-11 to 1e-7 turns by (omega - 1)*gamma: the output is
+        # cos(g_w)*x_cond + sin(g_w)*|x_cond|*e_perp, in 40-digit arithmetic on
+        # the float inputs, to within 4*omega*u*|x_cond|; adg_normalized
+        # rescales it to |x_cond|.  The turn's own error is the rejection's
+        # cancellation, (u/gamma)^2 relative, on top of rounding.
+        u = 2.0**-53
+        rng = np.random.default_rng(34)
+        with mpmath.workdps(40):
+            for theta in np.geomspace(1e-11, 1e-7, 41):
+                a, b = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
+                pair = pair_of(b * np.array([math.cos(theta), math.sin(theta)]), [a, 0.0])
+                c0, c1 = (mpmath.mpf(float(v)) for v in pair.x0_cond)
+                norm = mpmath.hypot(c0, c1)
+                for omega in (2.0, 5.0, 12.0):
+                    g_w = (omega - 1.0) * mpmath.atan2(c1, c0)
+                    turned = [mpmath.cos(g_w) * c0, mpmath.cos(g_w) * c1 + mpmath.sin(g_w) * norm]
+                    rescaled = [v * norm / mpmath.hypot(*turned) for v in turned]
+                    for rule, want in ((adg_rotate, turned), (adg_no_cap, turned),
+                                       (adg_normalized, rescaled)):
+                        out, turn = rule(pair, omega)
+                        err = mpmath.hypot(*(float(o) - w for o, w in zip(out, want)))
+                        assert err <= 4.0 * omega * u * norm, (rule.__name__, theta, omega)
+                        turn_err = abs(float(turn) - g_w) / g_w
+                        assert turn_err <= 2.0 * (u / theta) ** 2 + 8.0 * u
 
 
 class TestNormalizedVariants:
