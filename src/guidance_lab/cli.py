@@ -2,6 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 probe/verdict failure,
 2 input error (unreadable or invalid configuration, malformed CSV).
+A config command sets a config leaf one way, ``--set dotted.path=value``,
+plus ``--out`` for ``run.output_dir``.
 
 A command imports ``verify``, ``svgplot`` and ``csv`` only when it runs
 them, so the other commands' processes skip compiling and loading them.
@@ -13,8 +15,6 @@ import argparse
 import json
 import os
 import sys
-
-import yaml
 
 from . import reports as rp
 from . import samplers as sp
@@ -58,20 +58,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    # Each command takes only the shortcut flags whose leaves it reads: the
-    # run's seeds, its strategy and the weight leaf --omega sets (None: no --omega).
-    for name, handler, help_text, shortcuts, omega_leaf in (
-        ("sample", cmd_sample, "run guided trajectories, write CSVs",
-         ("--seed-count", "--strategy"), "guidance.omega"),
-        ("verify", cmd_verify, "run the full certifier suite",
-         ("--seed-count", "--strategy"), "guidance.omega"),
-        ("probe-c1", cmd_probe_c1, "anomalous-interval estimate across omegas", (), None),
-        ("probe-norm", cmd_probe_norm, "norm amplification along the outward normal",
-         (), "probes.norm.omega"),
-        ("sweep", cmd_sweep, "final-norm sweep over strategies and omegas", (), None),
-        ("scatter", cmd_scatter, "per-component sample scatter across omegas", (), None),
-        ("flow-sample", cmd_flow_sample, "guided flow-matching trajectories",
-         ("--seed-count",), "flow.omega"),
+    for name, handler, help_text in (
+        ("sample", cmd_sample, "run guided trajectories, write CSVs"),
+        ("verify", cmd_verify, "run the full certifier suite"),
+        ("probe-c1", cmd_probe_c1, "anomalous-interval estimate across omegas"),
+        ("probe-norm", cmd_probe_norm, "norm amplification along the outward normal"),
+        ("sweep", cmd_sweep, "final-norm sweep over strategies and omegas"),
+        ("scatter", cmd_scatter, "per-component sample scatter across omegas"),
+        ("flow-sample", cmd_flow_sample, "guided flow-matching trajectories"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML configuration document")
@@ -79,14 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--set", dest="overrides", action="append", default=[], metavar="K=V",
             help="override a config entry by dotted path (repeatable, last wins)",
         )
-        if "--seed-count" in shortcuts:
-            p.add_argument("--seed-count", type=int, default=None, help="override run.seed_count")
         p.add_argument("--out", default=None, help="override run.output_dir")
-        if "--strategy" in shortcuts:
-            p.add_argument("--strategy", default=None, help="override the guidance strategy")
-        if omega_leaf is not None:
-            p.add_argument("--omega", type=float, default=None, help=f"override {omega_leaf}")
-        p.set_defaults(handler=handler, omega_leaf=omega_leaf)
+        p.set_defaults(handler=handler)
 
     p_plot = sub.add_parser("plot", help="render a CSV produced by this tool as SVG")
     p_plot.add_argument("csv_path", help="input CSV (scatter or sweep layout)")
@@ -100,19 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ExperimentConfig:
     overrides = list(args.overrides)
-    # a command's namespace holds only the shortcut flags it takes
-    seed_count, strategy, omega = map(vars(args).get, ("seed_count", "strategy", "omega"))
-    if seed_count is not None:
-        overrides += [f"run.seed_count={seed_count}", "run.seeds=null"]
     if args.out is not None:
         # quoted, so a path such as 2024 or 010 stays the string it is
         overrides.append(f"run.output_dir={json.dumps(args.out, ensure_ascii=False)}")
-    if strategy is not None:
-        strategy = json.dumps(strategy, ensure_ascii=False)
-        overrides += [f"guidance.strategy={strategy}", f"run.strategies=[{strategy}]"]
-    if omega is not None:
-        # spelled as YAML writes it: Python's 1e+16 would load as a string
-        overrides.append(f"{args.omega_leaf}={yaml.safe_dump(omega).splitlines()[0]}")
     return load_config(args.config, overrides)
 
 

@@ -18,7 +18,7 @@ from typing import Any, NamedTuple
 import numpy as np
 import yaml
 
-from .guidance import DEFAULT_ANGLE_CAP, ApgParams, GuidanceConfig
+from .guidance import DEFAULT_ANGLE_CAP, ApgParams, GuidanceConfig, check_start
 from .mixture import GaussianMixture, _check_condition
 from .samplers import check_flow, drive_peak_bytes
 from .schedule import NoiseSchedule, TimeGrid, make_grid
@@ -347,8 +347,12 @@ class ExperimentConfig:
         with _at("guidance"):
             guidance = GuidanceConfig(apg_params=apg, **block)
         # GuidanceConfig checks the strategy and the weight separately, so
-        # one build per named value covers every strategy x omega run
+        # one build per named value covers every strategy x omega run; each
+        # strategy, guidance.strategy (the determinism probe's) included, must
+        # also be able to start from the grid's first alpha_bar
+        grid_start = "schedule.beta_min, schedule.beta_max, schedule.T, grid.t_end"
         for path, key, values in (
+            ("guidance.strategy", "strategy", [block["strategy"]]),
             ("run.strategies", "strategy", run["strategies"] or ()),
             ("sweep.strategies", "strategy", sweep["strategies"]),
             ("sweep.omegas", "omega", sweep["omegas"]),
@@ -358,8 +362,10 @@ class ExperimentConfig:
             ("flow.omega", "omega", [data["flow"]["omega"]]),
         ):
             for value in values:
-                with _at(path, **{key: path}):
+                with _at(path, **{key: path}, alpha_bar=grid_start):
                     replace(guidance, **{key: value})
+                    if key == "strategy":
+                        check_start(value, grid.alpha_bars[0])
         # recfg samples run.condition in sample, sweep and the determinism
         # probe, and every component in scatter
         sampled = {block["strategy"], *(run["strategies"] or ()), *sweep["strategies"]}

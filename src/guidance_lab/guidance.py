@@ -37,6 +37,7 @@ __all__ = [
     "ApgParams",
     "GuidanceConfig",
     "check_omega",
+    "check_start",
     "STRATEGIES",
     "x0_from_eps",
     "eps_from_x0",
@@ -152,6 +153,15 @@ def check_omega(omega) -> None:
         raise FieldError("guidance weight omega must be >= 1", "omega")
     if not np.all(np.isfinite(omega)):
         raise FieldError(f"guidance weight omega must be finite, got {np.max(omega)}", "omega")
+
+
+def check_start(strategy: str, alpha_bar: float) -> None:
+    """Refuse a recfg or cfgpp drive from a grid that starts at alpha_bar = 0,
+    outside the (0, 1) domain of x0_from_eps, which both pass through."""
+    if strategy in ("recfg", "cfgpp") and not alpha_bar > 0.0:
+        raise FieldError(f"{strategy} needs alpha_bar in (0, 1) to change variable through "
+                         f"x0_from_eps; the grid starts at alpha_bar {alpha_bar}",
+                         "strategy", "alpha_bar")
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,8 @@ def test_criterion_10_determinism_and_exit_codes(tmp_path):
     for out in (out_a, out_b):
         code = cli_main(
             ["sample", "--config", os.path.join(CONFIGS, "default.yaml"),
-             "--seed-count", "8", "--out", str(out), "--set", "grid.steps=120"]
+             "--set", "run.seed_count=8", "--set", "run.seeds=null",
+             "--out", str(out), "--set", "grid.steps=120"]
         )
         assert code == 0
     for name in ("summary_cfg.csv", "trajectories_cfg.csv"):

@@ -1,12 +1,11 @@
 """Configuration loading, CLI commands, CSV/SVG emission contracts."""
 
-import functools
 import json
 import math
-import operator
 from dataclasses import asdict
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -248,26 +247,24 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
-# the shortcut flags each config command takes, and the weight leaf its --omega sets
-SHORTCUTS = {
-    "sample": ({"--seed-count", "--strategy", "--omega"}, "guidance.omega"),
-    "verify": ({"--seed-count", "--strategy", "--omega"}, "guidance.omega"),
-    "probe-c1": (set(), None),
-    "probe-norm": ({"--omega"}, "probes.norm.omega"),
-    "sweep": (set(), None),
-    "scatter": (set(), None),
-    "flow-sample": ({"--seed-count", "--omega"}, "flow.omega"),
-}
-SHORTCUT_VALUES = {"--seed-count": "2", "--strategy": "adg", "--omega": "7"}
-WEIGHT_LEAVES = ("guidance.omega", "probes.norm.omega", "flow.omega")
+def _readme_cli_examples():
+    """The ``guidance-lab ...`` lines of README's sh blocks."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), re.M | re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("guidance-lab ")]
+
+
+CONFIG_COMMANDS = ("sample", "verify", "probe-c1", "probe-norm", "sweep", "scatter",
+                   "flow-sample")
 
 
 class TestCliContracts:
     def test_sample_writes_summary_rows(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = run_cli(
-            "sample", "--config", DEFAULT, "--seed-count", "10", "--omega", "1",
-            "--out", str(out),
+            "sample", "--config", DEFAULT, "--set", "run.seed_count=10",
+            "--set", "run.seeds=null", "--set", "guidance.omega=1", "--out", str(out),
         )
         assert code == 0
         lines = (out / "summary_cfg.csv").read_text().splitlines()
@@ -277,63 +274,39 @@ class TestCliContracts:
         captured = capsys.readouterr()
         assert "mean_norm=" in captured.out
 
-    @pytest.mark.parametrize("omega", ["1e16", "1e20", "100000000000000000000"])
-    def test_large_omega_flag_loads(self, tmp_path, capsys, omega):
-        # Python spells 1e16 as 1e+16, which YAML 1.1 reads as a string
-        code = run_cli(
-            "sample", "--config", DEFAULT, "--seed-count", "2", "--set", "grid.steps=10",
-            "--omega", omega, "--out", str(tmp_path),
-        )
-        assert code == 0, capsys.readouterr().err
-        assert f" omega={float(omega)!r} " in capsys.readouterr().out
-
-    def test_infinite_omega_flag_exit_2(self, tmp_path, capsys):
-        assert run_cli("sample", "--config", DEFAULT, "--omega", "inf", "--out", str(tmp_path)) == 2
-        assert "guidance.omega: must be finite, got inf" in capsys.readouterr().err
-
-    # a command takes only the shortcut flags whose leaves it reads, and its
-    # --omega is named by and sets the weight leaf it reads
-    @pytest.mark.parametrize("command", list(SHORTCUTS))
-    def test_omega_flag_overrides_the_leaf_its_command_reads(self, tmp_path, capsys, command):
-        kept, leaf = SHORTCUTS[command]
+    # a config command sets a leaf one way, --set; --out names the output directory
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_config_command_takes_only_config_set_and_out(self, tmp_path, capsys, command):
         with pytest.raises(SystemExit):
             run_cli(command, "--help")
-        usage = capsys.readouterr().out
-        assert all(flag in usage for flag in ("--config", "--set", "--out"))
-        assert {flag for flag in SHORTCUT_VALUES if flag in usage} == kept
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
+            "--help", "--config", "--set", "--out"}
         out = tmp_path / "out"
-        for flag, value in SHORTCUT_VALUES.items():
-            if flag in kept:
-                continue
+        for flag, value in (("--seed-count", "2"), ("--strategy", "adg"), ("--omega", "7")):
             with pytest.raises(SystemExit) as exc:
                 run_cli(command, "--config", DEFAULT, "--out", str(out), flag, value)
             assert exc.value.code == 2
             err = capsys.readouterr().err
-            assert err.startswith(f"usage: guidance-lab {command} ")
+            assert err.startswith(f"usage: guidance-lab {command} [-h] --config CONFIG "
+                                  "[--set K=V] [--out OUT]\n")
             assert f"unrecognized arguments: {flag} {value}" in err
             assert not out.exists()
-        # the namespace holds only the flags the command takes, and loads
         assert _load(build_parser().parse_args([command, "--config", DEFAULT])) == (
             load_config(DEFAULT))
-        if leaf is None:
-            return
-        assert f"override {leaf}" in usage
-        data = _load(build_parser().parse_args([command, "--config", DEFAULT, "--omega", "7"])).data
-        for path in WEIGHT_LEAVES:
-            value = functools.reduce(operator.getitem, path.split("."), data)
-            assert (value == 7.0) == (path == leaf), path
-        assert run_cli(command, "--config", DEFAULT, "--omega", "0.5", "--out", str(out)) == 2
-        assert f"config error: {leaf}: guidance weight omega must be >= 1" in (
-            capsys.readouterr().err)
-        assert not out.exists()
 
-    def test_omega_flag_sets_the_norm_probe_and_flow_weights(self, tmp_path, capsys):
+    # README's examples parse as the parser stands; none runs
+    @pytest.mark.parametrize("line", _readme_cli_examples())
+    def test_readme_cli_example_parses(self, line):
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+    def test_set_omega_sets_the_norm_probe_and_flow_weights(self, tmp_path, capsys):
         small = ["--config", DEFAULT, "--out", str(tmp_path)]
-        assert run_cli("probe-norm", *small, "--omega", "3", "--set", "grid.steps=10",
-                       "--set", "probes.norm.seed_count=2") == 0
+        assert run_cli("probe-norm", *small, "--set", "probes.norm.omega=3",
+                       "--set", "grid.steps=10", "--set", "probes.norm.seed_count=2") == 0
         report = json.loads((tmp_path / "norm_report.json").read_text())
         assert report["probes"][0]["parameters"]["omega"] == 3.0
-        assert run_cli("flow-sample", *small, "--seed-count", "2", "--omega", "2.5",
+        assert run_cli("flow-sample", *small, "--set", "run.seed_count=2",
+                       "--set", "run.seeds=null", "--set", "flow.omega=2.5",
                        "--set", "flow.steps=10") == 0
         assert "flow omega=2.5 " in capsys.readouterr().out
 
@@ -341,7 +314,8 @@ class TestCliContracts:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
             assert run_cli(
-                "sample", "--config", DEFAULT, "--seed-count", "6", "--out", str(out)
+                "sample", "--config", DEFAULT, "--set", "run.seed_count=6",
+                "--set", "run.seeds=null", "--out", str(out),
             ) == 0
         for name in ("summary_cfg.csv", "trajectories_cfg.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
@@ -349,7 +323,8 @@ class TestCliContracts:
     def test_sample_multiple_strategies_cfg_exceeds_adg(self, tmp_path, capsys):
         out = tmp_path / "multi"
         code = run_cli(
-            "sample", "--config", DEFAULT, "--seed-count", "12", "--out", str(out),
+            "sample", "--config", DEFAULT, "--set", "run.seed_count=12",
+            "--set", "run.seeds=null", "--out", str(out),
             "--set", "run.strategies=[cfg, adg]", "--set", "guidance.omega=5.0",
             "--set", "grid.steps=120",
         )
@@ -429,6 +404,8 @@ class TestCliContracts:
         ("sample", "probes.prop1.dims=[100000000]"),
         # a constructor's check on one leaf names that leaf, not its block
         ("sample", "guidance.omega=0.5"),
+        ("probe-norm", "probes.norm.omega=0.5"),
+        ("flow-sample", "flow.omega=0.5"),
         ("sample", "guidance.apg.eta=-1"),
         ("sample", "schedule.beta_min=-1"),
     ])
@@ -478,12 +455,14 @@ class TestCliContracts:
     # Inputs only a sampling run would reach: rejected at load, before any output.
     @pytest.mark.parametrize("path, argv", [
         ("guidance.recfg_lambda",
-         ["sample", "--strategy", "recfg", "--set", "guidance.recfg_lambda={1: 0.5}"]),
+         ["sample", "--set", "guidance.strategy=recfg", "--set", "run.strategies=[recfg]",
+          "--set", "guidance.recfg_lambda={1: 0.5}"]),
         ("guidance.recfg_lambda",
          ["scatter", "--set", "scatter.strategy=recfg", "--set", "guidance.recfg_lambda={0: 0.5}"]),
         ("run.seeds", ["sample", "--set", "run.seeds=[18446744073709551616]"]),
         ("guidance.pcg_inner_steps",
-         ["sample", "--strategy", "pcg", "--set", "guidance.pcg_inner_steps=1000000000000"]),
+         ["sample", "--set", "guidance.strategy=pcg", "--set", "run.strategies=[pcg]",
+          "--set", "guidance.pcg_inner_steps=1000000000000"]),
         ("guidance.pcg_inner_steps",
          ["scatter", "--set", "scatter.strategy=pcg", "--set",
           "guidance.pcg_inner_steps=1000000000000"]),
@@ -493,6 +472,39 @@ class TestCliContracts:
         assert run_cli(*argv, "--config", DEFAULT, "--out", str(out)) == 2
         assert path in capsys.readouterr().err
         assert not out.exists()
+
+    # schedule.beta_max=1495 puts the grid's first alpha_bar at exactly 0.0;
+    # recfg and cfgpp change variable through x0_from_eps, undefined there
+    @pytest.mark.parametrize("path, argv", [
+        ("run.strategies", ["sample", "--set", "run.strategies=[cfgpp]"]),
+        ("run.strategies", ["sample", "--set", "run.strategies=[recfg]"]),
+        ("sweep.strategies", ["sweep", "--set", "sweep.strategies=[cfg, cfgpp]"]),
+        ("sweep.strategies", ["sweep", "--set", "sweep.strategies=[recfg]"]),
+        ("scatter.strategy", ["scatter", "--set", "scatter.strategy=recfg"]),
+        ("scatter.strategy", ["scatter", "--set", "scatter.strategy=cfgpp"]),
+        ("guidance.strategy", ["verify", "--set", "guidance.strategy=recfg"]),
+        ("guidance.strategy", ["verify", "--set", "guidance.strategy=cfgpp"]),
+    ])
+    def test_noise_rules_from_alpha_bar_0_exit_2_at_load(self, tmp_path, capsys, path, argv):
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--config", DEFAULT, "--out", str(out),
+                       "--set", "schedule.beta_max=1495") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}, schedule.beta_min, schedule.beta_max, "
+                              "schedule.T, grid.t_end: ")
+        assert "the grid starts at alpha_bar 0.0" in err
+        assert not out.exists()
+
+    def test_other_rules_run_from_alpha_bar_0(self, tmp_path, capsys):
+        start = ["schedule.beta_max=1495", "grid.steps=20"]
+        assert load_config(DEFAULT, start).time_grid().alpha_bars[0] == 0.0
+        rules = "cfg, adg, adg_no_cap, adg_normalized, adg_simplified, apg, pcg"
+        assert run_cli(
+            "sample", "--config", DEFAULT, "--out", str(tmp_path), "--set", start[0],
+            "--set", start[1], "--set", f"run.strategies=[{rules}]",
+            "--set", "guidance.pcg_inner_steps=2", "--set", "run.seed_count=2",
+        ) == 0
+        assert "nan" not in capsys.readouterr().out
 
     # 4 * max |mu_c|^2, which bounds every squared distance between two means,
     # overflows: refused at load rather than failing or writing inf mid-run
@@ -604,7 +616,8 @@ class TestCliContracts:
     def test_numeric_output_dir_stays_a_string(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run_cli(
-            "sample", "--config", DEFAULT, "--seed-count", "2", "--out", "010",
+            "sample", "--config", DEFAULT, "--set", "run.seed_count=2",
+            "--set", "run.seeds=null", "--out", "010",
             "--set", "grid.steps=20",
         ) == 0
         assert (tmp_path / "010" / "summary_cfg.csv").exists()
@@ -651,8 +664,10 @@ class TestCliContracts:
         # exactly 0 at every step while its clamp radius is inf
         out = tmp_path / "apg"
         assert run_cli(
-            "sample", "--config", DEFAULT, "--strategy", "apg", "--seed-count", "4",
-            "--out", str(out), "--set", "grid.steps=30", "--set", "guidance.apg.r=.inf",
+            "sample", "--config", DEFAULT, "--set", "guidance.strategy=apg",
+            "--set", "run.strategies=[apg]", "--set", "run.seed_count=4",
+            "--set", "run.seeds=null", "--out", str(out), "--set", "grid.steps=30",
+            "--set", "guidance.apg.r=.inf",
             "--set", "gmm.means=[[1.0, 1.0]]", "--set", "gmm.weights=[1.0]",
         ) == 0
         assert "nan" not in (out / "summary_apg.csv").read_text()
@@ -848,7 +863,8 @@ class TestCliContracts:
     def test_flow_sample(self, tmp_path):
         out = tmp_path / "fl"
         code = run_cli(
-            "flow-sample", "--config", DEFAULT, "--seed-count", "5", "--out", str(out),
+            "flow-sample", "--config", DEFAULT, "--set", "run.seed_count=5",
+            "--set", "run.seeds=null", "--out", str(out),
             "--set", "flow.steps=50",
         )
         assert code == 0
@@ -861,7 +877,8 @@ class TestCliContracts:
         monkeypatch.chdir(workdir)
         out = tmp_path / "only_here"
         assert run_cli(
-            "sample", "--config", DEFAULT, "--seed-count", "2", "--out", str(out),
+            "sample", "--config", DEFAULT, "--set", "run.seed_count=2",
+            "--set", "run.seeds=null", "--out", str(out),
             "--set", "grid.steps=30",
         ) == 0
         assert sorted(os.listdir(workdir)) == []

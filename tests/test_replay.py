@@ -1,13 +1,33 @@
-"""Each logged step of the rotation family, replayed at 40 digits.
+"""Each logged step of every rule and of the flow drive, replayed at 40 digits.
 
 A drive on ``configs/default.yaml`` logs every state it passes through.
 Each transition x_t[i] -> x_t[i + 1] (-> ``final_x0`` at the last step) is
 recomputed in mpmath from the logged float state and the grid's float
 alpha_bar values, taken as exact inputs: the exact posterior means, the
-strategy's rule and the DDIM step.  The floors are modelled as the package
-states them, ``NORM_FLOOR`` and ``REJECTION_FLOOR``; there is no angle floor.
-So each step's error is the float drive's own rounding, with no shared
-numpy arithmetic between the drive and its check.
+strategy's rule and the DDIM step, with cfgpp's unconditional renoise and
+pcg's corrector (its ``step_rng`` draws also exact inputs).  apg's momentum
+is carried in mpmath from step to step, each step's update computed from
+the float state.  The floors are modelled as the package states them,
+``NORM_FLOOR`` and ``REJECTION_FLOOR``; there is no angle floor.  So each
+step's error is the float drive's own rounding, with no shared numpy
+arithmetic between the drive and its check.
+
+The flow drive is replayed in its own terms: the Euler step of the linear
+path x_t = t * x1 + sigma_t * eps (``flow_euler_step``) from the logged
+x_t at the float times t, with the exact posterior means of x1 and the
+capped rotation.  So it also checks that the drive's DDIM step on
+x_t / hypot(t, sigma_t), from the pure-noise start at alpha_bar = 0, is
+that Euler step.
+
+Each step's error is bounded by k * u * max(1, |x_next|).  No rule has a
+derived forward-error bound yet, so k = 64 for every rule: at least twice
+the worst error measured on these cases, in units of u * max(1, |x_next|)
+(Python 3.11, numpy 2.4.6): cfg 5.3, adg 22.6, adg_no_cap 5.5,
+adg_normalized 5.9, adg_simplified 4.0, recfg 3.4, apg 27.0, cfgpp 3.0 and
+the flow 10.9.  pcg's corrector adds a derived term (``_corrector_ulps``):
+its worst step, 286 at omega = 5, is bounded by 611.  Scaling any rule's
+output by 1 + 1e-12 fails every case: DDIM's last step maps the guided
+prediction to the final as is, about 4500 u off.
 """
 
 import os
@@ -18,19 +38,32 @@ import pytest
 
 from guidance_lab.config import load_config
 from guidance_lab.guidance import NORM_FLOOR, REJECTION_FLOOR
-from guidance_lab.samplers import Run, sample_runs
+from guidance_lab.samplers import Run, flow_sample_batch, sample_runs, step_rng
 
 DEFAULT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "configs", "default.yaml")
-RULES = ("cfg", "adg", "adg_no_cap", "adg_normalized", "adg_simplified")
-OMEGAS = (5.0, 12.0)
-SEEDS = [0, 11, 45]  # 11 and 45 pass pairs below gamma = 1e-7 at both weights
 U = 2.0**-53
 STEP_ULPS = 64
+PCG_INNER_STEPS = 2
+ROTATIONS = ("adg", "adg_no_cap", "adg_normalized")
+# (rule, weight): seeds
+CASES = {
+    **{(rule, 2.0): [0] for rule in (*ROTATIONS, "cfg", "adg_simplified", "recfg", "pcg")},
+    # 11 and 45 pass pairs below gamma = 1e-7 at both weights
+    **{(rule, omega): [0, 11, 45] for rule in ROTATIONS for omega in (5.0, 12.0)},
+    **{(rule, omega): [0] for rule in ("cfg", "adg_simplified") for omega in (5.0, 12.0)},
+    ("recfg", 5.0): [0],
+    ("pcg", 5.0): [0],
+    # apg's projection on x0_cond is ill-conditioned where x0_cond is short;
+    # of seeds 0-63, 47 has the largest step error at omega 2 and 12
+    **{("apg", omega): [47] for omega in (2.0, 5.0, 12.0)},
+    ("cfgpp", 5.0): [0, 11],  # cfgpp reads no weight
+}
+FLOW_OMEGAS = (2.0, 12.0)
 
 
 def _dot(a, b):
-    return mp.fsum(p * q for p, q in zip(a, b))
+    return mp.fdot(a, b)
 
 
 def _norm(v):
@@ -44,9 +77,11 @@ def _rescaled(v, reference):
 
 def _rotated(cond, uncond, omega, cap):
     n_cond, n_uncond, dot = _norm(cond), _norm(uncond), _dot(cond, uncond)
+    if not (n_cond > NORM_FLOOR and n_uncond > NORM_FLOOR):
+        return cond
     rejection = [c - dot / n_uncond**2 * u for c, u in zip(cond, uncond)]
     n_rej = _norm(rejection)
-    if not (n_cond > NORM_FLOOR and n_uncond > NORM_FLOOR and n_rej / n_cond > REJECTION_FLOOR):
+    if not n_rej / n_cond > REJECTION_FLOOR:
         return cond
     turn = (omega - 1) * mp.atan2(n_rej * n_uncond, dot)
     if cap is not None:
@@ -54,55 +89,164 @@ def _rotated(cond, uncond, omega, cap):
     return [mp.cos(turn) * c + mp.sin(turn) * n_cond / n_rej * r for c, r in zip(cond, rejection)]
 
 
-def _guided(strategy, cond, uncond, omega, cap):
-    if strategy in ("cfg", "adg_simplified"):
-        out = [c + (omega - 1) * (c - u) for c, u in zip(cond, uncond)]
-    else:
-        out = _rotated(cond, uncond, omega, None if strategy == "adg_no_cap" else cap)
-    return _rescaled(out, cond) if strategy in ("adg_normalized", "adg_simplified") else out
+def _apg(cond, uncond, omega, params, momentum):
+    """apg's guided prediction and its next momentum."""
+    delta = [c - u for c, u in zip(cond, uncond)]
+    ref_sq = _dot(cond, cond)
+    coeff = _dot(delta, cond) / ref_sq if ref_sq > NORM_FLOOR**2 else 0
+    mixed = [params.eta * coeff * c + d - coeff * c for c, d in zip(cond, delta)]
+    n_mixed = _norm(mixed)
+    clamp = params.r / n_mixed if n_mixed > params.r else 1
+    momentum = [clamp * v - params.beta * m for v, m in zip(mixed, momentum)]
+    return [c + (omega - 1) * m for c, m in zip(cond, momentum)], momentum
 
 
-def _replayed_step(mixture, condition, strategy, omega, cap, x, ab_t, ab_prev):
-    """The exact successor of the float state x under one guided DDIM step;
+def _means(mixture, condition, x, ab):
+    """The exact conditional and unconditional posterior means of x0 at ab;
     ``mixture`` lists each component's (mean, log weight, |mean|^2 / 2)."""
-    x = [mp.mpf(v) for v in x]
-    ab_t, ab_prev = mp.mpf(ab_t), mp.mpf(ab_prev)
-    root, beta = mp.sqrt(ab_t), 1 - ab_t
+    root, beta = mp.sqrt(ab), 1 - ab
     cond = [beta * m + root * v for m, v in zip(mixture[condition][0], x)]
-    logits = [log_w + root * _dot(x, m) - ab_t * half_sq for m, log_w, half_sq in mixture]
+    logits = [log_w + root * _dot(x, m) - ab * half_sq for m, log_w, half_sq in mixture]
     top = max(logits)
     resp = [mp.exp(v - top) for v in logits]
     total = mp.fsum(resp)
     uncond = [root * v + beta * mp.fsum(r * m[d] for r, (m, _, _) in zip(resp, mixture)) / total
               for d, v in enumerate(x)]
-    guided = _guided(strategy, cond, uncond, mp.mpf(omega), mp.mpf(cap))
-    eps = [(v - root * g) / mp.sqrt(beta) for v, g in zip(x, guided)]
-    return [mp.sqrt(ab_prev) * g + mp.sqrt(1 - ab_prev) * e for g, e in zip(guided, eps)]
+    return cond, uncond
+
+
+def _eps(x, x0, ab):
+    """The noise x and x0 imply at ab, given as (sqrt(ab), sqrt(1 - ab))."""
+    root, sigma = ab
+    return [(v - root * p) / sigma for v, p in zip(x, x0)]
+
+
+def _replayed_step(mixture, config, condition, omega, x, ab_t, ab_prev, momentum, draws):
+    """The exact successor of the float state x under one guided step, and
+    apg's next momentum."""
+    cond, uncond = _means(mixture, condition, x, ab_t)
+    at_t, at_prev = ((mp.sqrt(ab), mp.sqrt(1 - ab)) for ab in (ab_t, ab_prev))
+    strategy, renoise = config.strategy, None
+    if strategy in ("recfg", "cfgpp"):
+        eps_c, eps_u = _eps(x, cond, at_t), _eps(x, uncond, at_t)
+        if strategy == "recfg":
+            lam = config.recfg_lambda_for(condition)
+            eps = [lam * (1 - omega) * u + omega * c for c, u in zip(eps_c, eps_u)]
+        else:
+            lam, renoise = config.cfgpp_lambda, eps_u
+            eps = [(1 - lam) * u + lam * c for c, u in zip(eps_c, eps_u)]
+        guided = [(v - at_t[1] * e) / at_t[0] for v, e in zip(x, eps)]
+    elif strategy == "apg":
+        guided, momentum = _apg(cond, uncond, omega, config.apg_params, momentum)
+    elif strategy == "pcg":
+        guided = cond  # the predictor; the corrector follows the step
+    elif strategy in ("cfg", "adg_simplified"):
+        guided = [c + (omega - 1) * (c - u) for c, u in zip(cond, uncond)]
+    else:
+        cap = None if strategy == "adg_no_cap" else mp.mpf(config.angle_cap)
+        guided = _rotated(cond, uncond, omega, cap)
+    if strategy in ("adg_normalized", "adg_simplified"):
+        guided = _rescaled(guided, cond)
+    if renoise is None:
+        renoise = _eps(x, guided, at_t)
+    x = [at_prev[0] * g + at_prev[1] * e for g, e in zip(guided, renoise)]
+    if strategy == "pcg" and ab_prev < 1:
+        kappa = 1 - ab_t / ab_prev
+        divisor = 1 - ab_prev  # paper-literal
+        for noise in draws:
+            c, u = _means(mixture, condition, x, ab_prev)
+            eps = [(1 - omega) * eu + omega * ec
+                   for ec, eu in zip(_eps(x, c, at_prev), _eps(x, u, at_prev))]
+            x = [v - kappa / 2 * e / divisor + mp.sqrt(kappa) * mp.mpf(n)
+                 for v, e, n in zip(x, eps, noise.tolist())]
+    return x, momentum
+
+
+def _replayed_flow_step(mixture, condition, omega, cap, sigma_min, x, t, t_next):
+    """The exact Euler step of the guided flow from the float state x at time t."""
+    shrink = 1 - mp.mpf(sigma_min)
+    var = (1 - shrink * t) ** 2
+    precision = 1 + t * t / var
+    # x_t | c ~ N(t * mu_c, (var + t^2) I)
+    logits = [log_w + t * _dot(x, m) / (var + t * t) - t * t * half_sq / (var + t * t)
+              for m, log_w, half_sq in mixture]
+    top = max(logits)
+    resp = [mp.exp(v - top) for v in logits]
+    total = mp.fsum(resp)
+    cond = [(m + t / var * v) / precision for m, v in zip(mixture[condition][0], x)]
+    uncond = [(mp.fsum(r * m[d] for r, (m, _, _) in zip(resp, mixture)) / total + t / var * v)
+              / precision for d, v in enumerate(x)]
+    guided = _rotated(cond, uncond, omega, cap)
+    return [v + (t_next - t) * (g - shrink * v) / (1 - shrink * t) for v, g in zip(x, guided)]
+
+
+def _mixture(gmm):
+    means = [[mp.mpf(v) for v in row] for row in gmm.means.tolist()]
+    return [(m, mp.log(w), _dot(m, m) / 2) for m, w in zip(means, gmm.weights.tolist())]
+
+
+def _corrector_ulps(omega, ab_t, ab_prev):
+    """pcg's corrector error per unit u * |x|.  Each inner step takes each
+    noise from a posterior mean at ab_prev, (x - sqrt(ab_prev) * x0) /
+    sqrt(1 - ab_prev), which cancels to about u * |x| / sqrt(1 - ab_prev);
+    the guided noise (1 - omega) * eps_u + omega * eps_c scales that by up
+    to 2 * omega - 1, and the update by kappa / (2 * (1 - ab_prev))."""
+    if not ab_prev < 1.0:
+        return 0.0  # no corrector at the terminal point
+    kappa = 1.0 - ab_t / ab_prev
+    return PCG_INNER_STEPS * (2.0 * omega - 1.0) * kappa / (2.0 * (1.0 - ab_prev) ** 1.5)
+
+
+def _assert_within(x_next, exact, ulps, seed, i):
+    err = _norm([mp.mpf(v) - e for v, e in zip(x_next.tolist(), exact)])
+    assert err <= ulps * U * max(1.0, np.linalg.norm(x_next)), (seed, i, float(err / U))
 
 
 @pytest.fixture(scope="module")
 def drive():
-    config = load_config(DEFAULT)
-    runs = [Run(config.guidance(strategy=s, omega=w), config.condition(), SEEDS)
-            for s in RULES for w in OMEGAS]
+    config = load_config(DEFAULT, [f"guidance.pcg_inner_steps={PCG_INNER_STEPS}"])
+    runs = [Run(config.guidance(strategy=s, omega=w), config.condition(), seeds)
+            for (s, w), seeds in CASES.items()]
     records = sample_runs(config.gmm(), config.time_grid(), runs)
-    return config, {(run.config.strategy, run.config.omega): recs
-                    for run, recs in zip(runs, records)}
+    return config, dict(zip(CASES, records))
 
 
-@pytest.mark.parametrize("omega", OMEGAS)
-@pytest.mark.parametrize("strategy", RULES)
+@pytest.mark.parametrize("strategy, omega", CASES)
 def test_every_step_matches_its_40_digit_replay(drive, strategy, omega):
     config, records = drive
     gmm, alpha_bars = config.gmm(), config.time_grid().alpha_bars.tolist()
-    cap = config.guidance().angle_cap
+    guidance = config.guidance(strategy=strategy, omega=omega)
     with mp.workdps(40):
-        means = [[mp.mpf(v) for v in row] for row in gmm.means.tolist()]
-        mixture = [(m, mp.log(w), _dot(m, m) / 2) for m, w in zip(means, gmm.weights.tolist())]
+        mixture = _mixture(gmm)
         for rec in records[strategy, omega]:
+            momentum = [mp.mpf(0)] * gmm.dim
             after = list(rec.x_t[1:]) + [rec.final_x0]
             for i, (x, x_next) in enumerate(zip(rec.x_t, after)):
-                exact = _replayed_step(mixture, config.condition(), strategy, omega, cap, x,
-                                       alpha_bars[i], alpha_bars[i + 1])
-                err = _norm([mp.mpf(v) - e for v, e in zip(x_next.tolist(), exact)])
-                assert err <= STEP_ULPS * U * max(1.0, np.linalg.norm(x_next)), (rec.seed, i)
+                ab_t, ab_prev = alpha_bars[i], alpha_bars[i + 1]
+                ulps, draws = STEP_ULPS, None
+                if strategy == "pcg":
+                    ulps += _corrector_ulps(omega, ab_t, ab_prev)
+                    draws = step_rng(rec.seed, i + 1).standard_normal((PCG_INNER_STEPS, gmm.dim))
+                exact, momentum = _replayed_step(
+                    mixture, guidance, config.condition(), mp.mpf(omega),
+                    [mp.mpf(v) for v in x.tolist()], mp.mpf(ab_t), mp.mpf(ab_prev), momentum,
+                    draws)
+                _assert_within(x_next, exact, ulps, rec.seed, i)
+
+
+@pytest.mark.parametrize("omega", FLOW_OMEGAS)
+def test_every_flow_step_matches_its_40_digit_replay(omega):
+    config = load_config(DEFAULT)
+    block, cap = config.data["flow"], config.guidance().angle_cap
+    records = flow_sample_batch(config.gmm(), block["sigma_min"], block["steps"], omega, cap,
+                                config.condition(), [0])
+    t = (np.arange(block["steps"] + 1) * (1.0 / block["steps"])).tolist()
+    with mp.workdps(40):
+        mixture = _mixture(config.gmm())
+        for rec in records:
+            after = list(rec.x_t[1:]) + [rec.final_x0]
+            for i, (x, x_next) in enumerate(zip(rec.x_t, after)):
+                exact = _replayed_flow_step(
+                    mixture, config.condition(), mp.mpf(omega), mp.mpf(cap), block["sigma_min"],
+                    [mp.mpf(v) for v in x.tolist()], mp.mpf(t[i]), mp.mpf(t[i + 1]))
+                _assert_within(x_next, exact, STEP_ULPS, rec.seed, i)

@@ -22,7 +22,7 @@ TRACER = os.path.join(REPO, "perfbench", "tracer.py")
 SETUP_PROBE = os.path.join(REPO, "perfbench", "setup_probe.py")
 DEFAULT = os.path.join(REPO, "configs", "default.yaml")
 STEPS = 20
-SMALL = ["--set", f"grid.steps={STEPS}", "--seed-count", "2"]
+SMALL = ["--set", f"grid.steps={STEPS}", "--set", "run.seed_count=2", "--set", "run.seeds=null"]
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(guidance_lab.__file__)))
 ENV = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
 
@@ -45,7 +45,7 @@ def _traced_groups(tmp_path, argv):
       "--set", "probes.norm.seed_count=2", "--set", "probes.guidance_off.seed_count=2",
       "--set", "probes.cfgpp.steps=4"], "verify.run_suite"),
     (["sample", *SMALL, "--set", "run.strategies=[cfg, adg, pcg]"], "cli.cmd_sample"),
-    # sweep takes no --seed-count: it reads sweep.seed_count
+    # sweep reads sweep.seed_count, not run.seed_count
     (["sweep", "--set", f"grid.steps={STEPS}", "--set", "sweep.seed_count=2"], "cli.cmd_sweep"),
 ], ids=["verify", "sample", "sweep"])
 def test_tracer_runs_a_command(tmp_path, argv, span):
@@ -63,7 +63,9 @@ def test_tracer_runs_a_command(tmp_path, argv, span):
 def test_tracer_counts_every_rule(tmp_path, strategy):
     # every rule but pcg's predictor calls its public guidance function, so
     # the combine span counts at least one outer call per step
-    groups = _traced_groups(tmp_path, ["sample", *SMALL, "--strategy", strategy])
+    groups = _traced_groups(tmp_path, [
+        "sample", *SMALL, "--set", f"guidance.strategy={strategy}",
+        "--set", f"run.strategies=[{strategy}]"])
     assert groups["guidance.combine"]["calls"] >= STEPS
 
 
