@@ -203,8 +203,10 @@ def angle_between(u: np.ndarray, v: np.ndarray) -> float:
 class _PairGeometry(NamedTuple):
     x_cond: np.ndarray
     rejection: np.ndarray   # x_cond minus its projection on x_uncond
+    cond_norm: np.ndarray   # |x_cond|
+    rej_norm: np.ndarray    # |rejection|
     gamma: np.ndarray       # separation angle
-    sin_gamma: np.ndarray   # |rejection| / |x_cond|
+    sin_gamma: np.ndarray   # rej_norm / cond_norm
     safe: np.ndarray        # both norms above NORM_FLOOR
     valid: np.ndarray       # safe, and sin_gamma > REJECTION_FLOOR: a plane to turn in
 
@@ -228,7 +230,7 @@ def _pair_geometry(x_cond: np.ndarray, x_uncond: np.ndarray) -> _PairGeometry:
     gamma = np.arctan2(rej_norm * n_uncond, dot)
     sin_gamma = rej_norm / np.where(safe, n_cond, 1.0)
     valid = safe & (sin_gamma > REJECTION_FLOOR)
-    return _PairGeometry(x_cond, rejection, gamma, sin_gamma, safe, valid)
+    return _PairGeometry(x_cond, rejection, n_cond, rej_norm, gamma, sin_gamma, safe, valid)
 
 
 def _rotate(

@@ -212,15 +212,16 @@ def score(
     gmm: GaussianMixture,
     x: np.ndarray,
     alpha_bar: float,
-    condition: int | None = None,
+    condition: int | np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the noised log density at x: of the mixture,
     ``-x + sqrt(alpha_bar) * E_resp[mu]``, or with ``condition`` of that
-    component, ``sqrt(alpha_bar) * mu_c - x``."""
+    component, ``sqrt(alpha_bar) * mu_c - x``; as in :func:`posterior_mean_x0`,
+    an ``(n,)`` index array conditions each row on its own component."""
     if condition is not None:
         alpha_bar = _check_alpha_bar(alpha_bar, allow_one=True)
         x = _as_points(gmm, x)
-        return math.sqrt(alpha_bar) * gmm.means[_check_condition(gmm, condition)] - x
+        return math.sqrt(alpha_bar) * _condition_means(gmm, condition) - x
     resp = posterior_weights(gmm, x, alpha_bar)
     x = _as_points(gmm, x)
     # einsum, as in posterior_mean_x0: a row's value does not depend on its batch

@@ -340,18 +340,15 @@ def _drive(gmm, runs, times, alpha_bars, log=True):
 def _pcg_correct(gmm, x, ab_t, ab_prev, config, rows, i):
     """The pcg corrector of transition ``i`` (see :func:`pcg_sample`)."""
     kappa = ddpm_beta(ab_t, ab_prev)
-    beta_bar_prev = 1.0 - ab_prev
+    step = 0.5 * kappa
     if config.pcg_langevin_mode == "paper-literal":
-        divisor = beta_bar_prev
-    else:
-        divisor = math.sqrt(beta_bar_prev)
+        step /= math.sqrt(1.0 - ab_prev)
     draws = _stream_draws(rows.seeds, i + 1, (config.pcg_inner_steps, gmm.dim))
     omega = rows.omega
     for noise in draws.swapaxes(0, 1):
-        eps_c = gd.eps_from_x0(x, mx.posterior_mean_x0(gmm, x, ab_prev, rows.condition), ab_prev)
-        eps_u = gd.eps_from_x0(x, mx.posterior_mean_x0(gmm, x, ab_prev, None), ab_prev)
-        eps_guided = (1.0 - omega) * eps_u + omega * eps_c
-        x = x - 0.5 * kappa * eps_guided / divisor + math.sqrt(kappa) * noise
+        s_c = mx.score(gmm, x, ab_prev, rows.condition)
+        s_u = mx.score(gmm, x, ab_prev)
+        x = x + step * ((1.0 - omega) * s_u + omega * s_c) + math.sqrt(kappa) * noise
     return x
 
 
@@ -456,12 +453,16 @@ def pcg_sample(
     """Predictor-corrector loop: conditional deterministic step, then
     ``inner_steps`` stochastic sharpening updates per outer iteration.
 
-    The corrector moves against the guided noise combination at the new
-    level with step ``kappa = 1 - ab_t / ab_prev``:
-    ``x <- x - kappa/2 * eps_guided / divisor + sqrt(kappa) * noise``.
-    The divisor is ``beta_bar`` in "paper-literal" mode and
-    ``sqrt(beta_bar)`` in "score-consistent" mode (the form under which
-    the update is plain Langevin dynamics on the guided density).
+    The corrector moves along the guided score ``s = (1 - omega) * s_u +
+    omega * s_c`` at the new level with ``kappa = 1 - ab_t / ab_prev``:
+    ``x <- x + c * s + sqrt(kappa) * noise``.  The step factor ``c`` is
+    ``kappa / (2 * sqrt(beta_bar))`` in "paper-literal" mode and
+    ``kappa / 2`` in "score-consistent" mode (plain Langevin dynamics on
+    the guided density): the ``eps / beta_bar`` and ``eps / sqrt(beta_bar)``
+    updates, as ``eps = -sqrt(beta_bar) * s``.  The scores come from their
+    closed form, as ``eps`` taken from a posterior mean cancels near the
+    data end: a 40-digit replay measures up to 995 u per step that way at
+    omega = 12, and at most 17 u in score form.
     """
     config = GuidanceConfig(
         strategy="pcg", omega=omega, pcg_inner_steps=inner_steps, pcg_langevin_mode=langevin_mode

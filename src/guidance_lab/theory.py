@@ -320,10 +320,10 @@ def _prop1_block(u, raw, theta, n_cond, n_uncond, omega) -> tuple[float, float]:
     perp /= np.maximum(np.linalg.norm(perp, axis=-1, keepdims=True), 1e-300)
     x_uncond = n_uncond[:, None] * u
     x_cond = n_cond[:, None] * (np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * perp)
+    geometry = gd._pair_geometry(x_cond, x_uncond)
     # the norm the vector has, not the one sampled: they differ where
     # perp, renormalized from a near-zero rejection, is not orthogonal to u
-    n_cond = np.linalg.norm(x_cond, axis=-1)
-    geometry = gd._pair_geometry(x_cond, x_uncond)
+    n_cond = geometry.cond_norm
     rotated, gamma_omega = gd._rotate(geometry, omega, gd.DEFAULT_ANGLE_CAP)
     ratios = np.linalg.norm(rotated, axis=-1) / n_cond
     # norm identity of the rotation as computed, with e the rejection it
@@ -331,8 +331,7 @@ def _prop1_block(u, raw, theta, n_cond, n_uncond, omega) -> tuple[float, float]:
     # <e, x_cond> = |e|^2 = |x_cond|^2 sin(gamma)^2 in exact arithmetic.
     # Near-antiparallel rows get a rejection with a large relative
     # rounding error, so e must be the one the rotation used.
-    rejection = geometry.rejection
-    rej_norm = np.linalg.norm(rejection, axis=-1)
+    rejection, rej_norm = geometry.rejection, geometry.rej_norm
     e_dot = np.sum(rejection * x_cond, axis=-1) / np.where(rej_norm > 0, rej_norm, np.inf)
     # _rotate leaves a pair too parallel to turn as it is: its ratio is 1
     predicted_sq = np.where(

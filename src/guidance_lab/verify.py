@@ -308,7 +308,7 @@ def probe_determinism(config: ExperimentConfig) -> ProbeReport:
     )
     return ProbeReport(
         name="trajectory_determinism",
-        parameters={"seed": seed, "strategy": guidance_cfg.strategy},
+        parameters={"seed": seed, "strategy": guidance_cfg.strategy, "omega": guidance_cfg.omega},
         verdict="pass" if identical else "fail",
         measured={"bit_identical": bool(identical)},
         tolerance=0.0,

@@ -364,6 +364,23 @@ class TestCliContracts:
         assert by_name["norm_amplification"]["verdict"] == "n/a"
         assert os.path.exists(out / "probe_anomalous_interval.csv")
 
+    def test_verify_report_echoes_the_determinism_weight(self, tmp_path):
+        parameters = {}
+        for omega in (2.0, 9.0):
+            out = tmp_path / f"w{omega:g}"
+            code = run_cli(
+                "verify", "--config", DEFAULT, "--out", str(out),
+                "--set", f"guidance.omega={omega}",
+                "--set", "probes.score_oracle.cases=20", "--set", "probes.score_identity.cases=20",
+                "--set", "probes.prop1.trials=2000", "--set", "grid.steps=30",
+            )
+            assert code == 0
+            payload = json.loads((out / "verify_report.json").read_text())
+            by_name = {p["name"]: p for p in payload["probes"]}
+            parameters[omega] = by_name["trajectory_determinism"]["parameters"]
+        assert parameters[2.0]["omega"] == 2.0 and parameters[9.0]["omega"] == 9.0
+        assert parameters[2.0] != parameters[9.0]
+
     # Every block is checked at load, so each input exits 2 whichever command
     # reads it; `sample` reads none of the probe blocks.
     @pytest.mark.parametrize("command, setting", [

@@ -4,10 +4,11 @@ Each command runs through ``cli.main`` on a shipped config, as the CLI
 would, and its stdout and written files are pinned by sha256.  A file
 whose bytes depend on numpy's SIMD dispatch (its exp, log and atan2
 kernels round differently on AVX-512, AVX2 and SSE) is pinned by name
-only; every other byte is pinned, so a change that moves any output the
-dispatch does not move fails here.  A re-pin lists old and new hash and
-its reason in CHANGES.md; ``PYTHONPATH=src python tests/test_goldens.py``
-prints both for every hash that moved.
+only, or by its pair of hashes where the dispatch moves it between two
+known forms; every other byte is pinned, so a change that moves any
+output the dispatch does not move fails here.  A re-pin lists old and new
+hash and its reason in CHANGES.md; ``PYTHONPATH=src python
+tests/test_goldens.py`` prints both for every hash that moved.
 """
 
 import contextlib
@@ -32,7 +33,7 @@ ALL_STRATEGIES = ("--set", f"run.strategies=[{', '.join(NINE)}]",
 
 # (command, config, *extra CLI arguments) -> exit code, and the sha256 of its
 # stdout and of each file it writes; None marks a file whose bytes depend on
-# SIMD dispatch
+# SIMD dispatch, and a tuple holds a file's hash under each dispatch that moves it
 GOLDENS = {
     ("sample", "default.yaml"): (0, {
         "stdout": "4fe7fd917ceb32aaf302172418087fa32d86ce93fd8470305fed5fbea2234fde",
@@ -43,7 +44,9 @@ GOLDENS = {
         "stdout": "4227b69451dc4ef1a8419220bbece14c22654b417e43aac56efe5087bf2ce62b",
         **{f"{kind}_{s}.csv": None for kind in ("summary", "trajectories") for s in NINE},
         "summary_cfgpp.csv": "bea85102a92da72cff8e81d407707d86a930cfc036a8abfda7b91d1fa70fdf02",
-        "summary_pcg.csv": "5d7e1a5c779f74e5d9aa07802aec49956834148e3e59dd12d691db2a8439d2b0",
+        # AVX-512, then AVX2 and SSE: one row's pcg final differs by 4.4e-16
+        "summary_pcg.csv": ("ab93ab63db20532248f798a9a70bb1064a8621de3863c83f1f2c7672fa737fe7",
+                            "5a3f9caab58c1daa647ca478c794c1eda10eb165358dde436256307a54952f30"),
         "summary_recfg.csv": "00d47acdb8b105910fd075ca033d09b95e1b4a546453a0715ed407574d21b39c",
     }),
     ("flow-sample", "default.yaml"): (0, {
@@ -117,7 +120,7 @@ GOLDENS = {
             "da73ed638b390d233702911c810ecbe89624640f1568f708c8f38cc88c8cd85d",
         "probe_trajectory_determinism.csv":
             "6c6e94d37feb447b0d1ff16caef18a6555a5870a390694497a0d4588f2f2dd28",
-        "verify_report.json": "4b83a12e96ac7ce7815753acc67a78d7c5df23ebc010597486c258b21b96768b",
+        "verify_report.json": "7cbd4a16b2c3c4db8615109374b94bc0ed966a87c68d82afd10c61f6e504e56e",
     }),
     ("verify", "corrupt.yaml"): (2, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -127,6 +130,11 @@ GOLDENS = {
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _accepted(digest) -> tuple:
+    """The hashes a pin accepts: one, or one per SIMD dispatch."""
+    return digest if isinstance(digest, tuple) else (digest,)
 
 
 def run_entry(key, out: Path) -> tuple[int, dict]:
@@ -151,7 +159,7 @@ def test_command_output_matches_its_golden(tmp_path, key):
     assert sorted(got) == sorted(pinned)
     for name, digest in pinned.items():
         if digest is not None:
-            assert got[name] == digest, name
+            assert got[name] in _accepted(digest), name
 
 
 if __name__ == "__main__":
@@ -166,7 +174,7 @@ if __name__ == "__main__":
             old, new = pinned.get(name, "unpinned"), got.get(name, "not written")
             if old is None:
                 print(f"  {name}: {new} (pinned by name)")
-            elif old == new:
+            elif new in _accepted(old):
                 print(f"  {name}: {new}")
             else:
                 print(f"  {name}: {old} -> {new}")

@@ -181,6 +181,16 @@ class TestScores:
                 atol=1e-12,
             )
 
+    def test_index_array_rows_equal_one_row_integer_calls(self):
+        rng = np.random.default_rng(3)
+        g = GaussianMixture(dim=3, means=2 * rng.standard_normal((4, 3)), weights=[0.25] * 4)
+        x = 3 * rng.standard_normal((50, 3))
+        cond = rng.integers(0, 4, 50)
+        single = np.array([score(g, x[j], 0.3, int(c)) for j, c in enumerate(cond)])
+        np.testing.assert_array_equal(score(g, x, 0.3, cond), single)
+        with pytest.raises(ValueError, match="component index 4"):
+            score(g, x[:2], 0.3, np.array([0, 4]))
+
 
 class TestPosteriorWeights:
     def test_symmetric_pair(self):

@@ -5,7 +5,8 @@ Each transition x_t[i] -> x_t[i + 1] (-> ``final_x0`` at the last step) is
 recomputed in mpmath from the logged float state and the grid's float
 alpha_bar values, taken as exact inputs: the exact posterior means, the
 strategy's rule and the DDIM step, with cfgpp's unconditional renoise and
-pcg's corrector (its ``step_rng`` draws also exact inputs).  apg's momentum
+pcg's corrector in both Langevin modes (its ``step_rng`` draws also exact
+inputs, its noises taken from the exact posterior means).  apg's momentum
 is carried in mpmath from step to step, each step's update computed from
 the float state.  The floors are modelled as the package states them,
 ``NORM_FLOOR`` and ``REJECTION_FLOOR``; there is no angle floor.  So each
@@ -23,14 +24,17 @@ Each step's error is bounded by k * u * max(1, |x_next|).  No rule has a
 derived forward-error bound yet, so k = 64 for every rule: at least twice
 the worst error measured on these cases, in units of u * max(1, |x_next|)
 (Python 3.11, numpy 2.4.6): cfg 5.3, adg 22.6, adg_no_cap 5.5,
-adg_normalized 5.9, adg_simplified 4.0, recfg 3.4, apg 27.0, cfgpp 3.0 and
-the flow 10.9.  pcg's corrector adds a derived term (``_corrector_ulps``):
-its worst step, 286 at omega = 5, is bounded by 611.  Scaling any rule's
-output by 1 + 1e-12 fails every case: DDIM's last step maps the guided
-prediction to the final as is, about 4500 u off.
+adg_normalized 5.9, adg_simplified 4.0, recfg 3.4, apg 27.0, cfgpp 3.0,
+pcg 8.9 (paper-literal) and 6.2 (score-consistent), and the flow 10.9.
+pcg's worst over seeds 0-7 is 17.1, at step 198: its corrector steps on
+the closed-form score, so nothing cancels near the data end.  Scaling any
+rule's output by 1 + 1e-12 fails every case: DDIM's last step maps the
+guided prediction to the final as is, about 4500 u off; scaling pcg's
+corrector step so fails its first step, about 1500 u off.
 """
 
 import os
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -46,14 +50,16 @@ U = 2.0**-53
 STEP_ULPS = 64
 PCG_INNER_STEPS = 2
 ROTATIONS = ("adg", "adg_no_cap", "adg_normalized")
+# pcg's case labels: its corrector in each Langevin mode
+PCG_MODES = {"pcg": "paper-literal", "pcg_score_consistent": "score-consistent"}
 # (rule, weight): seeds
 CASES = {
-    **{(rule, 2.0): [0] for rule in (*ROTATIONS, "cfg", "adg_simplified", "recfg", "pcg")},
+    **{(rule, 2.0): [0] for rule in (*ROTATIONS, "cfg", "adg_simplified", "recfg")},
     # 11 and 45 pass pairs below gamma = 1e-7 at both weights
     **{(rule, omega): [0, 11, 45] for rule in ROTATIONS for omega in (5.0, 12.0)},
     **{(rule, omega): [0] for rule in ("cfg", "adg_simplified") for omega in (5.0, 12.0)},
     ("recfg", 5.0): [0],
-    ("pcg", 5.0): [0],
+    **{(rule, omega): [0] for rule in PCG_MODES for omega in (2.0, 5.0, 12.0)},
     # apg's projection on x0_cond is ill-conditioned where x0_cond is short;
     # of seeds 0-63, 47 has the largest step error at omega 2 and 12
     **{("apg", omega): [47] for omega in (2.0, 5.0, 12.0)},
@@ -152,7 +158,7 @@ def _replayed_step(mixture, config, condition, omega, x, ab_t, ab_prev, momentum
     x = [at_prev[0] * g + at_prev[1] * e for g, e in zip(guided, renoise)]
     if strategy == "pcg" and ab_prev < 1:
         kappa = 1 - ab_t / ab_prev
-        divisor = 1 - ab_prev  # paper-literal
+        divisor = 1 - ab_prev if config.pcg_langevin_mode == "paper-literal" else at_prev[1]
         for noise in draws:
             c, u = _means(mixture, condition, x, ab_prev)
             eps = [(1 - omega) * eu + omega * ec
@@ -185,53 +191,47 @@ def _mixture(gmm):
     return [(m, mp.log(w), _dot(m, m) / 2) for m, w in zip(means, gmm.weights.tolist())]
 
 
-def _corrector_ulps(omega, ab_t, ab_prev):
-    """pcg's corrector error per unit u * |x|.  Each inner step takes each
-    noise from a posterior mean at ab_prev, (x - sqrt(ab_prev) * x0) /
-    sqrt(1 - ab_prev), which cancels to about u * |x| / sqrt(1 - ab_prev);
-    the guided noise (1 - omega) * eps_u + omega * eps_c scales that by up
-    to 2 * omega - 1, and the update by kappa / (2 * (1 - ab_prev))."""
-    if not ab_prev < 1.0:
-        return 0.0  # no corrector at the terminal point
-    kappa = 1.0 - ab_t / ab_prev
-    return PCG_INNER_STEPS * (2.0 * omega - 1.0) * kappa / (2.0 * (1.0 - ab_prev) ** 1.5)
-
-
-def _assert_within(x_next, exact, ulps, seed, i):
+def _assert_within(x_next, exact, seed, i):
     err = _norm([mp.mpf(v) - e for v, e in zip(x_next.tolist(), exact)])
-    assert err <= ulps * U * max(1.0, np.linalg.norm(x_next)), (seed, i, float(err / U))
+    assert err <= STEP_ULPS * U * max(1.0, np.linalg.norm(x_next)), (seed, i, float(err / U))
+
+
+def _guidance(config, rule, omega):
+    if rule in PCG_MODES:
+        return replace(config.guidance(strategy="pcg", omega=omega),
+                       pcg_langevin_mode=PCG_MODES[rule])
+    return config.guidance(strategy=rule, omega=omega)
 
 
 @pytest.fixture(scope="module")
 def drive():
     config = load_config(DEFAULT, [f"guidance.pcg_inner_steps={PCG_INNER_STEPS}"])
-    runs = [Run(config.guidance(strategy=s, omega=w), config.condition(), seeds)
-            for (s, w), seeds in CASES.items()]
+    runs = [Run(_guidance(config, rule, w), config.condition(), seeds)
+            for (rule, w), seeds in CASES.items()]
     records = sample_runs(config.gmm(), config.time_grid(), runs)
     return config, dict(zip(CASES, records))
 
 
-@pytest.mark.parametrize("strategy, omega", CASES)
-def test_every_step_matches_its_40_digit_replay(drive, strategy, omega):
+@pytest.mark.parametrize("rule, omega", CASES)
+def test_every_step_matches_its_40_digit_replay(drive, rule, omega):
     config, records = drive
     gmm, alpha_bars = config.gmm(), config.time_grid().alpha_bars.tolist()
-    guidance = config.guidance(strategy=strategy, omega=omega)
+    guidance = _guidance(config, rule, omega)
     with mp.workdps(40):
         mixture = _mixture(gmm)
-        for rec in records[strategy, omega]:
+        for rec in records[rule, omega]:
             momentum = [mp.mpf(0)] * gmm.dim
             after = list(rec.x_t[1:]) + [rec.final_x0]
             for i, (x, x_next) in enumerate(zip(rec.x_t, after)):
                 ab_t, ab_prev = alpha_bars[i], alpha_bars[i + 1]
-                ulps, draws = STEP_ULPS, None
-                if strategy == "pcg":
-                    ulps += _corrector_ulps(omega, ab_t, ab_prev)
+                draws = None
+                if guidance.strategy == "pcg":
                     draws = step_rng(rec.seed, i + 1).standard_normal((PCG_INNER_STEPS, gmm.dim))
                 exact, momentum = _replayed_step(
                     mixture, guidance, config.condition(), mp.mpf(omega),
                     [mp.mpf(v) for v in x.tolist()], mp.mpf(ab_t), mp.mpf(ab_prev), momentum,
                     draws)
-                _assert_within(x_next, exact, ulps, rec.seed, i)
+                _assert_within(x_next, exact, rec.seed, i)
 
 
 @pytest.mark.parametrize("omega", FLOW_OMEGAS)
@@ -249,4 +249,4 @@ def test_every_flow_step_matches_its_40_digit_replay(omega):
                 exact = _replayed_flow_step(
                     mixture, config.condition(), mp.mpf(omega), mp.mpf(cap), block["sigma_min"],
                     [mp.mpf(v) for v in x.tolist()], mp.mpf(t[i]), mp.mpf(t[i + 1]))
-                _assert_within(x_next, exact, STEP_ULPS, rec.seed, i)
+                _assert_within(x_next, exact, rec.seed, i)
