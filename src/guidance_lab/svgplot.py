@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+from xml.sax.saxutils import escape
 
 __all__ = ["PALETTE", "render_scatter", "render_sweep", "write_svg"]
 
@@ -61,7 +62,7 @@ class _Canvas:
             f'viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
             f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>',
+            f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
         ]
 
     def px(self, x: float) -> float:
@@ -121,17 +122,15 @@ class _Canvas:
             y = MARGIN_TOP + 14 + 16 * i
             x = WIDTH - MARGIN_RIGHT - 150
             self.parts.append(f'<rect x="{x}" y="{y - 9}" width="10" height="10" fill="{color}"/>')
-            self.parts.append(
-                f'<text x="{x + 16}" y="{y}" font-family="sans-serif" font-size="12">{label}</text>'
-            )
+            self.parts.append(f'<text x="{x + 16}" y="{y}" font-family="sans-serif" '
+                              f'font-size="12">{escape(label)}</text>')
 
     def document(self) -> str:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
 def _data_range(values):
-    """The finite values' span, padded by 5% on each side."""
-    values = [v for v in values if math.isfinite(v)]
+    """The values' span, padded by 5% on each side."""
     if not values:
         return 0.0, 1.0
     lo, hi = min(values), max(values)
@@ -141,7 +140,10 @@ def _data_range(values):
 
 def _render(groups: dict[str, list[tuple[float, float]]], title: str, lines: bool) -> str:
     """Circles in one palette color per group, with ``lines`` a polyline
-    through each group's sorted points under them; empty input gives bare axes."""
+    through each group's sorted points under them; empty input gives bare axes.
+    A point with a NaN or infinite coordinate is left out, axes included."""
+    groups = {label: [(x, y) for x, y in pts if math.isfinite(x) and math.isfinite(y)]
+              for label, pts in groups.items()}
     xs = [p[0] for pts in groups.values() for p in pts]
     ys = [p[1] for pts in groups.values() for p in pts]
     canvas = _Canvas(_data_range(xs), _data_range(ys), title)

@@ -23,7 +23,6 @@ from .schedule import TimeGrid
 
 __all__ = [
     "ProbeReport",
-    "MARGIN_FLOOR",
     "anomalous_equation",
     "check_c1",
     "estimate_c1",
@@ -36,17 +35,13 @@ __all__ = [
     "ScatterSet",
 ]
 
-# Strict inequalities are asserted with this slack against f64 integration noise.
-MARGIN_FLOOR = 1e-9
-
-
 @dataclass(frozen=True)
 class ProbeReport:
     """Outcome of one certifier run.
 
     ``verdict`` is "pass", "fail" or "n/a"; ``measured`` holds the raw
     numbers the verdict was derived from, ``parameters`` echoes the full
-    probe configuration (including any defaulted values).
+    probe configuration.
     """
 
     name: str
@@ -128,7 +123,7 @@ def estimate_c1(
     certificate: SurfaceCertificate,
     alpha_bar: float,
     omega: float,
-    k_max: float = 10.0,
+    k_max: float,
 ) -> float:
     """Largest outward displacement along the certified normal that stays
     in the anomalous set.
@@ -170,7 +165,7 @@ def norm_amplification_check(
     grid: TimeGrid,
     omega: float,
     seeds,
-    margin_floor: float = MARGIN_FLOOR,
+    margin_floor: float,
 ) -> ProbeReport:
     """Integrate the guided and plain conditional reverse trajectories from
     shared initial states and compare their projections on the certified
@@ -246,32 +241,30 @@ def prop1_peak_bytes(trials: int, dims) -> int:
     return 8 * (4 * per_dim + 12 * block) + 2**16
 
 
-# prop1_stress's relative slack on the sqrt(2) bound, and its bound on the
-# squared-ratio residual of the norm identity
+# prop1_stress's relative slack on the sqrt(2) bound, its bound on the
+# squared-ratio residual of the norm identity, and the (lo, hi) span of its
+# log-uniform pair norms
 PROP1_REL_TOL = 1e-12
 PROP1_IDENTITY_TOL = 1e-9
+PROP1_NORM_RANGE = (1e-3, 1e3)
 
 
-def prop1_stress(
-    trials: int = 100_000,
-    dims=(2, 8, 64),
-    norm_range=(1e-3, 1e3),
-    seed: int = 0,
-) -> ProbeReport:
+def prop1_stress(trials: int, dims, seed: int) -> ProbeReport:
     """Random-pair stress of the rotation norm bound.
 
-    Draws prediction pairs across dimensions, log-uniform norms and the
-    full angle range, then checks (a) the sqrt(2) bound
-    ``|rotated| <= sqrt(2) * |x_cond| * (1 + PROP1_REL_TOL)`` and (b) the
-    exact norm identity ``|rotated| = |x_cond| * sqrt(1 + sin(2 g_w) sin(g))``
-    to ``PROP1_IDENTITY_TOL`` (stated on the squared-ratio residual).  A
-    pair too parallel to turn, such as every pair in one dimension, is left
+    Draws prediction pairs across dimensions, log-uniform norms in
+    ``PROP1_NORM_RANGE`` and the full angle range, then checks (a) the
+    sqrt(2) bound ``|rotated| <= sqrt(2) * |x_cond| * (1 + PROP1_REL_TOL)``
+    and (b) the exact norm identity
+    ``|rotated| = |x_cond| * sqrt(1 + sin(2 g_w) sin(g))`` to
+    ``PROP1_IDENTITY_TOL`` (stated on the squared-ratio residual).  A pair
+    too parallel to turn, such as every pair in one dimension, is left
     as it is, so its identity predicts a ratio of 1.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     per_dim = trials // len(dims)
     # np.max, not Python's max: a NaN from any dim must reach the verdict
-    worst = np.max([_prop1_dim(rng, per_dim, dim, norm_range) for dim in dims], axis=0)
+    worst = np.max([_prop1_dim(rng, per_dim, dim) for dim in dims], axis=0)
     max_ratio, max_identity_err = float(worst[0]), float(worst[1])
     bound = math.sqrt(2.0) * (1.0 + PROP1_REL_TOL)
     finite = math.isfinite(max_ratio) and math.isfinite(max_identity_err)
@@ -279,7 +272,8 @@ def prop1_stress(
     verdict = "pass" if passed else "fail"
     return ProbeReport(
         name="rotation_norm_bound",
-        parameters={"trials": trials, "dims": list(dims), "norm_range": list(norm_range), "seed": seed},
+        parameters={"trials": trials, "dims": list(dims), "norm_range": list(PROP1_NORM_RANGE),
+                    "seed": seed},
         verdict=verdict,
         measured={
             "max_ratio": max_ratio,
@@ -290,14 +284,14 @@ def prop1_stress(
     )
 
 
-def _prop1_dim(rng, per_dim: int, dim: int, norm_range) -> tuple[float, float]:
+def _prop1_dim(rng, per_dim: int, dim: int) -> tuple[float, float]:
     """(max ratio, max identity residual) over per_dim random pairs of one dim.
 
     The per-pair scalars are drawn whole; the pair normals are then drawn
     one block of rows at a time, row j holding u_j and then raw_j, so the
     stream is consumed the same way whatever the block size.
     """
-    lo, hi = norm_range
+    lo, hi = PROP1_NORM_RANGE
     theta = rng.uniform(0.0, math.pi, per_dim)
     n_cond = np.exp(rng.uniform(math.log(lo), math.log(hi), per_dim))
     n_uncond = np.exp(rng.uniform(math.log(lo), math.log(hi), per_dim))
@@ -359,7 +353,7 @@ def norm_sweep(
     omegas,
     seeds,
     condition: int,
-    base_config: GuidanceConfig | None = None,
+    base_config: GuidanceConfig,
 ) -> list[SweepRow]:
     """Mean and std of the final-sample norm per (strategy, omega).
 
@@ -368,9 +362,8 @@ def norm_sweep(
     seeds = sorted(int(s) for s in seeds)
     omegas = [float(w) for w in omegas]
     strategies = list(strategies)
-    base = base_config or GuidanceConfig()
     runs = [
-        sp.Run(replace(base, strategy=strategy), condition, seeds * len(omegas),
+        sp.Run(replace(base_config, strategy=strategy), condition, seeds * len(omegas),
                np.repeat(omegas, len(seeds)))
         for strategy in strategies
     ]
@@ -416,8 +409,8 @@ def scatter_experiment(
     grid: TimeGrid,
     omegas,
     seeds_per_class: int,
-    strategy: str = "cfg",
-    base_config: GuidanceConfig | None = None,
+    strategy: str,
+    base_config: GuidanceConfig,
 ) -> list[ScatterSet]:
     """Sample every component at each guidance weight.
 
@@ -429,7 +422,7 @@ def scatter_experiment(
     comps = np.repeat(np.arange(gmm.n_components), seeds_per_class)
     seeds = np.arange(len(comps))
     run = sp.Run(
-        replace(base_config or GuidanceConfig(), strategy=strategy),
+        replace(base_config, strategy=strategy),
         np.tile(comps, len(omegas)), np.tile(seeds, len(omegas)), np.repeat(omegas, len(comps)),
     )
     finals = sp.sample_runs(gmm, grid, [run], log=False)[0]

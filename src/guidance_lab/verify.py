@@ -62,7 +62,7 @@ def _verdict(ok: bool, *measured: float) -> str:
     return "pass" if ok and np.all(np.isfinite(measured)) else "fail"
 
 
-def probe_score_oracle(cases: int, seed: int, tolerance: float = 1e-5) -> ProbeReport:
+def probe_score_oracle(cases: int, seed: int, tolerance: float) -> ProbeReport:
     """Closed-form scores against the complex-step oracle.
 
     The report keeps its first name, ``score_finite_difference``, which
@@ -84,7 +84,7 @@ def probe_score_oracle(cases: int, seed: int, tolerance: float = 1e-5) -> ProbeR
     )
 
 
-def probe_score_identity(cases: int, seed: int, tolerance: float = 1e-10) -> ProbeReport:
+def probe_score_identity(cases: int, seed: int, tolerance: float) -> ProbeReport:
     """(sqrt(ab) * posterior_mean - x) / beta_bar must equal the score."""
     errors = [0.0]
     for gmm, x, alpha_bar, condition in random_mixture_cases(cases, seed):
@@ -209,7 +209,7 @@ def probe_c1_monotone(
     )
 
 
-def probe_cfgpp_equivalence(steps: int, seed: int, tolerance: float = 1e-8) -> ProbeReport:
+def probe_cfgpp_equivalence(steps: int, seed: int, tolerance: float) -> ProbeReport:
     """Split denoise/renoise update vs the equivalent-weight linear step, by
     the sampler's own renoise and the residual its cfgpp log holds.
 
@@ -254,7 +254,7 @@ def probe_cfgpp_equivalence(steps: int, seed: int, tolerance: float = 1e-8) -> P
 
 
 def probe_guidance_off(
-    config: ExperimentConfig, seed_count: int, tolerance: float = 1e-12
+    config: ExperimentConfig, seed_count: int, tolerance: float
 ) -> ProbeReport:
     """All strategies collapse to the conditional trajectory at omega = 1."""
     gmm = config.gmm()

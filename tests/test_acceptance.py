@@ -118,10 +118,10 @@ def test_criterion_4_norm_amplification():
     started = time.monotonic()
     grid = make_grid(SCHED, 400)
     seeds = range(256)
-    r5 = norm_amplification_check(SQUARE, 0, grid, 5.0, seeds)
+    r5 = norm_amplification_check(SQUARE, 0, grid, 5.0, seeds, 1e-9)
     assert r5.verdict == "pass"
     assert r5.measured["min_margin"] > 1e-9
-    r3 = norm_amplification_check(SQUARE, 0, grid, 3.0, seeds)
+    r3 = norm_amplification_check(SQUARE, 0, grid, 3.0, seeds, 1e-9)
     assert r5.measured["mean_margin"] > r3.measured["mean_margin"]
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
@@ -137,7 +137,7 @@ def test_criterion_4_norm_amplification():
 def test_criterion_5_anomalous_interval():
     started = time.monotonic()
     cert = surface_certificate(PAIR_1D, 1)
-    values = {w: estimate_c1(PAIR_1D, cert, 0.5, w) for w in (2.0, 3.0, 5.0)}
+    values = {w: estimate_c1(PAIR_1D, cert, 0.5, w, k_max=10.0) for w in (2.0, 3.0, 5.0)}
     assert all(v > 0 for v in values.values())
     assert values[5.0] - values[3.0] > 1e-8
     assert values[3.0] - values[2.0] > 1e-8
@@ -246,7 +246,7 @@ def test_criterion_8_sampler_statistics():
 def test_criterion_9_norm_sweep_trends():
     grid = make_grid(SCHED, 200)
     rows = norm_sweep(SQUARE, grid, ["cfg", "adg"], [1.0, 2.0, 4.0, 6.0, 8.0],
-                      range(64), 0)
+                      range(64), 0, GuidanceConfig())
     cfg = [r.mean_norm for r in rows if r.strategy == "cfg"]
     adg = {r.omega: r.mean_norm for r in rows if r.strategy == "adg"}
     assert all(b > a for a, b in zip(cfg, cfg[1:]))

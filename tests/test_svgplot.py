@@ -1,6 +1,8 @@
 """Golden rendering: scatter and sweep SVGs from fixed inputs, pinned by sha256."""
 
 import hashlib
+import math
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -48,3 +50,23 @@ GOLDEN = {
 def test_rendering_is_pinned(name):
     doc = DOCUMENTS[name]()
     assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == GOLDEN[name], doc
+
+
+@pytest.mark.parametrize("render", [render_scatter, render_sweep])
+def test_non_finite_points_are_left_out(render):
+    # a NaN or infinite coordinate once reached the circles and polylines as "nan" or "inf"
+    nan, inf = math.nan, math.inf
+    doc = render({"c": [(nan, 1.0), (0.0, 1.0), (inf, 2.0), (2.0, -inf), (1.0, 3.0)]})
+    assert doc == render({"c": [(0.0, 1.0), (1.0, 3.0)]})
+    assert doc.count("<circle") == 2
+    assert "nan" not in doc and "inf" not in doc
+
+
+@pytest.mark.parametrize("render", [render_scatter, render_sweep])
+def test_title_and_labels_are_xml_escaped(render):
+    # labels can be strategy names a plotted CSV holds: raw, they broke or injected markup
+    labels = ["a&b", "<b>cfg</b>", "x > 1 & y < 2"]
+    doc = render({label: [(float(i), 1.0)] for i, label in enumerate(labels)}, title="<i>&</i>")
+    texts = [t.text for t in ET.fromstring(doc).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == "<i>&</i>" and texts[-3:] == labels
+    assert "<b>" not in doc and "<i>" not in doc

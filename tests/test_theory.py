@@ -1,5 +1,8 @@
 """Certifier behavior: membership sets, outward-drift checks, stress tests."""
 
+import ast
+import functools
+import inspect
 import math
 import os
 import subprocess
@@ -15,7 +18,7 @@ import guidance_lab as gl
 import guidance_lab.theory as th
 import guidance_lab.verify as vf
 from guidance_lab.config import loads_config
-from guidance_lab.guidance import rotate_raw
+from guidance_lab.guidance import GuidanceConfig, rotate_raw
 from guidance_lab.mixture import GaussianMixture, score, surface_certificate
 from guidance_lab.schedule import NoiseSchedule, make_grid
 from guidance_lab.theory import (
@@ -63,38 +66,39 @@ class TestC1Estimation:
         # solved independently in extended precision
         expected = {2.0: 0.28049884543, 3.0: 0.457066657793, 5.0: 0.689361606094}
         for omega, reference in expected.items():
-            value = estimate_c1(PAIR_1D, CERT_1D, 0.5, omega)
+            value = estimate_c1(PAIR_1D, CERT_1D, 0.5, omega, k_max=10.0)
             assert value == pytest.approx(reference, abs=1e-7)
 
     def test_monotone_in_omega(self):
-        values = [estimate_c1(PAIR_1D, CERT_1D, 0.5, w) for w in (1.5, 2.0, 3.0, 5.0, 8.0)]
+        values = [estimate_c1(PAIR_1D, CERT_1D, 0.5, w, k_max=10.0)
+                  for w in (1.5, 2.0, 3.0, 5.0, 8.0)]
         assert all(v > 0 for v in values)
         assert all(b > a + 1e-8 for a, b in zip(values, values[1:]))
 
     def test_collapses_toward_omega_one(self):
-        assert estimate_c1(PAIR_1D, CERT_1D, 0.5, 1.0 + 1e-9) < 1e-5
+        assert estimate_c1(PAIR_1D, CERT_1D, 0.5, 1.0 + 1e-9, k_max=10.0) < 1e-5
 
     def test_point_beyond_boundary_exits(self):
-        c1 = estimate_c1(PAIR_1D, CERT_1D, 0.5, 3.0)
+        c1 = estimate_c1(PAIR_1D, CERT_1D, 0.5, 3.0, k_max=10.0)
         x = math.sqrt(0.5) * PAIR_1D.means[1] + 1.01 * c1 * CERT_1D.normal
         member, _ = mt_membership(PAIR_1D, CERT_1D, x, 0.5, 3.0)
         assert not member
 
     def test_point_just_inside_is_member(self):
-        c1 = estimate_c1(PAIR_1D, CERT_1D, 0.5, 3.0)
+        c1 = estimate_c1(PAIR_1D, CERT_1D, 0.5, 3.0, k_max=10.0)
         x = math.sqrt(0.5) * PAIR_1D.means[1] + 0.99 * c1 * CERT_1D.normal
         member, _ = mt_membership(PAIR_1D, CERT_1D, x, 0.5, 3.0)
         assert member
 
     def test_requires_omega_above_one(self):
         with pytest.raises(ValueError, match="omega"):
-            estimate_c1(PAIR_1D, CERT_1D, 0.5, 1.0)
+            estimate_c1(PAIR_1D, CERT_1D, 0.5, 1.0, k_max=10.0)
 
     # these once returned 0.0 or a number, or raised a bare math domain error
     @pytest.mark.parametrize("alpha_bar", [1.5, 0.0, math.nan, -0.5])
     def test_alpha_bar_outside_unit_interval_refused(self, alpha_bar):
         with pytest.raises(ValueError, match=r"alpha_bar must lie in \(0, 1\]") as exc:
-            estimate_c1(PAIR_1D, CERT_1D, alpha_bar, 2.0)
+            estimate_c1(PAIR_1D, CERT_1D, alpha_bar, 2.0, k_max=10.0)
         assert exc.value.fields == ("alpha_bar",)
 
     def test_saturates_at_k_max(self):
@@ -117,7 +121,7 @@ C1_OMEGAS = (1.5, 3.0, 8.0)
 
 @pytest.fixture(scope="module")
 def c1_cases():
-    cases = [(gmm, cert, ab, [estimate_c1(gmm, cert, ab, w) for w in C1_OMEGAS])
+    cases = [(gmm, cert, ab, [estimate_c1(gmm, cert, ab, w, k_max=10.0) for w in C1_OMEGAS])
              for gmm, cert, ab in _c1_cases()]
     assert len(cases) * len(C1_OMEGAS) == 456
     return cases
@@ -175,21 +179,21 @@ class TestC1Theorem:
 class TestNormAmplification:
     def test_strict_ordering_and_monotone_mean(self):
         grid = make_grid(SCHED, 150)
-        r3 = norm_amplification_check(SQUARE, 0, grid, 3.0, range(12))
-        r5 = norm_amplification_check(SQUARE, 0, grid, 5.0, range(12))
+        r3 = norm_amplification_check(SQUARE, 0, grid, 3.0, range(12), 1e-9)
+        r5 = norm_amplification_check(SQUARE, 0, grid, 5.0, range(12), 1e-9)
         assert r3.verdict == "pass" and r5.verdict == "pass"
         assert r3.measured["min_margin"] > 1e-9
         assert r5.measured["mean_margin"] > r3.measured["mean_margin"]
 
     def test_omega_one_is_not_applicable(self):
         grid = make_grid(SCHED, 50)
-        report = norm_amplification_check(SQUARE, 0, grid, 1.0, range(4))
+        report = norm_amplification_check(SQUARE, 0, grid, 1.0, range(4), 1e-9)
         assert report.verdict == "n/a"
         assert report.passed
 
     def test_margins_stable_under_grid_refinement(self):
-        coarse = norm_amplification_check(SQUARE, 0, make_grid(SCHED, 150), 5.0, range(8))
-        fine = norm_amplification_check(SQUARE, 0, make_grid(SCHED, 300), 5.0, range(8))
+        coarse = norm_amplification_check(SQUARE, 0, make_grid(SCHED, 150), 5.0, range(8), 1e-9)
+        fine = norm_amplification_check(SQUARE, 0, make_grid(SCHED, 300), 5.0, range(8), 1e-9)
         for a, b in zip(coarse.details, fine.details):
             assert abs(b["margin"] - a["margin"]) / abs(a["margin"]) < 0.05
 
@@ -197,7 +201,7 @@ class TestNormAmplification:
         # the square's centre lies inside the hull of its corners
         centred = GaussianMixture(dim=2, means=np.vstack([SQUARE.means, [0.0, 0.0]]),
                                   weights=[0.2] * 5)
-        report = norm_amplification_check(centred, 4, make_grid(SCHED, 20), 5.0, range(4))
+        report = norm_amplification_check(centred, 4, make_grid(SCHED, 20), 5.0, range(4), 1e-9)
         assert report.verdict == "n/a" and report.passed
         assert report.to_dict()["parameters"] == {
             "omega": 5.0, "seeds": [0, 1, 2, 3], "grid_steps": 20, "condition": 4,
@@ -205,8 +209,8 @@ class TestNormAmplification:
 
     def test_report_is_reproducible(self):
         grid = make_grid(SCHED, 60)
-        a = norm_amplification_check(SQUARE, 0, grid, 4.0, range(6))
-        b = norm_amplification_check(SQUARE, 0, grid, 4.0, range(6))
+        a = norm_amplification_check(SQUARE, 0, grid, 4.0, range(6), 1e-9)
+        b = norm_amplification_check(SQUARE, 0, grid, 4.0, range(6), 1e-9)
         assert a.to_dict() == b.to_dict()
 
 
@@ -263,18 +267,19 @@ class TestProp1Stress:
         ratio = np.linalg.norm(out) / np.linalg.norm(cond)
         assert abs(ratio - math.sqrt(2)) < 1e-12
 
-    def test_nan_ratios_fail(self):
+    def test_nan_ratios_fail(self, monkeypatch):
         # norms up to 1e300 overflow every pair's squared norm: each ratio
         # and residual is NaN, which must reach the maxima and the verdict
+        monkeypatch.setattr(th, "PROP1_NORM_RANGE", (1e-3, 1e300))
         with np.errstate(all="ignore"):
-            report = prop1_stress(trials=300, dims=(2,), norm_range=(1e-3, 1e300), seed=1)
+            report = prop1_stress(trials=300, dims=(2,), seed=1)
         assert report.verdict == "fail"
         assert math.isnan(report.measured["max_ratio"])
         assert math.isnan(report.measured["max_identity_residual"])
 
     def test_deterministic(self):
-        a = prop1_stress(trials=5000, seed=3)
-        b = prop1_stress(trials=5000, seed=3)
+        a = prop1_stress(trials=5000, dims=(2, 8, 64), seed=3)
+        b = prop1_stress(trials=5000, dims=(2, 8, 64), seed=3)
         assert a.to_dict() == b.to_dict()
 
     # pinned when the pair normals began to be drawn one block of rows at a
@@ -399,13 +404,14 @@ class TestSweepAndScatter:
     def test_sweep_unguided_rows_agree_across_strategies(self):
         grid = make_grid(SCHED, 80)
         rows = norm_sweep(SQUARE, grid, ["cfg", "adg", "adg_simplified"], [1.0],
-                          range(8), 0)
+                          range(8), 0, GuidanceConfig())
         means = {r.strategy: r.mean_norm for r in rows}
         assert len(set(round(v, 12) for v in means.values())) == 1
 
     def test_cfg_norm_grows_adg_stays_bounded(self):
         grid = make_grid(SCHED, 100)
-        rows = norm_sweep(SQUARE, grid, ["cfg", "adg"], [1.0, 3.0, 6.0], range(24), 0)
+        rows = norm_sweep(SQUARE, grid, ["cfg", "adg"], [1.0, 3.0, 6.0], range(24), 0,
+                          GuidanceConfig())
         cfg_rows = [r for r in rows if r.strategy == "cfg"]
         adg_rows = [r for r in rows if r.strategy == "adg"]
         assert cfg_rows[0].mean_norm < cfg_rows[1].mean_norm < cfg_rows[2].mean_norm
@@ -414,7 +420,7 @@ class TestSweepAndScatter:
 
     def test_scatter_unguided_centroids_near_means(self):
         grid = make_grid(SCHED, 100)
-        sets = scatter_experiment(SQUARE, grid, [1.0], 48)
+        sets = scatter_experiment(SQUARE, grid, [1.0], 48, "cfg", GuidanceConfig())
         s = sets[0]
         for c in range(4):
             samples = s.samples[s.components == c]
@@ -426,7 +432,7 @@ class TestSweepAndScatter:
             dim=2, means=[[1, 1], [1, -1], [-1, 1], [-1, -1], [0, 0]], weights=[0.2] * 5
         )
         grid = make_grid(SCHED, 100)
-        sets = scatter_experiment(center, grid, [1.0, 3.0, 5.0], 48)
+        sets = scatter_experiment(center, grid, [1.0, 3.0, 5.0], 48, "cfg", GuidanceConfig())
         drifts = [s.centroid_drift(center) for s in sets]
         # surface components drift outward monotonically
         for c in range(4):
@@ -457,16 +463,17 @@ class TestVerifyProbesFailOnNaN:
             return results
 
         monkeypatch.setattr(gl.samplers, "sample_runs", nan_in_last_variant)
-        report = vf.probe_guidance_off(loads_config("grid: {steps: 20}"), seed_count=2)
+        report = vf.probe_guidance_off(loads_config("grid: {steps: 20}"), seed_count=2,
+                                       tolerance=1e-12)
         assert report.verdict == "fail"
         assert math.isnan(report.measured["max_step_deviation"])
 
     @pytest.mark.parametrize("probe, module, name", [
-        (lambda: vf.probe_score_oracle(6, 1), gl.mixture, "complex_step_score"),
-        (lambda: vf.probe_score_identity(6, 1), gl.mixture, "posterior_mean_x0"),
+        (lambda: vf.probe_score_oracle(6, 1, 1e-5), gl.mixture, "complex_step_score"),
+        (lambda: vf.probe_score_identity(6, 1, 1e-10), gl.mixture, "posterior_mean_x0"),
         (lambda: vf.probe_posterior_simplex(6, 1), gl.mixture, "posterior_weights"),
-        (lambda: vf.probe_cfgpp_equivalence(6, 1), gl.samplers, "cfgpp_equivalent_weight"),
-        (lambda: vf.probe_cfgpp_equivalence(6, 1), gl.samplers, "_cfgpp_residual"),
+        (lambda: vf.probe_cfgpp_equivalence(6, 1, 1e-8), gl.samplers, "cfgpp_equivalent_weight"),
+        (lambda: vf.probe_cfgpp_equivalence(6, 1, 1e-8), gl.samplers, "_cfgpp_residual"),
     ])
     def test_nan_after_the_first_case_fails(self, monkeypatch, probe, module, name):
         real, calls = getattr(module, name), []
@@ -481,3 +488,35 @@ class TestVerifyProbesFailOnNaN:
         report = probe()
         assert report.verdict == "fail"
         assert any(isinstance(v, float) and math.isnan(v) for v in report.measured.values())
+
+
+# the probe functions whose settings are leaves of a `probes.*` block, or of
+# the sweep or scatter block their command reads
+CONFIGURED = (vf.probe_score_oracle, vf.probe_score_identity, vf.probe_cfgpp_equivalence,
+              vf.probe_guidance_off, th.norm_amplification_check, th.prop1_stress,
+              th.estimate_c1, th.norm_sweep, th.scatter_experiment)
+
+
+def test_a_probe_takes_its_settings_from_its_config_block_alone():
+    # a default of its own would let a library call certify another probe than verify runs
+    for fn in CONFIGURED:
+        defaulted = [p.name for p in inspect.signature(fn).parameters.values()
+                     if p.default is not p.empty]
+        assert defaulted == [], fn.__name__
+    probes = loads_config("").data["probes"]
+    assert set(inspect.signature(th.prop1_stress).parameters) == set(probes["prop1"])
+    # each `probe(*args, **probes_cfg[block])` call of run_suite: the parameters
+    # after the positional ones are exactly the block's leaves
+    suite = ast.parse(inspect.getsource(vf.run_suite))
+    blocks = set()
+    for call in ast.walk(suite):
+        if not isinstance(call, ast.Call):
+            continue
+        for kw in call.keywords:
+            if kw.arg is None:
+                block = ast.literal_eval(kw.value.slice)
+                fn = functools.reduce(getattr, ast.unparse(call.func).split("."), vf)
+                named = list(inspect.signature(fn).parameters)[len(call.args):]
+                assert set(named) == set(probes[block]), (fn.__name__, block)
+                blocks.add(block)
+    assert blocks == {"score_oracle", "score_identity", "prop1", "c1", "cfgpp", "guidance_off"}
