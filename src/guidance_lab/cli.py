@@ -280,7 +280,10 @@ def _read_csv(path):
     import csv
 
     with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        try:
+            return list(csv.DictReader(fh))
+        except csv.Error as exc:  # such as a field over csv's size limit
+            raise ValueError(exc) from exc
 
 
 def _scatter_groups(rows, omega_filter):

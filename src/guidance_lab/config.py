@@ -442,11 +442,11 @@ def _apply_override(raw: dict, item: str) -> dict:
         raise ConfigError(f"--set {item!r}: expected KEY=VALUE")
     key, _, value_text = item.partition("=")
     key = key.strip()
-    if not key:
+    parts = key.split(".")
+    if not all(parts):
         raise ConfigError(f"--set {item!r}: empty key")
     value = _parse_yaml(value_text, f"--set {key}: invalid value")
     node = raw
-    parts = key.split(".")
     for part in parts[:-1]:
         nxt = node.get(part)
         if nxt is None:

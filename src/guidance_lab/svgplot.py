@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from xml.sax.saxutils import escape
 
 __all__ = ["PALETTE", "render_scatter", "render_sweep", "write_svg"]
@@ -27,36 +28,28 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _nice_ticks(lo: float, hi: float) -> list[float]:
-    """About six round ticks across [lo, hi]."""
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        lo, hi = 0.0, 1.0
-    span = hi - lo
-    raw = span / 5
+def _axis(values) -> tuple[float, float, list[float]]:
+    """An axis's ``(lo, hi, ticks)`` for finite ``values``: (0, 1) with none, else their
+    span padded by 5% on each side (by 0.5 when it is 0), by at least 16 doubles at their
+    magnitude, and clamped to the float range; about six round ticks inside it.  A span is
+    taken as a difference of halves, which cannot overflow."""
+    lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
+    if values:
+        pad = max((hi * 0.5 - lo * 0.5) * 0.1 or 0.5, 16 * math.ulp(max(-lo, hi)))
+        lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+    raw = (hi * 0.5 - lo * 0.5) / 2.5
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    start = math.ceil(lo / step) * step
-    ticks = []
-    value = start
-    while value <= hi + 1e-9 * span:
-        ticks.append(round(value, 12))
-        value += step
-    return ticks
+    step = next((mult * mag for mult in (1.0, 2.0, 2.5, 5.0) if raw <= mult * mag), 10 * mag)
+    ticks = (round(k * step, 12) for k in range(math.ceil(lo / step), math.floor(hi / step) + 2))
+    return lo, hi, [tick for tick in ticks if lo <= tick <= hi]
 
 
 class _Canvas:
     """Data-space to pixel-space mapping plus SVG assembly."""
 
-    def __init__(self, x_range, y_range, title: str):
-        self.x_lo, self.x_hi = x_range
-        self.y_lo, self.y_hi = y_range
-        if self.x_hi <= self.x_lo:
-            self.x_lo, self.x_hi = self.x_lo - 0.5, self.x_lo + 0.5
-        if self.y_hi <= self.y_lo:
-            self.y_lo, self.y_hi = self.y_lo - 0.5, self.y_lo + 0.5
+    def __init__(self, xs, ys, title: str):
+        self.x_lo, self.x_hi, self.x_ticks = _axis(xs)
+        self.y_lo, self.y_hi, self.y_ticks = _axis(ys)
         self.parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
             f'viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -67,11 +60,13 @@ class _Canvas:
 
     def px(self, x: float) -> float:
         inner = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-        return MARGIN_LEFT + (x - self.x_lo) / (self.x_hi - self.x_lo) * inner
+        span = self.x_hi * 0.5 - self.x_lo * 0.5  # halves, as in _axis: it cannot overflow
+        return MARGIN_LEFT + (x * 0.5 - self.x_lo * 0.5) / span * inner
 
     def py(self, y: float) -> float:
         inner = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-        return HEIGHT - MARGIN_BOTTOM - (y - self.y_lo) / (self.y_hi - self.y_lo) * inner
+        span = self.y_hi * 0.5 - self.y_lo * 0.5
+        return HEIGHT - MARGIN_BOTTOM - (y * 0.5 - self.y_lo * 0.5) / span * inner
 
     def axes(self):
         x0, y0 = MARGIN_LEFT, HEIGHT - MARGIN_BOTTOM
@@ -82,9 +77,7 @@ class _Canvas:
         self.parts.append(
             f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black" stroke-width="1"/>'
         )
-        for tick in _nice_ticks(self.x_lo, self.x_hi):
-            if not self.x_lo <= tick <= self.x_hi:
-                continue
+        for tick in self.x_ticks:
             px = self.px(tick)
             self.parts.append(
                 f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" y2="{y0 + 5}" stroke="black"/>'
@@ -93,9 +86,7 @@ class _Canvas:
                 f'<text x="{_fmt(px)}" y="{y0 + 20}" text-anchor="middle" '
                 f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
             )
-        for tick in _nice_ticks(self.y_lo, self.y_hi):
-            if not self.y_lo <= tick <= self.y_hi:
-                continue
+        for tick in self.y_ticks:
             py = self.py(tick)
             self.parts.append(
                 f'<line x1="{x0 - 5}" y1="{_fmt(py)}" x2="{x0}" y2="{_fmt(py)}" stroke="black"/>'
@@ -129,15 +120,6 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-def _data_range(values):
-    """The values' span, padded by 5% on each side."""
-    if not values:
-        return 0.0, 1.0
-    lo, hi = min(values), max(values)
-    pad = (hi - lo) * 0.05 or 0.5
-    return lo - pad, hi + pad
-
-
 def _render(groups: dict[str, list[tuple[float, float]]], title: str, lines: bool) -> str:
     """Circles in one palette color per group, with ``lines`` a polyline
     through each group's sorted points under them; empty input gives bare axes.
@@ -146,7 +128,7 @@ def _render(groups: dict[str, list[tuple[float, float]]], title: str, lines: boo
               for label, pts in groups.items()}
     xs = [p[0] for pts in groups.values() for p in pts]
     ys = [p[1] for pts in groups.values() for p in pts]
-    canvas = _Canvas(_data_range(xs), _data_range(ys), title)
+    canvas = _Canvas(xs, ys, title)
     canvas.axes()
     labels = []
     for i, (label, pts) in enumerate(groups.items()):

@@ -169,6 +169,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="KEY=VALUE"):
             loads_config(MINIMAL_1D, overrides=["guidance.omega"])
 
+    @pytest.mark.parametrize("item", ["=1", ".x=1", "run..seeds=[1]", "run.seeds.=[1]"])
+    def test_override_with_an_empty_key_segment_names_the_item(self, item):
+        # an empty segment once reached the merge and named no leaf (": unknown key")
+        with pytest.raises(ConfigError, match=rf"^--set {re.escape(repr(item))}: empty key$"):
+            loads_config(MINIMAL_1D, overrides=[item])
+
     def test_invalid_weights_rejected(self):
         with pytest.raises(ConfigError, match="sum to 1"):
             loads_config("gmm: {means: [[0.0], [1.0]], weights: [0.5, 0.4]}")
@@ -800,6 +806,44 @@ class TestCliContracts:
         bad.write_text("a,b\n1,2\n")
         assert run_cli("plot", str(bad), "--kind", "sweep") == 2
         assert run_cli("plot", str(tmp_path / "missing.csv"), "--kind", "scatter") == 2
+
+    @pytest.mark.parametrize("kind", ["scatter", "sweep"])
+    def test_plot_field_over_the_csv_limit_is_input_error(self, tmp_path, capsys, kind):
+        # csv refuses a field over 131,072 characters with its own Error, which exited 1
+        path = tmp_path / "long.csv"
+        digits = "1" * 200_000
+        path.write_text(f"strategy,omega,mean_norm,std_norm,n_seeds\ncfg,5.0,{digits},0,2\n")
+        assert run_cli("plot", str(path), "--kind", kind) == 2
+        assert f"malformed CSV for kind={kind}: field larger than field limit" in (
+            capsys.readouterr().err)
+        assert not path.with_suffix(".svg").exists()
+
+    @pytest.mark.parametrize("omegas", ["[1.0e+16]", "[1.0e+17, 1.00000000000000016e+17]"],
+                             ids=["one-weight", "two-weights-one-double-apart"])
+    def test_plot_sweep_of_weights_at_large_magnitude(self, tmp_path, omegas):
+        # one weight at 1e16 left a zero axis span (ZeroDivisionError, exit 1); two weights
+        # one double apart at 1e17 gave a tick step below one double, and plot never returned
+        out = tmp_path / "sw"
+        assert run_cli("sweep", "--config", DEFAULT, "--out", str(out),
+                       "--set", f"sweep.omegas={omegas}", "--set", "sweep.strategies=[adg]",
+                       "--set", "grid.steps=5", "--set", "sweep.seed_count=2") == 0
+        package_root = os.path.dirname(os.path.dirname(guidance_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        done = subprocess.run(
+            [sys.executable, "-m", "guidance_lab.cli", "plot", str(out / "sweep.csv"),
+             "--kind", "sweep"], env=env, capture_output=True, text=True, timeout=20)
+        assert done.returncode == 0, done.stderr
+        svg = (out / "sweep.svg").read_text()
+        assert svg.count("<circle") == omegas.count(",") + 1 and "nan" not in svg
+
+    def test_scatter_of_a_mixture_at_large_magnitude(self, tmp_path):
+        # samples 2e16 from the origin spread less than one double apart in x: the zero
+        # axis span raised ZeroDivisionError after scatter.csv was written
+        assert run_cli("scatter", "--config", DEFAULT, "--out", str(tmp_path),
+                       "--set", "gmm.means=[[2.0e+16, 0.0]]", "--set", "gmm.weights=[1.0]",
+                       "--set", "grid.steps=5", "--set", "scatter.seeds_per_class=4",
+                       "--set", "scatter.omegas=[1.0]") == 0
+        assert (tmp_path / "scatter_omega_1.svg").read_text().count("<circle") == 4
 
     @pytest.mark.parametrize("kind", ["scatter", "sweep"])
     def test_plot_undecodable_or_short_csv_is_input_error(self, tmp_path, capsys, kind):

@@ -2,11 +2,17 @@
 
 import hashlib
 import math
+import signal
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from guidance_lab.svgplot import render_scatter, render_sweep
+from guidance_lab.svgplot import (HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP,
+                                  WIDTH, render_scatter, render_sweep)
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def _points(k, n):
@@ -67,6 +73,36 @@ def test_title_and_labels_are_xml_escaped(render):
     # labels can be strategy names a plotted CSV holds: raw, they broke or injected markup
     labels = ["a&b", "<b>cfg</b>", "x > 1 & y < 2"]
     doc = render({label: [(float(i), 1.0)] for i, label in enumerate(labels)}, title="<i>&</i>")
-    texts = [t.text for t in ET.fromstring(doc).iter("{http://www.w3.org/2000/svg}text")]
+    texts = [t.text for t in ET.fromstring(doc).iter(f"{SVG}text")]
     assert texts[0] == "<i>&</i>" and texts[-3:] == labels
     assert "<b>" not in doc and "<i>" not in doc
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("rendering took longer than its budget")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(render=st.sampled_from([render_scatter, render_sweep]),
+       points=st.lists(st.tuples(FINITE, FINITE), max_size=6))
+# the span 2e308 overflowed to inf and every pixel coordinate to NaN
+@example(render=render_scatter, points=[(-1e308, 0.0), (1e308, 0.0)])
+def test_any_finite_points_draw_inside_the_axes(render, points):
+    # large magnitudes once divided by a zero span or looped forever over ticks a step
+    # below one double apart; a short budget, as that loop appended ticks without bound
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.setitimer(signal.ITIMER_REAL, 0.25)
+    try:
+        doc = render({"c": points})
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert "nan" not in doc and "inf" not in doc
+    circles = list(ET.fromstring(doc).iter(f"{SVG}circle"))
+    assert len(circles) == len(points)
+    for circle in circles:
+        assert MARGIN_LEFT <= float(circle.get("cx")) <= WIDTH - MARGIN_RIGHT, doc
+        assert MARGIN_TOP <= float(circle.get("cy")) <= HEIGHT - MARGIN_BOTTOM, doc
